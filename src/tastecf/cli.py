@@ -20,7 +20,7 @@ from .evaluate import average_precision, split_history
 from .idf import compute_idf
 from .index import build_index, load_index, save_index
 from .ingest import load_dataset, parse_triplets, save_dataset, write_triplets
-from .recommend import recommend_all, render_recommendation
+from .recommend import recommend_all, write_recommendations
 
 _MODE_NAMES = {"challenge": AP_CHALLENGE, "paper": AP_LIST_LENGTH}
 
@@ -122,11 +122,7 @@ def _cmd_recommend(args) -> int:
             raise DataError(f"unknown user id {ext_id!r} in {args.users}")
         indexes.append(idx)
     recs = recommend_all(loaded.index, idf, indexes, config, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in recs:
-            fh.write(render_recommendation(rec, loaded.user_vocab,
-                                           loaded.track_vocab))
-            fh.write("\n")
+    write_recommendations(recs, args.out, loaded.user_vocab, loaded.track_vocab)
     print(f"recommended for {len(indexes)} users -> {args.out}", file=sys.stderr)
     return 0
 

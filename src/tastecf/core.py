@@ -8,6 +8,8 @@ from typing import NamedTuple
 
 # Dense ids are 32-bit; anything larger overflows the binary formats.
 MAX_INDEX = 2**31 - 1
+# Play counts are stored as u32 in the dataset and index files.
+MAX_PLAY_COUNT = 2**32 - 1
 
 PAD_DUMMY = "dummy"
 PAD_POPULARITY = "popularity"

@@ -14,7 +14,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import storage
-from .core import CapacityError, DataError, DuplicatePairError, MAX_INDEX, Vocabulary
+from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
+                   MAX_PLAY_COUNT, Vocabulary)
 from .idf import IdfTable
 from .ingest import TripletBatch
 
@@ -54,6 +55,16 @@ class InteractionIndex:
     def posting(self, t: int) -> np.ndarray:
         return self.inv_users[self.inv_offsets[t]:self.inv_offsets[t + 1]]
 
+    def forward_rows(self, users: np.ndarray):
+        """The users' forward lists concatenated in the given order, plus
+        each list's length."""
+        return _gather_rows(self.fwd_offsets, self.fwd_tracks, users)
+
+    def posting_rows(self, tracks: np.ndarray):
+        """The tracks' posting lists concatenated in the given order, plus
+        each list's length."""
+        return _gather_rows(self.inv_offsets, self.inv_users, tracks)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InteractionIndex)
@@ -66,6 +77,18 @@ class InteractionIndex:
             and np.array_equal(self.inv_users, other.inv_users)
             and np.array_equal(self.total_plays, other.total_plays)
         )
+
+
+def _gather_rows(offsets: np.ndarray, values: np.ndarray, rows: np.ndarray):
+    """Concatenate CSR rows without per-row slicing: entry j of the output
+    sits at its row's start plus its distance from that row's first output
+    slot."""
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    out_ends = np.cumsum(lens)
+    total = int(out_ends[-1]) if out_ends.size else 0
+    positions = np.arange(total) + np.repeat(starts - (out_ends - lens), lens)
+    return values[positions], lens
 
 
 def _freeze(*arrays):
@@ -130,7 +153,13 @@ class LoadedIndex(NamedTuple):
 
 def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
                idf: Optional[IdfTable] = None) -> None:
-    """Persist the index (plus vocabularies and, optionally, an idf table)."""
+    """Persist the index (plus vocabularies and, optionally, an idf table).
+
+    Play counts are stored as u32; a larger one raises ValueError before
+    anything is written.
+    """
+    if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
+        raise ValueError("play_count exceeds the u32 storage width")
     chunks = [
         _MAGIC,
         struct.pack("<I", _VERSION),

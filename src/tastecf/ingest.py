@@ -13,11 +13,11 @@ import struct
 import numpy as np
 
 from . import storage
-from .core import DuplicatePairError, MalformedLineError, Triplet, Vocabulary
+from .core import (DuplicatePairError, MAX_PLAY_COUNT, MalformedLineError,
+                   Triplet, Vocabulary)
 
 _MAGIC = b"TCFDAT1\x00"
 _VERSION = 1
-_U32_MAX = 2**32 - 1
 
 
 @dataclass(eq=False)
@@ -57,9 +57,9 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
     """Parse line-oriented triplet text into a batch.
 
     Empty lines are skipped. Vocabularies are populated in first-seen
-    order. Raises MalformedLineError for a wrong field count or a bad play
-    count, DuplicatePairError when a (user, track) pair repeats; both carry
-    the 1-based line number.
+    order. Raises MalformedLineError for a wrong field count or a play
+    count that is not an integer in [1, 2**32 - 1], DuplicatePairError when
+    a (user, track) pair repeats; both carry the 1-based line number.
     """
     user_vocab = Vocabulary()
     track_vocab = Vocabulary()
@@ -80,9 +80,14 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
         if not (count_text.isascii() and count_text.isdecimal()):
             raise MalformedLineError(
                 line_no, f"play_count is not a base-10 integer: {count_text!r}")
-        count = int(count_text)
-        if count < 1:
-            raise MalformedLineError(line_no, "play_count must be >= 1")
+        # over 10 significant digits cannot fit, and int() may refuse a
+        # digit string that long (leading zeros count towards its limit)
+        if len(count_text) > 10:
+            count_text = count_text.lstrip("0") or "0"
+        count = int(count_text) if len(count_text) <= 10 else MAX_PLAY_COUNT + 1
+        if not 1 <= count <= MAX_PLAY_COUNT:
+            raise MalformedLineError(
+                line_no, f"play_count must be in [1, {MAX_PLAY_COUNT}]")
         u = user_vocab.intern(user_ext)
         t = track_vocab.intern(track_ext)
         key = (u << 32) | t
@@ -111,7 +116,7 @@ def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:
 
 def save_dataset(batch: TripletBatch, path) -> None:
     """Write the versioned, checksummed binary dataset file."""
-    if len(batch) and int(batch.counts.max()) > _U32_MAX:
+    if len(batch) and int(batch.counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
     chunks = [
         _MAGIC,

@@ -12,9 +12,13 @@ available. Under-length lists are rare on realistic data, so the dummy
 default costs little.
 
 Scores accumulate in the natural-log domain in a fixed order (neighbors in
-NeighborSet order, tracks in forward order) and ranking compares those
+NeighborSet order, tracks in forward order): the neighbors' forward lists
+are gathered in that order and summed with one np.bincount, which adds its
+weights in input order starting from 0.0, so every track's sum is built in
+the same order as a neighbor-by-neighbor loop. Ranking compares those
 canonical sums, which makes output byte-identical for any worker count and
-for any idf log base.
+for any idf log base. Only tracks scoring at least the k-th best score
+(ties included) are sorted, which cannot change the first k places.
 """
 
 from dataclasses import dataclass
@@ -80,9 +84,11 @@ def score_tracks(index, neighbors: NeighborSet, exclude_seen: bool = True) -> Sc
     Tracks the source user already played are omitted when exclude_seen;
     only tracks with a positive score are returned.
     """
-    buf = np.zeros(index.n_tracks, dtype=np.float64)
-    for v, ln_weight in zip(neighbors.users, neighbors.ln_weights):
-        buf[index.forward_tracks(v)] += ln_weight / index.total_plays[v]
+    tracks, lens = index.forward_rows(neighbors.users)
+    shares = neighbors.ln_weights / index.total_plays[neighbors.users]
+    # astype: np.bincount of an empty input gives integer zeros
+    buf = np.bincount(tracks, weights=np.repeat(shares, lens),
+                      minlength=index.n_tracks).astype(np.float64, copy=False)
     if exclude_seen:
         buf[index.forward_tracks(neighbors.source_user)] = 0.0
     scored = np.flatnonzero(buf > 0.0)
@@ -99,9 +105,17 @@ def rank_and_pad(user: int, scored: ScoredTracks, k: int, pad_strategy: str,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    n = scored.tracks.size
+    if n > k:
+        # every track tied with the k-th best score survives, so the sort
+        # below still sees every contender for the first k places
+        kth = np.partition(scored.ln_scores, n - k)[n - k]
+        survive = scored.ln_scores >= kth
+        scored = ScoredTracks(scored.tracks[survive], scored.ln_scores[survive],
+                              scored.ln_base)
     order = np.lexsort((scored.tracks, -df[scored.tracks], -scored.ln_scores))[:k]
-    items = [int(t) for t in scored.tracks[order]]
-    scores = [float(s) for s in scored.scores[order]]
+    items = scored.tracks[order].tolist()
+    scores = scored.scores[order].tolist()
 
     if len(items) < k and pad_strategy == PAD_POPULARITY:
         available = np.ones(df.size, dtype=bool)

@@ -7,10 +7,13 @@ the users with nonempty overlap. Pruning keeps candidates whose weight is
 at least prune_ratio times the best candidate weight.
 
 Determinism contract: weights accumulate in the natural-log domain in
-ascending track order; retention and ordering decisions compare those
-canonical sums, so neighbor sets are bit-reproducible for any worker count
-and provably identical for any idf log base. Reported weights are the
-canonical sums converted to the table's base.
+ascending track order. The candidate pass gathers u's posting lists in
+track order and sums them with one np.bincount, which adds its weights in
+input order starting from 0.0, so each co-listener's sum is built in the
+same order as a track-by-track loop. Retention and ordering decisions
+compare those canonical sums, so neighbor sets are bit-reproducible for
+any worker count and provably identical for any idf log base. Reported
+weights are the canonical sums converted to the table's base.
 """
 
 from dataclasses import dataclass
@@ -88,21 +91,20 @@ def candidate_neighbors(index, idf, u: int) -> Candidates:
     """Accumulate idf[t] onto every co-listener of each track t of u.
 
     Equivalent to computing similarity(u, v) for every v sharing a track
-    with u, but in one pass over u's posting lists.
+    with u, but in one pass over u's posting lists. Membership comes from
+    the distinct co-listeners, not from a nonzero weight, so a co-listener
+    whose shared tracks all have idf 0 is kept with weight 0.0.
     """
     tracks_u = index.forward_tracks(u)
     if tracks_u.size == 0:
         return Candidates(u, _EMPTY_USERS, _EMPTY_WEIGHTS, idf.ln_base)
-    postings = [index.posting(t) for t in tracks_u]
-    lengths = [p.size for p in postings]
-    co_users = np.concatenate(postings)
-    contributions = np.repeat(idf.ln_values[tracks_u], lengths)
-    ln_weights = np.bincount(co_users, weights=contributions,
-                             minlength=index.n_users)
-    shares = np.bincount(co_users, minlength=index.n_users)
-    cand = np.flatnonzero(shares)
-    cand = cand[cand != u]
-    return Candidates(u, cand, ln_weights[cand], idf.ln_base)
+    co_users, lens = index.posting_rows(tracks_u)
+    cand, slot = np.unique(co_users, return_inverse=True)
+    ln_weights = np.bincount(slot, weights=np.repeat(idf.ln_values[tracks_u], lens),
+                             minlength=cand.size)
+    others = cand != u
+    return Candidates(u, cand[others].astype(np.int64), ln_weights[others],
+                      idf.ln_base)
 
 
 def prune(candidates: Candidates, prune_ratio: float) -> NeighborSet:

@@ -154,6 +154,16 @@ def test_unknown_user_id_exits_1_with_id(tmp_path, t1_file, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [str(2**64), "5000000000"])
+def test_ingest_play_count_above_u32_exits_1_with_line(tmp_path, capsys, count):
+    text = tmp_path / "big.txt"
+    text.write_text(f"u1\ta\t1\nu1\tb\t{count}\n")
+    out = tmp_path / "big.ds"
+    assert main(["ingest", "--input", str(text), "--out", str(out)]) == 1
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path, t1_file):
     with pytest.raises(SystemExit) as exc:
         main(["recommend", "--bogus-flag"])

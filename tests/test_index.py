@@ -71,6 +71,24 @@ def test_forward_inverted_consistency_on_random_batches():
         assert int(index.df.sum()) == len(batch)
 
 
+def test_row_gathers_equal_concatenated_slices():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        batch = random_batch(rng, max_users=20, max_tracks=12)
+        batch.user_vocab.intern("loner")   # a user with an empty forward list
+        index = build_index(batch)
+        users = rng.integers(0, index.n_users, int(rng.integers(0, 30)))
+        tracks = rng.integers(0, index.n_tracks, int(rng.integers(0, 30)))
+        for (got, lens), rows, row in (
+                (index.forward_rows(users), users, index.forward_tracks),
+                (index.posting_rows(tracks), tracks, index.posting)):
+            pieces = [row(r) for r in rows.tolist()]
+            assert lens.tolist() == [p.size for p in pieces]
+            assert got.tolist() == [x for p in pieces for x in p.tolist()]
+        empty, lens = index.forward_rows(np.array([index.n_users - 1]))
+        assert empty.size == 0 and lens.tolist() == [0]
+
+
 def test_lists_are_sorted_and_duplicate_free():
     rng = np.random.default_rng(12)
     batch = random_batch(rng, max_users=30, max_tracks=20)
@@ -103,6 +121,18 @@ def test_out_of_range_index_is_rejected():
 def test_index_arrays_are_frozen(t1_index):
     with pytest.raises(ValueError):
         t1_index.df[0] = 99
+
+
+def test_save_index_rejects_play_count_above_u32(tmp_path):
+    batch = TripletBatch(np.array([0], dtype=np.int32), np.array([0], dtype=np.int32),
+                         np.array([5_000_000_000], dtype=np.int64),
+                         Vocabulary(["u1"]), Vocabulary(["a"]))
+    index = build_index(batch)
+    assert index.total_plays.tolist() == [5_000_000_000]
+    path = tmp_path / "big.idx"
+    with pytest.raises(ValueError, match="u32"):
+        save_index(index, batch.user_vocab, batch.track_vocab, path)
+    assert not path.exists()
 
 
 def test_index_round_trip_without_idf(tmp_path, t1_index, t1_batch):

@@ -58,6 +58,25 @@ def test_parse_rejects_malformed_lines(line):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("count", [str(2**64), "5000000000"])
+def test_parse_rejects_play_count_above_u32(count):
+    with pytest.raises(MalformedLineError, match=str(2**32 - 1)) as err:
+        parse_triplets(io.StringIO(f"ok\tfine\t1\nu1\tta\t{count}\n"))
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("zeros", [3, 5000])
+def test_parse_accepts_u32_max_play_count_with_leading_zeros(zeros):
+    batch = parse_triplets(io.StringIO(f"u1\tta\t{'0' * zeros}{2**32 - 1}\n"))
+    assert batch.counts.tolist() == [2**32 - 1]
+
+
+def test_parse_rejects_long_zero_play_count():
+    with pytest.raises(MalformedLineError) as err:
+        parse_triplets(io.StringIO("u1\tta\t" + "0" * 5000 + "\n"))
+    assert err.value.line_no == 1
+
+
 def test_parse_rejects_duplicate_pair_with_line_number():
     with pytest.raises(DuplicatePairError) as err:
         parse_triplets(io.StringIO("u1\tta\t2\nu1\tta\t3\n"))

@@ -83,12 +83,19 @@ def test_t1_u1_k5_pads_with_dummies(t1_index, t1_idf):
 def test_truncation_matches_full_sort():
     rng = np.random.default_rng(31)
     tracks = np.arange(600)
-    scores = rng.random(600)
-    df = rng.integers(1, 50, 600)
-    scored = ScoredTracks(tracks, scores)
-    rec = rank_and_pad(0, scored, 500, "dummy", df)
-    full = sorted(range(600), key=lambda t: (-scores[t], -df[t], t))
-    assert rec.items == full[:500]
+    continuous = (rng.random(600), rng.integers(1, 50, 600))
+    # eight score levels and three df values: ties on (score, df) straddle
+    # position k, so only keeping every tie with the k-th score is correct
+    quantised = (rng.integers(1, 9, 600) / 8.0, rng.integers(1, 4, 600))
+    for scores, df in (continuous, quantised):
+        scored = ScoredTracks(tracks, scores)
+        full = sorted(range(600), key=lambda t: (-scores[t], -df[t], t))
+        for k in (1, 37, 500, 599, 600, 601):
+            rec = rank_and_pad(0, scored, k, "dummy", df)
+            assert rec.real_items == full[:k]
+            assert rec.scores == [scores[t] for t in full[:k]]
+    scores, df = quantised
+    assert (scores[full[499]], df[full[499]]) == (scores[full[500]], df[full[500]])
 
 
 def test_equal_score_equal_df_breaks_by_lower_index():

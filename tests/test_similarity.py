@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from tastecf import (
+    TripletBatch,
     build_index,
     candidate_neighbors,
     compute_idf,
@@ -87,10 +88,25 @@ def test_candidates_match_pairwise_similarity_exactly():
                 assert weight == similarity(index, table, u, v)
 
 
+def _with_track_everyone_played(batch):
+    """The batch plus one track that every user played (idf exactly 0), so
+    users who share nothing else are candidates of weight exactly 0.0."""
+    n_users = len(batch.user_vocab)
+    everyone = batch.track_vocab.intern("everyone")
+    return TripletBatch(
+        np.concatenate([batch.users, np.arange(n_users, dtype=np.int32)]),
+        np.concatenate([batch.tracks, np.full(n_users, everyone, dtype=np.int32)]),
+        np.concatenate([batch.counts, np.ones(n_users, dtype=np.int64)]),
+        batch.user_vocab, batch.track_vocab)
+
+
 def test_candidates_match_dense_oracle_nonzero_restriction():
     rng = np.random.default_rng(23)
-    for _ in range(30):
+    exact_zeros = 0
+    for i in range(30):
         batch = random_batch(rng)
+        if i % 2:
+            batch = _with_track_everyone_played(batch)
         index = build_index(batch)
         table = compute_idf(index)
         triples = list(zip(batch.users.tolist(), batch.tracks.tolist(),
@@ -98,13 +114,12 @@ def test_candidates_match_dense_oracle_nonzero_restriction():
         history, listeners = oracle.build_maps(triples)
         idf = oracle.idf_values(listeners, index.n_users)
         for u in range(index.n_users):
-            got = {v: w for v, w in
-                   candidate_neighbors(index, table, u).as_dict().items()
-                   if w != 0.0}
-            want = {v: w for v, w in
-                    oracle.user_weights(history, listeners, idf, u).items()
-                    if w != 0.0}
+            # whole dicts: membership includes co-listeners of weight 0.0
+            got = candidate_neighbors(index, table, u).as_dict()
+            want = oracle.user_weights(history, listeners, idf, u)
             assert got == want
+            exact_zeros += sum(w == 0.0 for w in want.values())
+    assert exact_zeros > 0
 
 
 def test_prune_empty_candidates(t1_index, t1_idf):
