@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import sys
 
+from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    PAD_DUMMY, PAD_STRATEGIES)
 from .evaluate import average_precision, split_history
@@ -206,8 +207,8 @@ def _cmd_split(args) -> int:
 def _cmd_stats(args) -> int:
     _log_config("stats", args, ["input", "delimiter"])
     with open(args.input, "rb") as fh:
-        magic = fh.read(8)
-    if magic == b"TCFDAT1\x00":
+        magic = fh.read(len(ingest._MAGIC))
+    if magic == ingest._MAGIC:
         batch = load_dataset(args.input)
     else:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -74,21 +74,52 @@ class Vocabulary:
     strings, nothing about their format is assumed.
     """
 
-    __slots__ = ("_ids", "_index")
+    __slots__ = ("_ids", "_index", "_origin")
 
     def __init__(self, ids=()):
         self._ids: list[str] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int] | None = {}
         for ext_id in ids:
             self.intern(ext_id)
 
+    @classmethod
+    def from_unique(cls, ids: list[str], origin: str = "vocabulary") -> "Vocabulary":
+        """Wrap a list of ids that should already be distinct, taking
+        ownership of it.
+
+        The id -> index map is built on the first get, index_of, `in` or
+        intern; a repeated id raises DataError, naming `origin`, then.
+        """
+        if len(ids) > MAX_INDEX + 1:
+            raise CapacityError(f"{origin}: exceeds 32-bit index space")
+        vocab = cls.__new__(cls)
+        vocab._ids = ids
+        vocab._index = None
+        vocab._origin = origin
+        return vocab
+
+    def _id_index(self) -> dict[str, int]:
+        if self._index is not None:
+            return self._index
+        ids = self._ids
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
+            seen = set()
+            repeated = next(i for i in ids if i in seen or seen.add(i))
+            raise DataError(f"{self._origin}: id {repeated!r} appears twice")
+        self._index = index
+        return index
+
     def intern(self, ext_id: str) -> int:
-        idx = self._index.get(ext_id)
+        index = self._index
+        if index is None:   # checked inline: parsing interns every field
+            index = self._id_index()
+        idx = index.get(ext_id)
         if idx is None:
             idx = len(self._ids)
             if idx > MAX_INDEX:
                 raise CapacityError("vocabulary exceeds 32-bit index space")
-            self._index[ext_id] = idx
+            index[ext_id] = idx
             self._ids.append(ext_id)
         return idx
 
@@ -96,10 +127,10 @@ class Vocabulary:
         return self._ids[index]
 
     def index_of(self, ext_id: str) -> int:
-        return self._index[ext_id]
+        return self._id_index()[ext_id]
 
     def get(self, ext_id: str, default=None):
-        return self._index.get(ext_id, default)
+        return self._id_index().get(ext_id, default)
 
     @property
     def ids(self) -> list[str]:
@@ -110,7 +141,7 @@ class Vocabulary:
         return len(self._ids)
 
     def __contains__(self, ext_id) -> bool:
-        return ext_id in self._index
+        return ext_id in self._id_index()
 
     def __iter__(self):
         return iter(self._ids)

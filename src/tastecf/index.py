@@ -20,7 +20,7 @@ from .idf import IdfTable
 from .ingest import TripletBatch
 
 _MAGIC = b"TCFIDX1\x00"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -155,66 +155,65 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
                idf: Optional[IdfTable] = None) -> None:
     """Persist the index (plus vocabularies and, optionally, an idf table).
 
-    Play counts are stored as u32; a larger one raises ValueError before
-    anything is written.
+    Arrays are written in their in-memory dtypes, except play counts, which
+    are stored as u32. A larger count or an id that contains "\\n" raises
+    ValueError before anything is written.
     """
     if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
     chunks = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
+        storage.header(_MAGIC, _VERSION),
         struct.pack("<QQQ", index.n_users, index.n_tracks, index.nnz),
-        storage.encode_vocab(user_vocab),
-        storage.encode_vocab(track_vocab),
-        np.ascontiguousarray(index.fwd_offsets, dtype="<u8").tobytes(),
-        np.ascontiguousarray(index.fwd_tracks, dtype="<u4").tobytes(),
-        np.ascontiguousarray(index.fwd_counts, dtype="<u4").tobytes(),
-        np.ascontiguousarray(index.inv_offsets, dtype="<u8").tobytes(),
-        np.ascontiguousarray(index.inv_users, dtype="<u4").tobytes(),
-        np.ascontiguousarray(index.total_plays, dtype="<u8").tobytes(),
+        *storage.encode_vocab(user_vocab),
+        *storage.encode_vocab(track_vocab),
+        np.ascontiguousarray(index.fwd_offsets, dtype="<i8"),
+        np.ascontiguousarray(index.fwd_tracks, dtype="<i4"),
+        np.ascontiguousarray(index.fwd_counts, dtype="<u4"),
+        np.ascontiguousarray(index.inv_offsets, dtype="<i8"),
+        np.ascontiguousarray(index.inv_users, dtype="<i4"),
+        np.ascontiguousarray(index.total_plays, dtype="<i8"),
     ]
     if idf is None:
         chunks.append(b"\x00")
     else:
         chunks.append(b"\x01")
         chunks.append(struct.pack("<d", idf.log_base))
-        chunks.append(np.ascontiguousarray(idf.ln_values, dtype="<f8").tobytes())
+        chunks.append(np.ascontiguousarray(idf.ln_values, dtype="<f8"))
     storage.write_file(path, chunks)
 
 
 def load_index(path) -> LoadedIndex:
-    body = storage.read_verified(path)
-    offset = storage.check_header(body, _MAGIC, _VERSION, path)
-    n_users, n_tracks, nnz = struct.unpack_from("<QQQ", body, offset)
-    offset += 24
-    user_vocab, offset = storage.decode_vocab(body, offset, n_users)
-    track_vocab, offset = storage.decode_vocab(body, offset, n_tracks)
+    """Inverse of save_index.
 
-    def take(dtype, count, out_dtype):
-        nonlocal offset
-        arr = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-        offset += arr.nbytes
-        return arr.astype(out_dtype)
-
-    fwd_offsets = take("<u8", n_users + 1, np.int64)
-    fwd_tracks = take("<u4", nnz, np.int32)
-    fwd_counts = take("<u4", nnz, np.int64)
-    inv_offsets = take("<u8", n_tracks + 1, np.int64)
-    inv_users = take("<u4", nnz, np.int32)
-    total_plays = take("<u8", n_users, np.int64)
-    df = np.diff(inv_offsets)
-
+    Every array except fwd_counts (widened from u32) and the derived df is
+    a read-only view of the file bytes. The structure is checked with array
+    operations: offsets that do not rise from 0 to nnz, an index outside
+    its vocabulary, a play count of 0, an idf flag other than 0 or 1 or a
+    length that does not match the body raise DataError.
+    """
+    r = storage.Reader(path, _MAGIC, _VERSION)
+    n_users, n_tracks, nnz = r.unpack("<QQQ")
+    user_vocab = r.vocab(n_users, "user")
+    track_vocab = r.vocab(n_tracks, "track")
+    fwd_offsets = r.offsets(n_users, nnz, "fwd_offsets")
+    fwd_tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
+    fwd_counts = r.bounded("<u4", nnz, 1, MAX_PLAY_COUNT + 1, "fwd_counts")
+    inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
+    inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
+    total_plays = r.array("<i8", n_users)
+    (has_idf,) = r.unpack("<B")
     idf = None
-    if body[offset]:
-        offset += 1
-        (log_base,) = struct.unpack_from("<d", body, offset)
-        offset += 8
-        values = np.frombuffer(body, dtype="<f8", count=n_tracks, offset=offset).copy()
-        idf = IdfTable(values, int(n_users), log_base)
+    if has_idf == 1:
+        (log_base,) = r.unpack("<d")
+        idf = IdfTable(r.array("<f8", n_tracks), n_users, log_base)
+    elif has_idf != 0:
+        raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
+    r.finish()
 
-    _freeze(fwd_offsets, fwd_tracks, fwd_counts, inv_offsets, inv_users,
-            df, total_plays)
-    index = InteractionIndex(int(n_users), int(n_tracks), fwd_offsets,
-                             fwd_tracks, fwd_counts, inv_offsets, inv_users,
-                             df, total_plays)
+    fwd_counts = fwd_counts.astype(np.int64)
+    df = np.diff(inv_offsets)
+    _freeze(fwd_counts, df)
+    index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
+                             fwd_counts, inv_offsets, inv_users, df,
+                             total_plays)
     return LoadedIndex(index, user_vocab, track_vocab, idf)

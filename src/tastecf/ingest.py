@@ -17,7 +17,7 @@ from .core import (DuplicatePairError, MAX_PLAY_COUNT, MalformedLineError,
                    Triplet, Vocabulary)
 
 _MAGIC = b"TCFDAT1\x00"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -115,38 +115,39 @@ def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:
 
 
 def save_dataset(batch: TripletBatch, path) -> None:
-    """Write the versioned, checksummed binary dataset file."""
+    """Write the versioned, checksummed binary dataset file.
+
+    Raises ValueError before anything is written for a play count above
+    2**32 - 1 or an id that contains "\\n".
+    """
     if len(batch) and int(batch.counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
     chunks = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
+        storage.header(_MAGIC, _VERSION),
         struct.pack("<QQQ", len(batch.user_vocab), len(batch.track_vocab), len(batch)),
-        storage.encode_vocab(batch.user_vocab),
-        storage.encode_vocab(batch.track_vocab),
-        np.ascontiguousarray(batch.users, dtype="<u4").tobytes(),
-        np.ascontiguousarray(batch.tracks, dtype="<u4").tobytes(),
-        np.ascontiguousarray(batch.counts, dtype="<u4").tobytes(),
+        *storage.encode_vocab(batch.user_vocab),
+        *storage.encode_vocab(batch.track_vocab),
+        np.ascontiguousarray(batch.users, dtype="<i4"),
+        np.ascontiguousarray(batch.tracks, dtype="<i4"),
+        np.ascontiguousarray(batch.counts, dtype="<u4"),
     ]
     storage.write_file(path, chunks)
 
 
 def load_dataset(path) -> TripletBatch:
-    """Inverse of save_dataset; load(save(b)) == b including vocab order."""
-    body = storage.read_verified(path)
-    offset = storage.check_header(body, _MAGIC, _VERSION, path)
-    n_users, n_tracks, n_triplets = struct.unpack_from("<QQQ", body, offset)
-    offset += 24
-    user_vocab, offset = storage.decode_vocab(body, offset, n_users)
-    track_vocab, offset = storage.decode_vocab(body, offset, n_tracks)
+    """Inverse of save_dataset; load(save(b)) == b including vocab order.
 
-    def take(dtype, count):
-        nonlocal offset
-        arr = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-        offset += arr.nbytes
-        return arr
-
-    users = take("<u4", n_triplets).astype(np.int32)
-    tracks = take("<u4", n_triplets).astype(np.int32)
-    counts = take("<u4", n_triplets).astype(np.int64)
-    return TripletBatch(users, tracks, counts, user_vocab, track_vocab)
+    users and tracks are read-only views of the file bytes. Any id outside
+    its vocabulary, a play count of 0 or a length that does not match the
+    body raises DataError.
+    """
+    r = storage.Reader(path, _MAGIC, _VERSION)
+    n_users, n_tracks, n_triplets = r.unpack("<QQQ")
+    user_vocab = r.vocab(n_users, "user")
+    track_vocab = r.vocab(n_tracks, "track")
+    users = r.bounded("<i4", n_triplets, 0, n_users, "user ids")
+    tracks = r.bounded("<i4", n_triplets, 0, n_tracks, "track ids")
+    counts = r.bounded("<u4", n_triplets, 1, MAX_PLAY_COUNT + 1, "play counts")
+    r.finish()
+    return TripletBatch(users, tracks, counts.astype(np.int64), user_vocab,
+                        track_vocab)

@@ -9,6 +9,8 @@ from tastecf import (
     DuplicatePairError,
     FormatVersionError,
     MalformedLineError,
+    TripletBatch,
+    Vocabulary,
     load_dataset,
     parse_triplets,
     save_dataset,
@@ -102,11 +104,22 @@ def test_round_trip_empty_batch(tmp_path):
 
 
 def test_round_trip_preserves_everything(tmp_path, t1_batch):
-    path = tmp_path / "t1.ds"
-    save_dataset(t1_batch, path)
-    loaded = load_dataset(path)
-    assert loaded == t1_batch
-    assert loaded.user_vocab.ids == t1_batch.user_vocab.ids
+    # the empty-string id and the empty vocabulary are where "".split("\n")
+    # (one empty id) and a count of 0 differ
+    empty_ids = parse_triplets(io.StringIO("\ta\t1\nu\t\t2\n"))
+    assert empty_ids.user_vocab.ids == ["", "u"]
+    assert empty_ids.track_vocab.ids == ["a", ""]
+    no_tracks = TripletBatch(np.array([], np.int32), np.array([], np.int32),
+                             np.array([], np.int64), Vocabulary(["u1"]),
+                             Vocabulary())
+    for name, batch in (("t1", t1_batch), ("empty_ids", empty_ids),
+                        ("no_tracks", no_tracks)):
+        path = tmp_path / f"{name}.ds"
+        save_dataset(batch, path)
+        loaded = load_dataset(path)
+        assert loaded == batch
+        assert loaded.user_vocab.ids == batch.user_vocab.ids
+        assert loaded.track_vocab.ids == batch.track_vocab.ids
 
 
 def test_truncated_file_is_detected(tmp_path, t1_batch):

@@ -1,0 +1,271 @@
+"""Binary format v2: structural validation of crafted files (version 1
+included), ids the format cannot hold, the lazily built id map and
+zero-copy loads."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from tastecf import (DataError, FormatVersionError, TripletBatch, Vocabulary,
+                     build_index, load_dataset, load_index, save_dataset,
+                     save_index)
+from tastecf import index as index_module, ingest, storage
+from tastecf.cli import main
+
+# the sections save_index and save_dataset hand to storage.write_file
+INDEX_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
+                  "track_vocab_size", "track_vocab", "fwd_offsets",
+                  "fwd_tracks", "fwd_counts", "inv_offsets", "inv_users",
+                  "total_plays", "idf_flag", "log_base", "idf_values")
+DATASET_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
+                    "track_vocab_size", "track_vocab", "users", "tracks",
+                    "play_counts")
+
+
+def _sections(monkeypatch, save, names):
+    """Run save(path) and capture its sections by name instead of writing."""
+    captured = []
+    with monkeypatch.context() as m:
+        m.setattr(storage, "write_file", lambda path, chunks: captured.extend(chunks))
+        save(None)
+    return dict(zip(names, (bytes(memoryview(c)) for c in captured)))
+
+
+def _write(path, sections):
+    storage.write_file(path, list(sections.values()))
+
+
+def _put(sections, name, dtype, position, value):
+    arr = np.frombuffer(sections[name], dtype=dtype).copy()
+    arr[position] = value
+    sections[name] = arr.tobytes()
+
+
+def _vocab_text(sections, prefix, data):
+    sections[f"{prefix}_vocab_size"] = struct.pack("<Q", len(data))
+    sections[f"{prefix}_vocab"] = data
+
+
+def _index_sections(monkeypatch, t1_batch, t1_idf):
+    index = build_index(t1_batch)
+    return _sections(
+        monkeypatch,
+        lambda path: save_index(index, t1_batch.user_vocab,
+                                t1_batch.track_vocab, path, idf=t1_idf),
+        INDEX_SECTIONS)
+
+
+def _dataset_sections(monkeypatch, t1_batch):
+    return _sections(monkeypatch, lambda path: save_dataset(t1_batch, path),
+                     DATASET_SECTIONS)
+
+
+def _version_1(sections, magic):
+    sections["header"] = magic + struct.pack("<I", 1)
+
+
+# fault -> (how to write it, what the error says after the path);
+# t1 has 4 users, 3 tracks and 8 interactions
+INDEX_FAULTS = {
+    "inv_users_past_n_users": (lambda s: _put(s, "inv_users", "<i4", 2, 7),
+                               "inv_users outside [0, 4)"),
+    "inv_users_negative": (lambda s: _put(s, "inv_users", "<i4", 0, -1),
+                           "inv_users outside [0, 4)"),
+    "fwd_offsets_end_past_nnz": (lambda s: _put(s, "fwd_offsets", "<i8", -1, 9),
+                                 "fwd_offsets do not rise from 0 to 8"),
+    "fwd_offsets_start_not_0": (lambda s: _put(s, "fwd_offsets", "<i8", 0, 1),
+                                "fwd_offsets do not rise from 0 to 8"),
+    "fwd_offsets_decrease": (lambda s: _put(s, "fwd_offsets", "<i8", 2, 1),
+                             "fwd_offsets do not rise from 0 to 8"),
+    "inv_offsets_end_short_of_nnz": (lambda s: _put(s, "inv_offsets", "<i8", -1, 7),
+                                     "inv_offsets do not rise from 0 to 8"),
+    "fwd_tracks_past_n_tracks": (lambda s: _put(s, "fwd_tracks", "<i4", 0, 3),
+                                 "fwd_tracks outside [0, 3)"),
+    "fwd_counts_zero": (lambda s: _put(s, "fwd_counts", "<u4", 1, 0),
+                        "fwd_counts outside [1, 4294967296)"),
+    "idf_flag_2": (lambda s: s.update(idf_flag=b"\x02"), "idf flag is 2, not 0 or 1"),
+    "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
+                       "8 bytes after the last section"),
+    "missing_idf_values": (lambda s: s.pop("idf_values"),
+                           "file body is shorter than its header says"),
+    "vocab_not_utf8": (lambda s: _vocab_text(s, "user", b"u1\nu2\nu\xff\nu4"),
+                       "user vocabulary: invalid UTF-8 at byte 7"),
+    "vocab_count_mismatch": (lambda s: _vocab_text(s, "user", b"u1\nu2\nu3\nu4\nu5"),
+                             "user vocabulary: 5 ids, header says 4"),
+    "vocab_size_past_body": (
+        lambda s: s.update(track_vocab_size=struct.pack("<Q", 1 << 40)),
+        "file body is shorter than its header says"),
+    "version_1": (lambda s: _version_1(s, index_module._MAGIC),
+                  "format version 1, expected 2"),
+}
+
+DATASET_FAULTS = {
+    "user_id_past_n_users": (lambda s: _put(s, "users", "<i4", 3, 4),
+                             "user ids outside [0, 4)"),
+    "user_id_negative": (lambda s: _put(s, "users", "<i4", 0, -5),
+                         "user ids outside [0, 4)"),
+    "track_id_past_n_tracks": (lambda s: _put(s, "tracks", "<i4", 0, 3),
+                               "track ids outside [0, 3)"),
+    "play_count_zero": (lambda s: _put(s, "play_counts", "<u4", 0, 0),
+                        "play counts outside [1, 4294967296)"),
+    "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
+                       "8 bytes after the last section"),
+    "missing_play_counts": (lambda s: s.pop("play_counts"),
+                            "file body is shorter than its header says"),
+    "header_only": (lambda s: [s.pop(name) for name in DATASET_SECTIONS[1:]],
+                    "file body is shorter than its header says"),
+    "vocab_not_utf8": (lambda s: _vocab_text(s, "track", b"a\n\xc3\nc"),
+                       "track vocabulary: invalid UTF-8 at byte 2"),
+    "vocab_count_mismatch": (lambda s: _vocab_text(s, "track", b"a\nb"),
+                             "track vocabulary: 2 ids, header says 3"),
+    "version_1": (lambda s: _version_1(s, ingest._MAGIC),
+                  "format version 1, expected 2"),
+}
+
+
+@pytest.mark.parametrize("kind,fault", [
+    *(("index", name) for name in INDEX_FAULTS),
+    *(("dataset", name) for name in DATASET_FAULTS),
+])
+def test_structural_faults_with_valid_crc_raise_data_error(
+        tmp_path, monkeypatch, t1_batch, t1_idf, kind, fault):
+    if kind == "index":
+        sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+        (write_fault, message), load = INDEX_FAULTS[fault], load_index
+    else:
+        sections = _dataset_sections(monkeypatch, t1_batch)
+        (write_fault, message), load = DATASET_FAULTS[fault], load_dataset
+    write_fault(sections)
+    path = tmp_path / f"{fault}.bin"
+    _write(path, sections)
+    error = FormatVersionError if fault == "version_1" else DataError
+    with pytest.raises(error) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("fault", ["inv_users_past_n_users",
+                                   "fwd_offsets_end_past_nnz", "idf_flag_2",
+                                   "vocab_not_utf8", "version_1"])
+def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
+                                            t1_batch, t1_idf, fault):
+    sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+    write_fault, message = INDEX_FAULTS[fault]
+    write_fault(sections)
+    path = tmp_path / "bad.idx"
+    _write(path, sections)
+    users = tmp_path / "users.txt"
+    users.write_text("u1\nu3\n")
+    code = main(["recommend", "--input", str(path), "--users", str(users),
+                 "--out", str(tmp_path / "recs.txt")])
+    assert code == 1
+    assert f"error: recommend: {path}: {message}\n" in capsys.readouterr().err
+
+
+def test_build_on_crafted_dataset_exits_1(tmp_path, monkeypatch, capsys, t1_batch):
+    sections = _dataset_sections(monkeypatch, t1_batch)
+    write_fault, message = DATASET_FAULTS["user_id_past_n_users"]
+    write_fault(sections)
+    path = tmp_path / "bad.ds"
+    _write(path, sections)
+    code = main(["build", "--input", str(path), "--out", str(tmp_path / "x.idx")])
+    assert code == 1
+    assert f"error: build: {path}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_vocab", ["user", "track"])
+def test_ids_with_newline_are_rejected_before_writing(tmp_path, bad_vocab):
+    vocabs = {"user": Vocabulary(["u1"]), "track": Vocabulary(["a"])}
+    vocabs[bad_vocab] = Vocabulary(["x", "a\nb"])
+    batch = TripletBatch(np.array([0], np.int32), np.array([0], np.int32),
+                         np.array([1], np.int64), vocabs["user"], vocabs["track"])
+    dataset = tmp_path / "nl.ds"
+    with pytest.raises(ValueError, match="contains"):
+        save_dataset(batch, dataset)
+    assert not dataset.exists()
+    index = tmp_path / "nl.idx"
+    with pytest.raises(ValueError, match="contains"):
+        save_index(build_index(batch), batch.user_vocab, batch.track_vocab, index)
+    assert not index.exists()
+
+
+def test_loaded_vocabulary_behaves_like_an_interned_one(tmp_path, t1_batch):
+    path = tmp_path / "t1.ds"
+    save_dataset(t1_batch, path)
+    loaded, interned = load_dataset(path).user_vocab, t1_batch.user_vocab
+    assert loaded == interned
+    assert loaded.get("u3") == interned.get("u3") == 2
+    assert loaded.get("nope", -1) == interned.get("nope", -1) == -1
+    assert loaded.index_of("u4") == interned.index_of("u4") == 3
+    with pytest.raises(KeyError):
+        loaded.index_of("nope")
+    assert ("u1" in loaded) and ("nope" not in loaded)
+    assert loaded.intern("u2") == interned.intern("u2") == 1
+    assert loaded.intern("u9") == interned.intern("u9") == 4
+    assert loaded.lookup(4) == "u9" and loaded.index_of("u9") == 4
+    assert loaded == interned and len(loaded) == 5
+
+
+@pytest.mark.parametrize("first_use", [
+    lambda v: v.get("a"), lambda v: v.index_of("a"), lambda v: "a" in v,
+    lambda v: v.intern("z"),
+])
+def test_repeated_id_raises_at_first_lookup(first_use):
+    vocab = Vocabulary.from_unique(["a", "b", "a"], "f.idx: user vocabulary")
+    assert len(vocab) == 3 and vocab.lookup(2) == "a"
+    with pytest.raises(DataError, match="f.idx: user vocabulary: id 'a' appears twice"):
+        first_use(vocab)
+
+
+def test_crafted_file_with_duplicated_id_raises(tmp_path, monkeypatch, capsys,
+                                                t1_batch, t1_idf):
+    sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+    _vocab_text(sections, "user", b"u1\nu2\nu1\nu4")
+    path = tmp_path / "dup.idx"
+    _write(path, sections)
+    with pytest.raises(DataError, match="'u1' appears twice"):
+        load_index(path).user_vocab.get("u4")
+    users = tmp_path / "users.txt"
+    users.write_text("u4\n")
+    code = main(["recommend", "--input", str(path), "--users", str(users),
+                 "--out", str(tmp_path / "recs.txt")])
+    assert code == 1
+    assert f"{path}: user vocabulary: id 'u1' appears twice" in capsys.readouterr().err
+
+
+def _file_bytes(arr):
+    """The object at the end of arr's .base chain, past any memoryview."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_loaded_index_arrays_are_read_only_views_of_the_file(tmp_path, t1_batch,
+                                                             t1_idf):
+    path = tmp_path / "t1.idx"
+    save_index(build_index(t1_batch), t1_batch.user_vocab, t1_batch.track_vocab,
+               path, idf=t1_idf)
+    loaded = load_index(path)
+    index = loaded.index
+    views = [index.fwd_offsets, index.fwd_tracks, index.inv_offsets,
+             index.inv_users, index.total_plays, loaded.idf.ln_values]
+    owners = {id(_file_bytes(arr)) for arr in views}
+    assert len(owners) == 1
+    assert isinstance(_file_bytes(views[0]), bytes)
+    for arr in views:
+        assert not arr.flags.writeable
+        assert arr.flags.aligned
+        assert arr.dtype.isnative
+    assert index.fwd_counts.dtype == np.int64
+    assert not index.fwd_counts.flags.writeable
+    assert not index.df.flags.writeable
+
+
+def test_loaded_dataset_id_arrays_are_views_of_the_file(tmp_path, t1_batch):
+    path = tmp_path / "t1.ds"
+    save_dataset(t1_batch, path)
+    batch = load_dataset(path)
+    assert _file_bytes(batch.users) is _file_bytes(batch.tracks)
+    assert isinstance(_file_bytes(batch.users), bytes)
+    assert batch.users.dtype == np.int32 and batch.counts.dtype == np.int64
