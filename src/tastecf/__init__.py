@@ -40,7 +40,7 @@ from .recommend import (
     score_tracks,
     write_recommendations,
 )
-from .similarity import Candidates, NeighborSet, candidate_neighbors, prune, similarity
+from .similarity import Candidates, NeighborSet, candidate_neighbors, prune
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "save_dataset",
     "save_index",
     "score_tracks",
-    "similarity",
     "split_history",
     "write_recommendations",
     "write_triplets",

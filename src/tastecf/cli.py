@@ -10,14 +10,13 @@ supplied through TASTECF_* environment variables.
 
 import argparse
 import math
-import multiprocessing
 import os
 import sys
 
 from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    PAD_DUMMY, PAD_STRATEGIES)
-from .evaluate import average_precision, split_history
+from .evaluate import mean_average_precision, split_history
 from .idf import compute_idf
 from .index import build_index, load_index, save_index
 from .ingest import load_dataset, parse_triplets, save_dataset, write_triplets
@@ -105,17 +104,17 @@ def _cmd_build(args) -> int:
 def _cmd_recommend(args) -> int:
     _log_config("recommend", args,
                 ["input", "users", "out", "prune_ratio", "k", "log_base",
-                 "exclude_seen", "pad", "ap_mode", "seed", "workers"])
+                 "exclude_seen", "pad", "workers"])
     loaded = load_index(args.input)
     idf = loaded.idf
     if idf is None or idf.log_base != args.log_base:
         idf = compute_idf(loaded.index, args.log_base)
     config = Config(prune_ratio=args.prune_ratio, k=args.k,
-                    log_base=args.log_base, exclude_seen=args.exclude_seen,
-                    pad_strategy=args.pad, ap_mode=_MODE_NAMES[args.ap_mode],
-                    seed=args.seed)
+                    exclude_seen=args.exclude_seen, pad_strategy=args.pad)
+    # only spaces are stripped: ids cannot hold one, but may hold a tab
     with open(args.users, "r", encoding="utf-8") as fh:
-        user_ids = [line.strip() for line in fh if line.strip()]
+        user_ids = [ext_id for line in fh
+                    if (ext_id := line.rstrip("\n").strip(" "))]
     indexes = []
     for ext_id in user_ids:
         idx = loaded.user_vocab.get(ext_id)
@@ -129,12 +128,15 @@ def _cmd_recommend(args) -> int:
 
 
 def _read_recommendation_lines(path):
+    """{user: items} from lines of single-space-separated ids, so an empty
+    id or one holding other whitespace reads back as written."""
     rankings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
+            line = line.rstrip("\n")
+            if not line:
                 continue
+            parts = line.split(" ")
             user, items = parts[0], parts[1:]
             if user in rankings:
                 raise DataError(f"{path}:{line_no}: duplicate recommendation "
@@ -143,15 +145,9 @@ def _read_recommendation_lines(path):
     return rankings
 
 
-def _ap_chunk(chunk):
-    return [average_precision(ranking, hidden, k, mode)
-            for ranking, hidden, k, mode in chunk]
-
-
 def _cmd_evaluate(args) -> int:
     _log_config("evaluate", args,
-                ["recs", "hidden", "k", "mode", "per_user", "workers",
-                 "delimiter"])
+                ["recs", "hidden", "k", "mode", "per_user", "delimiter"])
     rankings = _read_recommendation_lines(args.recs)
     with open(args.hidden, "r", encoding="utf-8") as fh:
         hidden_batch = parse_triplets(fh, args.delimiter)
@@ -159,34 +155,14 @@ def _cmd_evaluate(args) -> int:
     for triplet in hidden_batch.triplets():
         hidden_by_user.setdefault(triplet.user, set()).add(triplet.track)
 
-    mode = _MODE_NAMES[args.mode]
-    users = list(hidden_by_user)
-    for user in users:
-        if user not in rankings:
-            raise DataError(f"no recommendation for evaluated user {user!r}")
-    tasks = [(rankings[user], hidden_by_user[user], args.k, mode)
-             for user in users]
-    ctx = None
-    if args.workers > 1 and len(tasks) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            print("fork unavailable; evaluating serially", file=sys.stderr)
-    if ctx is not None:
-        chunk = max(1, math.ceil(len(tasks) / (args.workers * 8)))
-        pieces = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
-        with ctx.Pool(args.workers) as pool:
-            aps = [ap for piece in pool.imap(_ap_chunk, pieces) for ap in piece]
-    else:
-        aps = _ap_chunk(tasks)
-
-    map_score = sum(aps) / len(aps) if aps else 0.0
+    report = mean_average_precision(rankings, hidden_by_user, args.k,
+                                    _MODE_NAMES[args.mode])
     if args.per_user:
         with open(args.per_user, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("user\tap\thidden_count\n")
-            for user, ap in zip(users, aps):
-                fh.write(f"{user}\t{ap:.10f}\t{len(hidden_by_user[user])}\n")
-    print(f"mAP@{args.k} ({args.mode}) = {map_score:.6f}")
+            for user, ap, hidden_count in report.per_user:
+                fh.write(f"{user}\t{ap:.10f}\t{hidden_count}\n")
+    print(f"mAP@{args.k} ({args.mode}) = {report.map_score:.6f}")
     return 0
 
 
@@ -256,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=True, help="drop tracks the user already played")
     p.add_argument("--pad", choices=PAD_STRATEGIES, default=PAD_DUMMY,
                    help="how to fill lists shorter than k (default dummy)")
-    p.add_argument("--ap-mode", choices=sorted(_MODE_NAMES), default="challenge",
-                   help="logged for reproducibility; not used by recommend")
-    p.add_argument("--seed", type=int, default=0,
-                   help="logged for reproducibility; not used by recommend")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel workers (output is identical for any N)")
     p.set_defaults(func=_cmd_recommend)
@@ -275,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_path(p, "--per-user", "TASTECF_PER_USER",
               "optional per-user TSV to write", required=False)
     p.add_argument("--delimiter", type=_delimiter, default="\t")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("split", help="split each user's history into "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,27 +157,19 @@ class Config:
     """Run configuration.
 
     The defaults reproduce the reference setup: prune the neighbor list at
-    0.4 of the best candidate weight, emit top-500 lists, weight by
-    natural-log idf, skip tracks the user already played, and pad short
-    lists with dummy ids.
+    0.4 of the best candidate weight, emit top-500 lists, skip tracks the
+    user already played, and pad short lists with dummy ids.
     """
 
     prune_ratio: float = 0.4
     k: int = 500
-    log_base: float = math.e
     exclude_seen: bool = True
     pad_strategy: str = PAD_DUMMY
-    ap_mode: str = AP_CHALLENGE
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.prune_ratio <= 1.0:
             raise ValueError(f"prune_ratio must be in [0, 1], got {self.prune_ratio}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.log_base > 0 or self.log_base == 1:
-            raise ValueError(f"log_base must be positive and != 1, got {self.log_base}")
         if self.pad_strategy not in PAD_STRATEGIES:
             raise ValueError(f"pad_strategy must be one of {PAD_STRATEGIES}")
-        if self.ap_mode not in AP_MODES:
-            raise ValueError(f"ap_mode must be one of {AP_MODES}")

@@ -6,11 +6,11 @@ for tracks everyone has played.
 
 The log base can never change neighbor sets or item rankings (for bases
 above 1 all weights scale by one positive constant, and every downstream
-comparison is scale-invariant), so the engine accumulates in the
-natural-log domain and converts to the configured base only when values
-are reported. That keeps rankings bit-identical across bases instead of
-merely close. Natural log is the default; bases in (0, 1) flip the sign of
-every reported weight and are degenerate for ranking.
+comparison is scale-invariant), so the engine reads only the natural-log
+values and the base only labels the table: it sets `values` and is stored
+in the index file. That keeps rankings bit-identical across bases instead
+of merely close. Natural log is the default; bases in (0, 1) flip the sign
+of every value and are degenerate for ranking.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ class IdfTable:
     """Per-track idf for a fixed user population and log base.
 
     ln_values holds the natural-log idf the engine computes with; values
-    presents the configured base (identical array when the base is e).
+    presents the table's base (identical array when the base is e).
     Tracks with df = 0 (possible when a vocabulary is shared with a split
     that put all their plays elsewhere) get an inert 0.0: they appear in no
     posting list, so the value is never read by scoring.
@@ -35,16 +35,13 @@ class IdfTable:
     ln_values: np.ndarray
     n_users: int
     log_base: float
-    ln_base: float = field(init=False)
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.log_base == math.e:
-            self.ln_base = 1.0
             self.values = self.ln_values
         else:
-            self.ln_base = math.log(self.log_base)
-            scaled = self.ln_values / self.ln_base
+            scaled = self.ln_values / math.log(self.log_base)
             scaled.flags.writeable = False
             self.values = scaled
 
@@ -60,8 +57,11 @@ class IdfTable:
 def compute_idf(index, log_base: float = math.e) -> IdfTable:
     """Build the idf table for every track of the index.
 
-    Raises EmptyIndexError when the index has no users.
+    Raises ValueError for a log base that is not positive or equals 1, and
+    EmptyIndexError when the index has no users.
     """
+    if not log_base > 0 or log_base == 1:
+        raise ValueError(f"log_base must be positive and != 1, got {log_base}")
     if index.n_users == 0:
         raise EmptyIndexError("cannot compute idf over zero users")
     n = int(index.n_users)

@@ -57,7 +57,8 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
     """Parse line-oriented triplet text into a batch.
 
     Empty lines are skipped. Vocabularies are populated in first-seen
-    order. Raises MalformedLineError for a wrong field count or a play
+    order. Raises MalformedLineError for a wrong field count, an id that
+    contains a space (recommendation lines are space-separated) or a play
     count that is not an integer in [1, 2**32 - 1], DuplicatePairError when
     a (user, track) pair repeats; both carry the 1-based line number.
     """
@@ -77,6 +78,11 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
             raise MalformedLineError(
                 line_no, f"expected 3 {delimiter!r}-separated fields, got {len(parts)}")
         user_ext, track_ext, count_text = parts
+        # one scan of the line; the fields are looked at only when it has a
+        # space, which is always the case for a space delimiter
+        if " " in line and (" " in user_ext or " " in track_ext):
+            raise MalformedLineError(
+                line_no, f"id contains a space: {user_ext!r}, {track_ext!r}")
         if not (count_text.isascii() and count_text.isdecimal()):
             raise MalformedLineError(
                 line_no, f"play_count is not a base-10 integer: {count_text!r}")

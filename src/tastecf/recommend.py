@@ -34,26 +34,14 @@ from .similarity import NeighborSet, candidate_neighbors, prune
 
 
 class ScoredTracks:
-    """Positive-score tracks in ascending track order (parallel arrays).
+    """Positive-score tracks in ascending track order (parallel arrays);
+    ln_scores are the natural-log-domain sums that ranking compares."""
 
-    ln_scores is the natural-log-domain accumulator that ranking decisions
-    use; scores converts to the idf table's base (same array for base e).
-    """
+    __slots__ = ("tracks", "ln_scores")
 
-    __slots__ = ("tracks", "ln_scores", "ln_base")
-
-    def __init__(self, tracks: np.ndarray, ln_scores: np.ndarray,
-                 ln_base: float = 1.0):
+    def __init__(self, tracks: np.ndarray, ln_scores: np.ndarray):
         self.tracks = tracks
         self.ln_scores = ln_scores
-        self.ln_base = ln_base
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.ln_scores if self.ln_base == 1.0 else self.ln_scores / self.ln_base
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(t): float(s) for t, s in zip(self.tracks, self.scores)}
 
 
 @dataclass(eq=True)
@@ -62,7 +50,8 @@ class Recommendation:
 
     Entries >= 0 are real track indexes, ordered by (score desc, df desc,
     track asc); a negative entry -p is the p-th dummy pad and only appears
-    after every real item. scores parallels the real-item prefix.
+    after every real item. scores parallels the real-item prefix and holds
+    the natural-log-domain scores, whatever the idf table's base.
     """
 
     user: int
@@ -92,7 +81,7 @@ def score_tracks(index, neighbors: NeighborSet, exclude_seen: bool = True) -> Sc
     if exclude_seen:
         buf[index.forward_tracks(neighbors.source_user)] = 0.0
     scored = np.flatnonzero(buf > 0.0)
-    return ScoredTracks(scored, buf[scored], neighbors.ln_base)
+    return ScoredTracks(scored, buf[scored])
 
 
 def rank_and_pad(user: int, scored: ScoredTracks, k: int, pad_strategy: str,
@@ -111,11 +100,10 @@ def rank_and_pad(user: int, scored: ScoredTracks, k: int, pad_strategy: str,
         # below still sees every contender for the first k places
         kth = np.partition(scored.ln_scores, n - k)[n - k]
         survive = scored.ln_scores >= kth
-        scored = ScoredTracks(scored.tracks[survive], scored.ln_scores[survive],
-                              scored.ln_base)
+        scored = ScoredTracks(scored.tracks[survive], scored.ln_scores[survive])
     order = np.lexsort((scored.tracks, -df[scored.tracks], -scored.ln_scores))[:k]
     items = scored.tracks[order].tolist()
-    scores = scored.scores[order].tolist()
+    scores = scored.ln_scores[order].tolist()
 
     if len(items) < k and pad_strategy == PAD_POPULARITY:
         available = np.ones(df.size, dtype=bool)

@@ -12,8 +12,7 @@ track order and sums them with one np.bincount, which adds its weights in
 input order starting from 0.0, so each co-listener's sum is built in the
 same order as a track-by-track loop. Retention and ordering decisions
 compare those canonical sums, so neighbor sets are bit-reproducible for
-any worker count and provably identical for any idf log base. Reported
-weights are the canonical sums converted to the table's base.
+any worker count and provably identical for any idf log base.
 """
 
 from dataclasses import dataclass
@@ -25,27 +24,15 @@ _EMPTY_USERS = np.array([], dtype=np.int64)
 _EMPTY_WEIGHTS = np.array([], dtype=np.float64)
 
 
-def _to_base(ln_array: np.ndarray, ln_base: float) -> np.ndarray:
-    return ln_array if ln_base == 1.0 else ln_array / ln_base
-
-
 @dataclass(eq=False)
 class Candidates:
     """Users sharing at least one track with source_user, ascending by
-    index, with their accumulated idf weights (exact zeros possible when
-    every shared track has idf 0)."""
+    index, with their accumulated natural-log idf weights (exact zeros
+    possible when every shared track has idf 0)."""
 
     source_user: int
     users: np.ndarray
     ln_weights: np.ndarray
-    ln_base: float = 1.0
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _to_base(self.ln_weights, self.ln_base)
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(u): float(w) for u, w in zip(self.users, self.weights)}
 
     def __len__(self) -> int:
         return int(self.users.size)
@@ -55,7 +42,7 @@ class Candidates:
 class NeighborSet:
     """Pruned candidates, ordered by (weight desc, user asc).
 
-    w_max is the best candidate weight before pruning (0.0 when the user
+    ln_w_max is the best candidate weight before pruning (0.0 when the user
     had no candidates at all).
     """
 
@@ -63,48 +50,28 @@ class NeighborSet:
     users: np.ndarray
     ln_weights: np.ndarray
     ln_w_max: float
-    ln_base: float = 1.0
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _to_base(self.ln_weights, self.ln_base)
-
-    @property
-    def w_max(self) -> float:
-        return self.ln_w_max / self.ln_base
 
     def __len__(self) -> int:
         return int(self.users.size)
 
 
-def similarity(index, idf, u: int, v: int) -> float:
-    """Sum of idf over the intersection of the two listening histories."""
-    common = np.intersect1d(index.forward_tracks(u), index.forward_tracks(v),
-                            assume_unique=True)
-    total = 0.0
-    for value in idf.ln_values[common].tolist():
-        total += value
-    return total / idf.ln_base
-
-
 def candidate_neighbors(index, idf, u: int) -> Candidates:
     """Accumulate idf[t] onto every co-listener of each track t of u.
 
-    Equivalent to computing similarity(u, v) for every v sharing a track
-    with u, but in one pass over u's posting lists. Membership comes from
-    the distinct co-listeners, not from a nonzero weight, so a co-listener
-    whose shared tracks all have idf 0 is kept with weight 0.0.
+    Each co-listener v gets the similarity of u and v, in one pass over u's
+    posting lists. Membership comes from the distinct co-listeners, not
+    from a nonzero weight, so a co-listener whose shared tracks all have
+    idf 0 is kept with weight 0.0.
     """
     tracks_u = index.forward_tracks(u)
     if tracks_u.size == 0:
-        return Candidates(u, _EMPTY_USERS, _EMPTY_WEIGHTS, idf.ln_base)
+        return Candidates(u, _EMPTY_USERS, _EMPTY_WEIGHTS)
     co_users, lens = index.posting_rows(tracks_u)
     cand, slot = np.unique(co_users, return_inverse=True)
     ln_weights = np.bincount(slot, weights=np.repeat(idf.ln_values[tracks_u], lens),
                              minlength=cand.size)
     others = cand != u
-    return Candidates(u, cand[others].astype(np.int64), ln_weights[others],
-                      idf.ln_base)
+    return Candidates(u, cand[others].astype(np.int64), ln_weights[others])
 
 
 def prune(candidates: Candidates, prune_ratio: float) -> NeighborSet:
@@ -115,11 +82,11 @@ def prune(candidates: Candidates, prune_ratio: float) -> NeighborSet:
     ln_weights = candidates.ln_weights
     if ln_weights.size == 0:
         return NeighborSet(candidates.source_user, _EMPTY_USERS,
-                           _EMPTY_WEIGHTS, 0.0, candidates.ln_base)
+                           _EMPTY_WEIGHTS, 0.0)
     ln_w_max = float(ln_weights.max())
     keep = (ln_weights > 0.0) & (ln_weights >= prune_ratio * ln_w_max)
     users = candidates.users[keep]
     kept = ln_weights[keep]
     order = np.lexsort((users, -kept))
     return NeighborSet(candidates.source_user, users[order], kept[order],
-                       ln_w_max, candidates.ln_base)
+                       ln_w_max)

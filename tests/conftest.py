@@ -40,3 +40,9 @@ def t1_index(t1_batch):
 @pytest.fixture
 def t1_idf(t1_index):
     return compute_idf(t1_index)
+
+
+def as_dict(keys, values) -> dict[int, float]:
+    """{key: value} over parallel arrays, such as Candidates.users and
+    .ln_weights or ScoredTracks.tracks and .ln_scores."""
+    return {int(k): float(v) for k, v in zip(keys, values)}

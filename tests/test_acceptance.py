@@ -44,6 +44,7 @@ from tastecf.synth import (
     skewed_batch,
 )
 import oracle
+from conftest import as_dict
 
 
 def _pass(name):
@@ -65,8 +66,8 @@ def test_oracle_equivalence_full_pipeline():
         exclude = bool(rng.integers(0, 2))
         base = float(rng.choice([math.e, 2.0, 10.0]))
         pad = str(rng.choice(["dummy", "popularity"]))
-        config = Config(prune_ratio=ratio, k=k, log_base=base,
-                        exclude_seen=exclude, pad_strategy=pad)
+        config = Config(prune_ratio=ratio, k=k, exclude_seen=exclude,
+                        pad_strategy=pad)
         index = build_index(batch)
         idf = compute_idf(index, base)
         got = [rec.items for rec in
@@ -150,7 +151,7 @@ def test_invariance_suites():
         sequences = []
         for base in (math.e, 2.0, 10.0):
             idf = compute_idf(index, base)
-            config = Config(k=k, log_base=base)
+            config = Config(k=k)
             sequences.append([rec.items for rec in
                               recommend_all(index, idf, range(index.n_users), config)])
         assert sequences[0] == sequences[1] == sequences[2]
@@ -187,7 +188,8 @@ def test_invariance_suites():
         for u in range(index.n_users):
             before = score_tracks(index, prune(candidate_neighbors(index, idf, u), 0.4))
             after = score_tracks(index2, prune(candidate_neighbors(index2, idf2, u), 0.4))
-            assert before.as_dict() == after.as_dict()
+            assert as_dict(before.tracks, before.ln_scores) == \
+                as_dict(after.tracks, after.ln_scores)
 
     _pass("invariance suites (log-base, threshold monotonicity, redistribution)")
 

@@ -3,8 +3,12 @@ import sys
 
 import pytest
 
-from tastecf import load_dataset, parse_triplets
+from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, load_dataset,
+                     mean_average_precision, parse_triplets)
 from tastecf.cli import main
+from tastecf.ingest import write_triplets
+from tastecf.synth import planted_clusters
+import oracle
 from conftest import T1_TEXT
 
 
@@ -100,16 +104,43 @@ def test_evaluate_paper_mode_divides_by_list_length(tmp_path, t1_file, capsys):
     assert "mAP@3 (paper) = 0.333333" in out
 
 
-def test_evaluate_parallel_matches_serial(tmp_path, t1_file, capsys):
-    code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "3"])
-    hidden = tmp_path / "hidden.txt"
-    hidden.write_text("u1\tc\t1\n")
-    outputs = []
-    for workers in ("1", "2"):
-        assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden),
-                     "--k", "3", "--workers", workers]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+def test_evaluate_many_users_matches_oracle_and_library(tmp_path, capsys):
+    k = 20
+    source = tmp_path / "plays.txt"
+    write_triplets(planted_clusters(n_users=300, seed=101), source)
+    visible, hidden_path = tmp_path / "visible.txt", tmp_path / "hidden.txt"
+    dataset, index = tmp_path / "visible.ds", tmp_path / "visible.idx"
+    users, recs = tmp_path / "users.txt", tmp_path / "recs.txt"
+    assert main(["split", "--input", str(source), "--visible-out", str(visible),
+                 "--hidden-out", str(hidden_path), "--seed", "101"]) == 0
+    hidden = {}
+    for line in hidden_path.read_text().splitlines():
+        user, track, _ = line.split("\t")
+        hidden.setdefault(user, set()).add(track)
+    users.write_text("".join(f"{u}\n" for u in hidden))
+    assert main(["ingest", "--input", str(visible), "--out", str(dataset)]) == 0
+    assert main(["build", "--input", str(dataset), "--out", str(index)]) == 0
+    assert main(["recommend", "--input", str(index), "--users", str(users),
+                 "--out", str(recs), "--k", str(k)]) == 0
+    rankings = {}
+    for line in recs.read_text().splitlines():
+        user, *items = line.split(" ")
+        rankings[user] = items
+    assert len(rankings) == len(hidden) == 300
+    capsys.readouterr()
+
+    printed = []
+    for mode, ap_mode in (("challenge", AP_CHALLENGE), ("paper", AP_LIST_LENGTH)):
+        per_user = tmp_path / f"per_user_{mode}.tsv"
+        assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden_path),
+                     "--k", str(k), "--mode", mode, "--per-user", str(per_user)]) == 0
+        want = oracle.mean_ap(rankings, hidden, k, mode)
+        assert capsys.readouterr().out == f"mAP@{k} ({mode}) = {want:.6f}\n"
+        report = mean_average_precision(rankings, hidden, k, ap_mode)
+        assert per_user.read_text().splitlines() == ["user\tap\thidden_count"] + [
+            f"{user}\t{ap:.10f}\t{count}" for user, ap, count in report.per_user]
+        printed.append(want)
+    assert 0.0 < printed[1] < printed[0] < 1.0
 
 
 def test_evaluate_missing_recommendation_fails(tmp_path, t1_file, capsys):
@@ -152,6 +183,54 @@ def test_unknown_user_id_exits_1_with_id(tmp_path, t1_file, capsys):
     assert main(["recommend", "--input", str(index), "--users", str(users),
                  "--out", str(tmp_path / "r.txt")]) == 1
     assert "ghost" in capsys.readouterr().err
+
+
+def test_ingest_id_with_space_exits_1_with_line(tmp_path, capsys):
+    text = tmp_path / "spaced.txt"
+    text.write_text("u1\ta\t1\nu 1\ta\t2\n")
+    out = tmp_path / "spaced.ds"
+    assert main(["ingest", "--input", str(text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'u 1'" in err
+    assert not out.exists()
+
+
+def _recommend_csv(tmp_path, plays, users, k):
+    """ingest, build and recommend over comma-separated triplet text, so ids
+    may be empty or hold a tab; returns the recs path."""
+    source, users_path = tmp_path / "plays.csv", tmp_path / "users.txt"
+    dataset, index = tmp_path / "d.ds", tmp_path / "d.idx"
+    recs = tmp_path / "recs.txt"
+    source.write_text(plays)
+    users_path.write_text(users)
+    assert main(["ingest", "--input", str(source), "--out", str(dataset),
+                 "--delimiter", ","]) == 0
+    assert main(["build", "--input", str(dataset), "--out", str(index)]) == 0
+    assert main(["recommend", "--input", str(index), "--users", str(users_path),
+                 "--out", str(recs), "--k", str(k)]) == 0
+    return recs
+
+
+def test_empty_and_tab_track_ids_round_trip_through_recs(tmp_path, capsys):
+    # the recs line "q  a<TAB>b 1" must read back as those two tracks and a pad
+    recs = _recommend_csv(tmp_path, "q,z,1\nn,z,1\nn,,1\nn,a\tb,1\nm,y,1\n",
+                          "q\n", 3)
+    assert recs.read_text() == "q  a\tb 1\n"
+    hidden, per_user = tmp_path / "hidden.csv", tmp_path / "per_user.tsv"
+    hidden.write_text("q,,1\nq,a\tb,1\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden),
+                 "--k", "3", "--delimiter", ",", "--per-user", str(per_user)]) == 0
+    assert capsys.readouterr().out == "mAP@3 (challenge) = 1.000000\n"
+    assert per_user.read_text().splitlines()[1] == "q\t1.0000000000\t2"
+
+
+def test_users_file_keeps_tabs_in_ids(tmp_path):
+    # "<TAB>q" and "q" are different users; stripping the tab would answer
+    # for the wrong one
+    recs = _recommend_csv(tmp_path, "q,z,1\nq,y,1\n\tq,z,1\n\tq,x,1\nm,y,1\n",
+                          " \tq \n\n", 2)
+    assert recs.read_text() == "\tq y 1\n"
 
 
 @pytest.mark.parametrize("count", [str(2**64), "5000000000"])

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,21 +43,15 @@ def test_config_defaults():
     config = Config()
     assert config.prune_ratio == 0.4
     assert config.k == 500
-    assert config.log_base == math.e
     assert config.exclude_seen
     assert config.pad_strategy == "dummy"
-    assert config.ap_mode == "challenge"
 
 
 @pytest.mark.parametrize("kwargs", [
     {"prune_ratio": -0.01},
     {"prune_ratio": 1.01},
     {"k": 0},
-    {"log_base": 0.0},
-    {"log_base": 1.0},
-    {"log_base": -2.0},
     {"pad_strategy": "nope"},
-    {"ap_mode": "nope"},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
@@ -70,4 +62,3 @@ def test_config_boundary_values_are_accepted():
     Config(prune_ratio=0.0)
     Config(prune_ratio=1.0)
     Config(k=1)
-    Config(log_base=2.0)

@@ -165,6 +165,11 @@ def test_map_requires_recommendations_for_evaluated_users():
         mean_average_precision({}, {1: {"a"}}, 5)
 
 
+def test_map_rejects_unknown_ap_mode():
+    with pytest.raises(ValueError, match="ap_mode"):
+        mean_average_precision({1: ["a"]}, {1: {"a"}}, 5, "nope")
+
+
 # --- history splitting ----------------------------------------------------
 
 def test_split_is_deterministic(t1_batch):

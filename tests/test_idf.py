@@ -71,6 +71,12 @@ def test_base_change_is_a_constant_factor(t1_index):
             assert np.allclose(v1[nonzero] / v2[nonzero], factor, rtol=1e-12)
 
 
+@pytest.mark.parametrize("base", [0.0, 1.0, -2.0, float("nan")])
+def test_compute_idf_rejects_invalid_log_base(t1_index, base):
+    with pytest.raises(ValueError, match="log_base"):
+        compute_idf(t1_index, base)
+
+
 def test_empty_index_is_rejected():
     index = build_index(parse_triplets(io.StringIO("")))
     with pytest.raises(EmptyIndexError):

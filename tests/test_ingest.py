@@ -79,6 +79,21 @@ def test_parse_rejects_long_zero_play_count():
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("delimiter, line", [
+    ("\t", "u 1\tta\t2\n"),
+    ("\t", "u1\tt a\t2\n"),
+    ("\t", " \tta\t2\n"),
+    (",", "u1,ta ,2\n"),
+    # the delimiter's own spaces are allowed, not the ids'
+    (", ", "u 1, ta, 2\n"),
+], ids=["user", "track", "only-space", "trailing", "spaced-delimiter"])
+def test_parse_rejects_id_with_space(delimiter, line):
+    first = delimiter.join(["ok", "fine", "1"]) + "\n"
+    with pytest.raises(MalformedLineError, match="space") as err:
+        parse_triplets(io.StringIO(first + line), delimiter)
+    assert err.value.line_no == 2
+
+
 def test_parse_rejects_duplicate_pair_with_line_number():
     with pytest.raises(DuplicatePairError) as err:
         parse_triplets(io.StringIO("u1\tta\t2\nu1\tta\t3\n"))
@@ -164,7 +179,7 @@ def test_write_triplets_round_trips_through_text(tmp_path, t1_batch):
 
 
 _id_text = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+    alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r "),
     min_size=1, max_size=12)
 
 

@@ -20,36 +20,38 @@ from tastecf import (
 )
 from tastecf.recommend import ScoredTracks, pad_label
 from tastecf.synth import random_batch
-from conftest import SCORE_U1_C, SCORE_U3_A, SCORE_U3_B
+from conftest import SCORE_U1_C, SCORE_U3_A, SCORE_U3_B, as_dict
 
 
 def _neighbors(index, idf, u, ratio=0.4):
     return prune(candidate_neighbors(index, idf, u), ratio)
 
 
+def _scores(index, idf, u, ratio=0.4):
+    scored = score_tracks(index, _neighbors(index, idf, u, ratio))
+    return as_dict(scored.tracks, scored.ln_scores)
+
+
 def test_empty_neighbor_set_scores_nothing(t1_index, t1_idf):
     lonely = prune(candidate_neighbors(t1_index, t1_idf, 0), 1.0)
-    scored = score_tracks(t1_index, _neighbors(t1_index, t1_idf, 2, 1.0))
-    assert scored.as_dict()  # u3 has tied neighbors, sanity that they score
+    assert _scores(t1_index, t1_idf, 2, 1.0)  # u3 has tied neighbors, sanity that they score
     empty_scored = score_tracks(
         t1_index,
         prune(candidate_neighbors(
             build_index(parse_triplets(io.StringIO("u1\ta\t1\n"))),
             IdfTable(np.zeros(1), 1, 2.718281828459045), 0), 0.4))
-    assert empty_scored.as_dict() == {}
+    assert empty_scored.tracks.size == 0
     assert lonely is not None
 
 
 def test_t1_u1_scores_single_unseen_track(t1_index, t1_idf):
-    scored = score_tracks(t1_index, _neighbors(t1_index, t1_idf, 0))
-    got = scored.as_dict()
+    got = _scores(t1_index, t1_idf, 0)
     assert set(got) == {2}
     assert abs(got[2] - SCORE_U1_C) < 1e-12
 
 
 def test_t1_u3_scores_accumulate_over_tied_neighbors(t1_index, t1_idf):
-    scored = score_tracks(t1_index, _neighbors(t1_index, t1_idf, 2))
-    got = scored.as_dict()
+    got = _scores(t1_index, t1_idf, 2)
     assert set(got) == {0, 1}
     assert abs(got[0] - SCORE_U3_A) < 1e-12
     assert abs(got[1] - SCORE_U3_B) < 1e-12
@@ -174,9 +176,7 @@ def test_play_count_redistribution_leaves_scores_unchanged(t1_batch):
     index2 = build_index(moved)
     idf2 = compute_idf(index2)
     for u in range(4):
-        s1 = score_tracks(index1, _neighbors(index1, idf1, u)).as_dict()
-        s2 = score_tracks(index2, _neighbors(index2, idf2, u)).as_dict()
-        assert s1 == s2
+        assert _scores(index1, idf1, u) == _scores(index2, idf2, u)
 
 
 def test_pad_label_escapes_collisions(t1_batch):

@@ -10,23 +10,15 @@ from tastecf import (
     compute_idf,
     parse_triplets,
     prune,
-    similarity,
 )
 from tastecf.synth import random_batch
 import oracle
-from conftest import IDF_A, IDF_BC, PRUNE_THRESHOLD_U1, SIM_U1_U4
+from conftest import IDF_BC, PRUNE_THRESHOLD_U1, SIM_U1_U4, as_dict
 
 
-def test_disjoint_histories_have_zero_similarity(t1_index, t1_idf):
-    assert similarity(t1_index, t1_idf, 0, 2) == 0.0
-
-
-def test_t1_single_shared_track(t1_index, t1_idf):
-    assert abs(similarity(t1_index, t1_idf, 0, 1) - IDF_BC) < 1e-12
-
-
-def test_t1_two_shared_tracks(t1_index, t1_idf):
-    assert abs(similarity(t1_index, t1_idf, 0, 3) - SIM_U1_U4) < 1e-12
+def _weights(index, idf, u):
+    cands = candidate_neighbors(index, idf, u)
+    return as_dict(cands.users, cands.ln_weights)
 
 
 def test_similarity_is_symmetric_exactly():
@@ -34,9 +26,10 @@ def test_similarity_is_symmetric_exactly():
     for _ in range(10):
         index = build_index(random_batch(rng, max_users=12, max_tracks=10))
         table = compute_idf(index)
+        weights = [_weights(index, table, u) for u in range(index.n_users)]
         for u in range(index.n_users):
-            for v in range(index.n_users):
-                assert similarity(index, table, u, v) == similarity(index, table, v, u)
+            for v, weight in weights[u].items():
+                assert weights[v][u] == weight
 
 
 def test_similarity_ignores_play_counts(t1_batch, t1_index, t1_idf):
@@ -46,18 +39,17 @@ def test_similarity_ignores_play_counts(t1_batch, t1_index, t1_idf):
     index2 = build_index(redistributed)
     table2 = compute_idf(index2)
     for u in range(4):
-        for v in range(4):
-            assert similarity(index2, table2, u, v) == similarity(t1_index, t1_idf, u, v)
+        assert _weights(index2, table2, u) == _weights(t1_index, t1_idf, u)
 
 
 def test_candidates_for_t1_users(t1_index, t1_idf):
-    cands = candidate_neighbors(t1_index, t1_idf, 0)
-    got = cands.as_dict()
+    # u1 and u3 share no track, so neither is the other's candidate
+    got = _weights(t1_index, t1_idf, 0)
     assert set(got) == {1, 3}
     assert abs(got[1] - IDF_BC) < 1e-12
     assert abs(got[3] - SIM_U1_U4) < 1e-12
 
-    both_share_c = candidate_neighbors(t1_index, t1_idf, 2).as_dict()
+    both_share_c = _weights(t1_index, t1_idf, 2)
     assert set(both_share_c) == {1, 3}
     assert abs(both_share_c[1] - IDF_BC) < 1e-12
     assert abs(both_share_c[3] - IDF_BC) < 1e-12
@@ -75,17 +67,6 @@ def test_user_with_empty_history_has_no_candidates():
     index = build_index(batch)
     table = compute_idf(index)
     assert len(candidate_neighbors(index, table, 2)) == 0
-
-
-def test_candidates_match_pairwise_similarity_exactly():
-    rng = np.random.default_rng(22)
-    for _ in range(30):
-        index = build_index(random_batch(rng))
-        table = compute_idf(index)
-        for u in range(index.n_users):
-            cands = candidate_neighbors(index, table, u)
-            for v, weight in cands.as_dict().items():
-                assert weight == similarity(index, table, u, v)
 
 
 def _with_track_everyone_played(batch):
@@ -115,7 +96,7 @@ def test_candidates_match_dense_oracle_nonzero_restriction():
         idf = oracle.idf_values(listeners, index.n_users)
         for u in range(index.n_users):
             # whole dicts: membership includes co-listeners of weight 0.0
-            got = candidate_neighbors(index, table, u).as_dict()
+            got = _weights(index, table, u)
             want = oracle.user_weights(history, listeners, idf, u)
             assert got == want
             exact_zeros += sum(w == 0.0 for w in want.values())
@@ -127,13 +108,13 @@ def test_prune_empty_candidates(t1_index, t1_idf):
                                 compute_idf(build_index(parse_triplets(io.StringIO("u1\ta\t1\n")))), 0)
     pruned = prune(empty, 0.4)
     assert len(pruned) == 0
-    assert pruned.w_max == 0.0
+    assert pruned.ln_w_max == 0.0
 
 
 def test_prune_t1_discards_below_threshold(t1_index, t1_idf):
     pruned = prune(candidate_neighbors(t1_index, t1_idf, 0), 0.4)
-    assert abs(pruned.w_max - SIM_U1_U4) < 1e-12
-    assert abs(0.4 * pruned.w_max - PRUNE_THRESHOLD_U1) < 1e-12
+    assert abs(pruned.ln_w_max - SIM_U1_U4) < 1e-12
+    assert abs(0.4 * pruned.ln_w_max - PRUNE_THRESHOLD_U1) < 1e-12
     assert pruned.users.tolist() == [3]
 
 
@@ -153,10 +134,10 @@ def test_prune_drops_exact_zero_weights():
     index = build_index(parse_triplets(io.StringIO(text)))
     table = compute_idf(index)
     cands = candidate_neighbors(index, table, 0)
-    assert cands.as_dict() == {1: 0.0}
+    assert as_dict(cands.users, cands.ln_weights) == {1: 0.0}
     pruned = prune(cands, 0.0)
     assert len(pruned) == 0
-    assert pruned.w_max == 0.0
+    assert pruned.ln_w_max == 0.0
 
 
 def test_prune_orders_by_weight_desc_then_user_asc():
@@ -167,10 +148,10 @@ def test_prune_orders_by_weight_desc_then_user_asc():
         for u in range(index.n_users):
             pruned = prune(candidate_neighbors(index, table, u), 0.2)
             keys = [(-w, v) for v, w in
-                    zip(pruned.users.tolist(), pruned.weights.tolist())]
+                    zip(pruned.users.tolist(), pruned.ln_weights.tolist())]
             assert keys == sorted(keys)
-            assert np.all(pruned.weights > 0.0)
-            assert np.all(pruned.weights >= 0.2 * pruned.w_max)
+            assert np.all(pruned.ln_weights > 0.0)
+            assert np.all(pruned.ln_weights >= 0.2 * pruned.ln_w_max)
 
 
 def test_threshold_monotonicity():
