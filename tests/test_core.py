@@ -51,7 +51,11 @@ def test_config_defaults():
     {"prune_ratio": -0.01},
     {"prune_ratio": 1.01},
     {"k": 0},
+    {"prune_ratio": float("nan")},
+    {"k": -1},
+    {"pad_strategy": ""},
     {"pad_strategy": "nope"},
+    {"pad_strategy": "DUMMY"},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):

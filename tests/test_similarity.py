@@ -21,6 +21,31 @@ def _weights(index, idf, u):
     return as_dict(cands.users, cands.ln_weights)
 
 
+def _pairwise_similarity(index, idf, u, v):
+    """Sum of natural-log idf over the intersection of the two listening
+    histories, accumulated in ascending track order."""
+    common = np.intersect1d(index.forward_tracks(u), index.forward_tracks(v),
+                            assume_unique=True)
+    total = 0.0
+    for value in idf.ln_values[common].tolist():
+        total += value
+    return total
+
+
+def test_disjoint_histories_have_zero_similarity(t1_index, t1_idf):
+    assert _pairwise_similarity(t1_index, t1_idf, 0, 2) == 0.0
+    assert 2 not in _weights(t1_index, t1_idf, 0)
+    assert 0 not in _weights(t1_index, t1_idf, 2)
+
+
+def test_t1_single_shared_track(t1_index, t1_idf):
+    assert abs(_weights(t1_index, t1_idf, 0)[1] - IDF_BC) < 1e-12
+
+
+def test_t1_two_shared_tracks(t1_index, t1_idf):
+    assert abs(_weights(t1_index, t1_idf, 0)[3] - SIM_U1_U4) < 1e-12
+
+
 def test_similarity_is_symmetric_exactly():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -67,6 +92,16 @@ def test_user_with_empty_history_has_no_candidates():
     index = build_index(batch)
     table = compute_idf(index)
     assert len(candidate_neighbors(index, table, 2)) == 0
+
+
+def test_candidates_match_pairwise_similarity_exactly():
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        index = build_index(random_batch(rng))
+        table = compute_idf(index)
+        for u in range(index.n_users):
+            for v, weight in _weights(index, table, u).items():
+                assert weight == _pairwise_similarity(index, table, u, v)
 
 
 def _with_track_everyone_played(batch):
