@@ -17,7 +17,7 @@ from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    PAD_DUMMY, PAD_STRATEGIES)
 from .evaluate import mean_average_precision, split_history
-from .idf import compute_idf
+from .idf import compute_idf, valid_log_base
 from .index import build_index, load_index, save_index
 from .ingest import load_dataset, parse_triplets, save_dataset, write_triplets
 from .recommend import recommend_all, write_recommendations
@@ -32,7 +32,7 @@ def _log_base(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0 or value == 1:
+    if not valid_log_base(value):
         raise argparse.ArgumentTypeError("log base must be positive and != 1")
     return value
 
@@ -106,8 +106,10 @@ def _cmd_recommend(args) -> int:
                 ["input", "users", "out", "prune_ratio", "k", "log_base",
                  "exclude_seen", "pad", "workers"])
     loaded = load_index(args.input)
+    # the engine reads only the natural-log values, which the stored table
+    # holds whatever its base
     idf = loaded.idf
-    if idf is None or idf.log_base != args.log_base:
+    if idf is None:
         idf = compute_idf(loaded.index, args.log_base)
     config = Config(prune_ratio=args.prune_ratio, k=args.k,
                     exclude_seen=args.exclude_seen, pad_strategy=args.pad)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 # Dense ids are 32-bit; anything larger overflows the binary formats.
 MAX_INDEX = 2**31 - 1
 # Play counts are stored as u32 in the dataset and index files.
@@ -121,6 +123,28 @@ class Vocabulary:
             index[ext_id] = idx
             self._ids.append(ext_id)
         return idx
+
+    def intern_all(self, ids: list[str]) -> np.ndarray:
+        """intern() over a list of ids in one C-level pass: their int32
+        indexes, with new ids numbered in first-seen order."""
+        index = self._index
+        if index is None:
+            index = self._id_index()
+        n = len(self._ids)
+        # map takes len(index) just before each setdefault, so a new id is
+        # stored with its dense index and a known one returns its own
+        codes = np.fromiter(map(index.setdefault, ids, iter(index.__len__, -1)),
+                            np.int64, len(ids))
+        if len(index) > n:
+            if len(index) > MAX_INDEX + 1:
+                self._index = None   # drops the new entries
+                raise CapacityError("vocabulary exceeds 32-bit index space")
+            # new ids first appear in index order, each where the running
+            # maximum (known ids counted as n - 1) rises
+            running = np.maximum.accumulate(np.maximum(codes, n - 1))
+            first = np.flatnonzero(np.diff(running, prepend=n - 1) > 0)
+            self._ids.extend(map(ids.__getitem__, first.tolist()))
+        return codes.astype(np.int32)
 
     def lookup(self, index: int) -> str:
         return self._ids[index]

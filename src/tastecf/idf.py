@@ -54,13 +54,18 @@ class IdfTable:
         )
 
 
+def valid_log_base(log_base: float) -> bool:
+    """A log base is positive and not 1; NaN is neither."""
+    return log_base > 0 and log_base != 1
+
+
 def compute_idf(index, log_base: float = math.e) -> IdfTable:
     """Build the idf table for every track of the index.
 
     Raises ValueError for a log base that is not positive or equals 1, and
     EmptyIndexError when the index has no users.
     """
-    if not log_base > 0 or log_base == 1:
+    if not valid_log_base(log_base):
         raise ValueError(f"log_base must be positive and != 1, got {log_base}")
     if index.n_users == 0:
         raise EmptyIndexError("cannot compute idf over zero users")

@@ -16,7 +16,7 @@ import numpy as np
 from . import storage
 from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
                    MAX_PLAY_COUNT, Vocabulary)
-from .idf import IdfTable
+from .idf import IdfTable, valid_log_base
 from .ingest import TripletBatch
 
 _MAGIC = b"TCFIDX1\x00"
@@ -115,7 +115,9 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
         if counts.min() < 1:
             raise DataError("play_count must be >= 1")
 
-    fwd_order = np.lexsort((tracks, users))
+    # the order np.lexsort((tracks, users)) gives, from one stable sort of a
+    # single key below 2**62; fast because rows mostly arrive grouped by user
+    fwd_order = np.argsort(users * n_tracks + tracks, kind="stable")
     fwd_users = users[fwd_order]
     fwd_tracks = tracks[fwd_order]
     fwd_counts = counts[fwd_order]
@@ -188,8 +190,9 @@ def load_index(path) -> LoadedIndex:
     Every array except fwd_counts (widened from u32) and the derived df is
     a read-only view of the file bytes. The structure is checked with array
     operations: offsets that do not rise from 0 to nnz, an index outside
-    its vocabulary, a play count of 0, an idf flag other than 0 or 1 or a
-    length that does not match the body raise DataError.
+    its vocabulary, a play count of 0, an idf flag other than 0 or 1, an
+    idf log base that is not positive or equals 1, or a length that does
+    not match the body raise DataError.
     """
     r = storage.Reader(path, _MAGIC, _VERSION)
     n_users, n_tracks, nnz = r.unpack("<QQQ")
@@ -205,6 +208,8 @@ def load_index(path) -> LoadedIndex:
     idf = None
     if has_idf == 1:
         (log_base,) = r.unpack("<d")
+        if not valid_log_base(log_base):
+            raise r.fail(f"idf log base is {log_base!r}, not positive and != 1")
         idf = IdfTable(r.array("<f8", n_tracks), n_users, log_base)
     elif has_idf != 0:
         raise r.fail(f"idf flag is {has_idf}, not 0 or 1")

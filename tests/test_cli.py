@@ -5,6 +5,7 @@ import pytest
 
 from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, load_dataset,
                      mean_average_precision, parse_triplets)
+from tastecf import cli
 from tastecf.cli import main
 from tastecf.ingest import write_triplets
 from tastecf.synth import planted_clusters
@@ -52,6 +53,23 @@ def test_full_pipeline_produces_golden_line(tmp_path, t1_file, capsys):
     code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "5"])
     assert code == 0
     assert recs.read_text() == "u1 c 1 2 3 4\n"
+
+
+def test_recommend_reuses_stored_idf_for_any_log_base(tmp_path, t1_file,
+                                                      capsys, monkeypatch):
+    # the engine reads only natural-log idf, so a base-e table serves base 2
+    code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "5"])
+    assert code == 0
+
+    def no_recompute(*args):
+        raise AssertionError("compute_idf called on an index that has idf")
+
+    monkeypatch.setattr(cli, "compute_idf", no_recompute)
+    base_2 = tmp_path / "recs_base_2.txt"
+    assert main(["recommend", "--input", str(tmp_path / "t1.idx"),
+                 "--users", str(tmp_path / "users.txt"), "--out", str(base_2),
+                 "--k", "5", "--log-base", "2"]) == 0
+    assert base_2.read_bytes() == recs.read_bytes()
 
 
 def test_recommend_defaults_echo_reference_constants(tmp_path, t1_file, capsys):

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tastecf import Config, Vocabulary
+from tastecf import Config, DataError, Vocabulary
 
 
 def test_intern_first_assignment_is_zero():
@@ -37,6 +38,25 @@ def test_vocabulary_is_a_bijection_over_distinct_inputs(ids):
     for ext_id in ids:
         vocab.intern(ext_id)
     assert len(vocab) == len(distinct)
+
+
+@given(st.lists(st.text(alphabet="abc", max_size=2)),
+       st.lists(st.lists(st.text(alphabet="abcd", max_size=2))))
+def test_intern_all_equals_interning_one_by_one(known, batches):
+    bulk, single = Vocabulary(known), Vocabulary(known)
+    for ids in batches:
+        indexes = bulk.intern_all(ids)
+        assert indexes.dtype == np.int32
+        assert indexes.tolist() == [single.intern(ext_id) for ext_id in ids]
+        assert bulk.ids == single.ids
+    assert all(bulk.index_of(ext_id) == i for i, ext_id in enumerate(bulk.ids))
+
+
+def test_intern_all_on_a_loaded_vocabulary_checks_for_repeats():
+    loaded = Vocabulary.from_unique(["a", "b"])
+    assert loaded.intern_all(["b", "c", "a", "c"]).tolist() == [1, 2, 0, 2]
+    with pytest.raises(DataError, match="'a' appears twice"):
+        Vocabulary.from_unique(["a", "a"], "f.ds").intern_all(["b"])
 
 
 def test_config_defaults():

@@ -1,8 +1,9 @@
+from array import array
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tastecf import (
     ChecksumError,
@@ -16,7 +17,60 @@ from tastecf import (
     save_dataset,
     write_triplets,
 )
+from tastecf import ingest
+from tastecf.core import MAX_PLAY_COUNT
 from conftest import T1_TEXT
+
+
+def _reference_parse(stream, delimiter="\t"):
+    """parse_triplets as one loop over lines: the specification the chunked
+    parser must match, batch for batch and error for error."""
+    user_vocab = Vocabulary()
+    track_vocab = Vocabulary()
+    users = array("i")
+    tracks = array("i")
+    counts = array("q")
+    seen_pairs = set()
+
+    for line_no, raw in enumerate(stream, 1):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 3:
+            raise MalformedLineError(
+                line_no, f"expected 3 {delimiter!r}-separated fields, got {len(parts)}")
+        user_ext, track_ext, count_text = parts
+        if " " in user_ext or " " in track_ext:
+            raise MalformedLineError(
+                line_no, f"id contains a space: {user_ext!r}, {track_ext!r}")
+        if not (count_text.isascii() and count_text.isdecimal()):
+            raise MalformedLineError(
+                line_no, f"play_count is not a base-10 integer: {count_text!r}")
+        if len(count_text) > 10:
+            count_text = count_text.lstrip("0") or "0"
+        count = int(count_text) if len(count_text) <= 10 else MAX_PLAY_COUNT + 1
+        if not 1 <= count <= MAX_PLAY_COUNT:
+            raise MalformedLineError(
+                line_no, f"play_count must be in [1, {MAX_PLAY_COUNT}]")
+        u = user_vocab.intern(user_ext)
+        t = track_vocab.intern(track_ext)
+        key = (u << 32) | t
+        if key in seen_pairs:
+            raise DuplicatePairError(
+                line_no, f"duplicate (user, track) pair: {user_ext!r}, {track_ext!r}")
+        seen_pairs.add(key)
+        users.append(u)
+        tracks.append(t)
+        counts.append(count)
+
+    return TripletBatch(
+        np.array(users, dtype=np.int32),
+        np.array(tracks, dtype=np.int32),
+        np.array(counts, dtype=np.int64),
+        user_vocab,
+        track_vocab,
+    )
 
 
 def test_parse_two_lines():
@@ -53,6 +107,10 @@ def test_parse_rejects_zero_play_count():
     "u1\tta\t2.5\n",
     "u1\tta\tx\n",
     "u1\tta\t \n",
+    "u1\tta\t\n",
+    "u1\tta\t" + "0" * 11 + "\n",
+    # two bad lines whose fields, run together, make two good rows
+    "u1\tta\n7\tu2\ttb\t1\n",
 ])
 def test_parse_rejects_malformed_lines(line):
     with pytest.raises(MalformedLineError) as err:
@@ -91,6 +149,13 @@ def test_parse_rejects_id_with_space(delimiter, line):
     first = delimiter.join(["ok", "fine", "1"]) + "\n"
     with pytest.raises(MalformedLineError, match="space") as err:
         parse_triplets(io.StringIO(first + line), delimiter)
+    assert err.value.line_no == 2
+
+
+def test_parse_rejects_id_with_newline_from_a_list_of_lines():
+    # a file or StringIO never yields such a line; the id could not be saved
+    with pytest.raises(MalformedLineError, match="newline") as err:
+        parse_triplets(["u\tt\t1\n", "\n7\t8\t9\n"])
     assert err.value.line_no == 2
 
 
@@ -192,3 +257,67 @@ def test_round_trip_identity_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "batch.ds"
     save_dataset(batch, path)
     assert load_dataset(path) == batch
+
+
+def _outcome(parse, text, delimiter):
+    """The batch with its dtypes, or the error's type, text and line."""
+    try:
+        batch = parse(io.StringIO(text), delimiter)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return batch, [a.dtype for a in (batch.users, batch.tracks, batch.counts)]
+
+
+# few ids, so (user, track) pairs repeat; tabs, commas and "\r" in ids are
+# fine under some delimiters and break the field count under others, and a
+# numeric id can pass for a count when fields shift
+_fuzz_id = st.text(alphabet="a1\t,\r", max_size=3)
+_good_count = st.sampled_from(["1", "2", "13", "00000000007", "00004294967295",
+                               "4294967295"])
+_bad_count = st.sampled_from(["0", "+1", "\u0663", "", " 1", "4294967296",
+                              "0" * 11])
+
+
+@st.composite
+def _fuzz_line(draw, ids, delimiter):
+    """Mostly well-formed lines, each kind of bad line now and then."""
+    kind = draw(st.sampled_from(["good"] * 6 + ["count"] * 2 + [
+        "space", "fields", "shifted", "empty"]))
+    if kind == "empty":
+        return draw(st.sampled_from(["", "\r"]))
+    fields = [draw(st.sampled_from(ids)), draw(st.sampled_from(ids)),
+              draw(_good_count)]
+    if kind == "count":
+        fields[2] = draw(_bad_count)
+    elif kind == "space":
+        fields[draw(st.integers(0, 1))] += " "
+    elif kind == "fields":
+        fields = draw(st.sampled_from([fields[:2], fields + fields[2:]]))
+    elif kind == "shifted":
+        # a count moved to the next line: 6 fields that make 2 good rows
+        return (delimiter.join(fields[:2]) + "\n"
+                + delimiter.join([fields[2], *fields]))
+    return delimiter.join(fields)
+
+
+@st.composite
+def _fuzz_text(draw):
+    ids = draw(st.lists(_fuzz_id, min_size=1, max_size=4))
+    delimiter = draw(st.sampled_from(["\t", ",", ", "]))
+    lines = draw(st.lists(_fuzz_line(ids, delimiter), max_size=16))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1]) if ends else text
+    return text, delimiter
+
+
+@settings(max_examples=400)
+@given(_fuzz_text(), st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
+def test_chunked_parse_equals_line_by_line_reference(case, chunk_lines):
+    text, delimiter = case
+    expected = _outcome(_reference_parse, text, delimiter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+        assert _outcome(parse_triplets, text, delimiter) == expected

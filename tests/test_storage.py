@@ -85,6 +85,10 @@ INDEX_FAULTS = {
     "fwd_counts_zero": (lambda s: _put(s, "fwd_counts", "<u4", 1, 0),
                         "fwd_counts outside [1, 4294967296)"),
     "idf_flag_2": (lambda s: s.update(idf_flag=b"\x02"), "idf flag is 2, not 0 or 1"),
+    **{f"idf_log_base_{base}": (
+        lambda s, base=base: s.update(log_base=struct.pack("<d", base)),
+        f"idf log base is {base!r}, not positive and != 1")
+       for base in (1.0, 0.0, -2.0, float("nan"))},
     "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
                        "8 bytes after the last section"),
     "missing_idf_values": (lambda s: s.pop("idf_values"),
