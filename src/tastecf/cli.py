@@ -101,28 +101,41 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _read_user_ids(path) -> list[str]:
+    """The ids of a --users file, one per non-empty line; DataError with
+    the line number for an id listed twice."""
+    ids = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            # only spaces are stripped: ids cannot hold one, but may hold a tab
+            ext_id = line.rstrip("\n").strip(" ")
+            if not ext_id:
+                continue
+            if ext_id in seen:
+                raise DataError(f"{path}:{line_no}: duplicate user id {ext_id!r}")
+            seen.add(ext_id)
+            ids.append(ext_id)
+    return ids
+
+
 def _cmd_recommend(args) -> int:
     _log_config("recommend", args,
-                ["input", "users", "out", "prune_ratio", "k", "log_base",
-                 "exclude_seen", "pad", "workers"])
+                ["input", "users", "out", "prune_ratio", "k", "exclude_seen",
+                 "pad", "workers"])
     loaded = load_index(args.input)
     # the engine reads only the natural-log values, which the stored table
     # holds whatever its base
     idf = loaded.idf
     if idf is None:
-        idf = compute_idf(loaded.index, args.log_base)
+        idf = compute_idf(loaded.index)
     config = Config(prune_ratio=args.prune_ratio, k=args.k,
                     exclude_seen=args.exclude_seen, pad_strategy=args.pad)
-    # only spaces are stripped: ids cannot hold one, but may hold a tab
-    with open(args.users, "r", encoding="utf-8") as fh:
-        user_ids = [ext_id for line in fh
-                    if (ext_id := line.rstrip("\n").strip(" "))]
-    indexes = []
-    for ext_id in user_ids:
-        idx = loaded.user_vocab.get(ext_id)
-        if idx is None:
-            raise DataError(f"unknown user id {ext_id!r} in {args.users}")
-        indexes.append(idx)
+    user_ids = _read_user_ids(args.users)
+    indexes = loaded.user_vocab.indexes_of(user_ids)
+    if None in indexes:
+        unknown = user_ids[indexes.index(None)]
+        raise DataError(f"unknown user id {unknown!r} in {args.users}")
     recs = recommend_all(loaded.index, idf, indexes, config, workers=args.workers)
     write_recommendations(recs, args.out, loaded.user_vocab, loaded.track_vocab)
     print(f"recommended for {len(indexes)} users -> {args.out}", file=sys.stderr)
@@ -228,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "the best (default 0.4)")
     p.add_argument("--k", type=_positive_int, default=500,
                    help="recommendation list length (default 500)")
-    p.add_argument("--log-base", type=_log_base, default=math.e, metavar="BASE",
-                   help="idf log base (default e)")
     p.add_argument("--exclude-seen", action=argparse.BooleanOptionalAction,
                    default=True, help="drop tracks the user already played")
     p.add_argument("--pad", choices=PAD_STRATEGIES, default=PAD_DUMMY,

@@ -67,19 +67,64 @@ class Triplet(NamedTuple):
     play_count: int
 
 
+# the id hash's multipliers for the length and for each word: odd, so that
+# multiplying modulo 2**64 loses no bits
+_HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], np.uint64)
+# _WORD_MASKS[n] keeps the first n bytes of a little-endian 8-byte word.
+_WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+
+
+def _hash_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each byte string buf[start:start + len], in one
+    vectorised pass per 8 bytes of the longest: the length, then each
+    8-byte word (zero-filled past the end), mixed by multiply and
+    xor-shift. A string's hash depends on its bytes alone, not on the
+    other spans. Array arithmetic wraps modulo 2**64 without a warning."""
+    padded = np.zeros(buf.size + 8, np.uint8)
+    padded[:buf.size] = buf
+    # the 8 bytes from every offset, read unaligned as one little-endian word
+    words = np.ndarray((buf.size + 1,), "<u8", padded, 0, (1,))
+    length_mult, word_mult = _HASH_MULTIPLIERS
+    h = lens.astype(np.uint64) * length_mult
+    rows = slice(None)
+    for offset in range(0, int(lens.max(initial=0)), 8):
+        if offset:
+            rows = np.flatnonzero(lens > offset)
+        word = (words[starts[rows] + offset]
+                & _WORD_MASKS[np.minimum(lens[rows] - offset, 8)])
+        mixed = (h[rows] ^ word) * word_mult
+        h[rows] = mixed ^ (mixed >> 31)
+    return h
+
+
 class Vocabulary:
     """Bidirectional mapping between external string ids and dense indexes.
 
     Indexes are assigned in first-seen order and never change; interning a
     known id returns its existing index. External ids are treated as opaque
     strings, nothing about their format is assumed.
+
+    A vocabulary loaded from a file (from_utf8) keeps the file's bytes, the
+    ids joined by "\\n" in UTF-8, and decodes ids only on demand:
+
+    - lookup(i) decodes one id from its byte slice; the slice bounds come
+      from one np.flatnonzero over the bytes, made on first use and kept;
+    - ids, iteration and == split the bytes into a list of str, once;
+    - get, index_of, `in`, intern and intern_all build the id -> index dict,
+      which checks that no id repeats; from then on the bytes are dropped,
+      since interning may add ids;
+    - indexes_of finds a batch of ids without that dict, by hashing every
+      stored id (see there).
     """
 
-    __slots__ = ("_ids", "_index", "_origin")
+    __slots__ = ("_ids", "_index", "_origin", "_data", "_count", "_bounds")
 
     def __init__(self, ids=()):
-        self._ids: list[str] = []
+        self._ids: list[str] | None = []
         self._index: dict[str, int] | None = {}
+        self._origin = "vocabulary"
+        self._data = self._bounds = None
+        self._count = 0
         for ext_id in ids:
             self.intern(ext_id)
 
@@ -93,22 +138,48 @@ class Vocabulary:
         """
         if len(ids) > MAX_INDEX + 1:
             raise CapacityError(f"{origin}: exceeds 32-bit index space")
-        vocab = cls.__new__(cls)
+        vocab = cls()
         vocab._ids = ids
         vocab._index = None
         vocab._origin = origin
         return vocab
 
+    @classmethod
+    def from_utf8(cls, data, count: int, origin: str = "vocabulary") -> "Vocabulary":
+        """Wrap `count` ids joined by "\\n" as UTF-8 bytes (any buffer),
+        without decoding them; the caller has checked that the bytes are
+        UTF-8 and hold `count` ids. As with from_unique, a repeated id
+        raises DataError when first looked up."""
+        vocab = cls.from_unique([], origin)
+        if count:
+            if count > MAX_INDEX + 1:
+                raise CapacityError(f"{origin}: exceeds 32-bit index space")
+            vocab._ids, vocab._data, vocab._count = None, data, count
+        return vocab
+
+    def _id_bounds(self) -> np.ndarray:
+        """Where each stored id starts in the bytes, then len(bytes) + 1:
+        id i is bytes[b[i]:b[i + 1] - 1]."""
+        if self._bounds is None:
+            buf = np.frombuffer(self._data, np.uint8)
+            bounds = np.empty(self._count + 1, np.int64)
+            bounds[0] = 0
+            bounds[1:-1] = np.flatnonzero(buf == ord("\n")) + 1
+            bounds[-1] = buf.size + 1
+            self._bounds = bounds
+        return self._bounds
+
     def _id_index(self) -> dict[str, int]:
         if self._index is not None:
             return self._index
-        ids = self._ids
+        ids = self.ids
         index = dict(zip(ids, range(len(ids))))
         if len(index) != len(ids):
             seen = set()
             repeated = next(i for i in ids if i in seen or seen.add(i))
             raise DataError(f"{self._origin}: id {repeated!r} appears twice")
         self._index = index
+        self._data = self._bounds = None
         return index
 
     def intern(self, ext_id: str) -> int:
@@ -147,7 +218,12 @@ class Vocabulary:
         return codes.astype(np.int32)
 
     def lookup(self, index: int) -> str:
-        return self._ids[index]
+        if self._ids is not None:
+            return self._ids[index]
+        if not 0 <= index < self._count:
+            raise IndexError(f"vocabulary index {index} out of range")
+        start, stop = self._id_bounds()[index:index + 2].tolist()
+        return str(self._data[start:stop - 1], "utf-8")
 
     def index_of(self, ext_id: str) -> int:
         return self._id_index()[ext_id]
@@ -155,25 +231,82 @@ class Vocabulary:
     def get(self, ext_id: str, default=None):
         return self._id_index().get(ext_id, default)
 
+    def indexes_of(self, ext_ids) -> list[int | None]:
+        """The index of each id, or None for an id not held.
+
+        A vocabulary that still holds its file bytes and has built no id
+        map answers without building one: it hashes every stored id in one
+        vectorised pass (_hash_spans), sorts the hashes and hashes the
+        wanted ids the same way. Two equal stored hashes come from a
+        repeated id or from a true collision, so then the id map answers
+        instead, which raises DataError for a repeat. Otherwise each stored
+        hash names at most one index, and a wanted id is found only when
+        the id decoded at that index equals it, so an id that merely
+        shares a hash with a stored one is not taken for it.
+        """
+        ext_ids = list(ext_ids)
+        if self._index is None and self._data is not None:
+            found = self._indexes_by_hash(ext_ids)
+            if found is not None:
+                return found
+        return list(map(self._id_index().get, ext_ids))
+
+    def _indexes_by_hash(self, ext_ids: list[str]) -> list[int | None] | None:
+        """indexes_of through hashes, or None if two stored hashes are equal."""
+        bounds = self._id_bounds()
+        stored = _hash_spans(np.frombuffer(self._data, np.uint8), bounds[:-1],
+                             np.diff(bounds) - 1)
+        ordered = np.sort(stored)
+        if (ordered[1:] == ordered[:-1]).any():
+            return None
+        # ids from outside may hold lone surrogates; those match nothing
+        encoded = [ext_id.encode("utf-8", "surrogatepass") for ext_id in ext_ids]
+        lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        wanted = _hash_spans(np.frombuffer(b"".join(encoded), np.uint8),
+                             np.cumsum(lens) - lens, lens)
+        # stored hashes equal to a wanted one: a table of the wanted hashes'
+        # low 16 bits passes a few candidates, and np.isin checks those
+        table = np.zeros(1 << 16, bool)
+        table[(wanted & 0xFFFF).astype(np.intp)] = True
+        candidates = np.flatnonzero(table[(stored & 0xFFFF).astype(np.intp)])
+        hits = candidates[np.isin(stored[candidates], wanted)]
+        by_hash = dict(zip(stored[hits].tolist(), hits.tolist()))
+        return [idx if idx is not None and self.lookup(idx) == ext_id else None
+                for ext_id, idx in zip(ext_ids, map(by_hash.get, wanted.tolist()))]
+
+    def utf8(self):
+        """The ids joined by "\\n" in UTF-8, as the file formats store them:
+        the loaded bytes themselves while the vocabulary holds them.
+        ValueError if an id contains "\\n"."""
+        if self._data is not None:
+            return self._data
+        text = "\n".join(self._ids)
+        if text.count("\n") != max(len(self._ids) - 1, 0):
+            raise ValueError('an id contains "\\n", which the file format cannot hold')
+        return text.encode("utf-8")
+
     @property
     def ids(self) -> list[str]:
-        """Registered ids in index order. Treat as read-only."""
+        """Registered ids in index order, split from the loaded bytes on
+        first use. Treat as read-only."""
+        if self._ids is None:
+            self._ids = str(self._data, "utf-8").split("\n")
         return self._ids
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._count if self._ids is None else len(self._ids)
 
     def __contains__(self, ext_id) -> bool:
         return ext_id in self._id_index()
 
     def __iter__(self):
-        return iter(self._ids)
+        return iter(self.ids)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self._ids == other._ids
+        return isinstance(other, Vocabulary) and self.ids == other.ids
 
     def __repr__(self) -> str:
-        return f"Vocabulary({len(self._ids)} ids)"
+        return f"Vocabulary({len(self)} ids)"
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,9 @@ class TripletBatch:
 
     def triplets(self):
         """Yield records in stored order, decoded to external ids."""
+        user_ids, track_ids = self.user_vocab.ids, self.track_vocab.ids
         for u, t, c in zip(self.users, self.tracks, self.counts):
-            yield Triplet(self.user_vocab.lookup(int(u)),
-                          self.track_vocab.lookup(int(t)), int(c))
+            yield Triplet(user_ids[u], track_ids[t], int(c))
 
 
 # lines parsed per chunk: enough that the per-chunk calls cost little, few

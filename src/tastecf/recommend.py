@@ -174,28 +174,47 @@ def recommend_all(index, idf, users: Iterable[int], config: Config,
         _WORKER_STATE = None
 
 
-def pad_label(pad_number: int, track_vocab) -> str:
-    """Decimal dummy id, '#'-prefixed as needed to dodge real track ids."""
+def pad_label(pad_number: int, clashes) -> str:
+    """Decimal dummy id, '#'-prefixed as needed to dodge real track ids:
+    `clashes` is the track vocabulary or its pad_clashes set."""
     label = str(pad_number)
-    while label in track_vocab:
+    while label in clashes:
         label = "#" + label
     return label
 
 
-def render_recommendation(rec: Recommendation, user_vocab, track_vocab) -> str:
+def pad_clashes(track_vocab) -> set:
+    """The track ids that could equal a pad label, which is decimal digits
+    after any '#'s. A superset, such as "01", is harmless: no label equals
+    it, so pad_label gives the same labels with this set as with the whole
+    vocabulary."""
+    return {t for t in track_vocab.ids if t.lstrip("#").isdigit()}
+
+
+def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
+                          clashes=None) -> str:
+    """`<user> <item_1> ... <item_k>`; pads are labelled against `clashes`,
+    by default the whole track vocabulary."""
+    tracks = track_vocab.ids
+    if clashes is None:
+        clashes = track_vocab
     parts = [user_vocab.lookup(rec.user)]
     for item in rec.items:
         if item >= 0:
-            parts.append(track_vocab.lookup(item))
+            parts.append(tracks[item])
         else:
-            parts.append(pad_label(-item, track_vocab))
+            parts.append(pad_label(-item, clashes))
     return " ".join(parts)
 
 
 def write_recommendations(recs: Iterable[Recommendation], path,
                           user_vocab, track_vocab) -> None:
-    """One line per user: `<user> <track_1> ... <track_k>`."""
+    """One line per user: `<user> <track_1> ... <track_k>`. The pad_clashes
+    set is made at the first pad, so a run without pads never makes it."""
+    clashes = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in recs:
-            fh.write(render_recommendation(rec, user_vocab, track_vocab))
+            if clashes is None and min(rec.items, default=0) < 0:
+                clashes = pad_clashes(track_vocab)
+            fh.write(render_recommendation(rec, user_vocab, track_vocab, clashes))
             fh.write("\n")

@@ -6,7 +6,9 @@ zero-padded to a multiple of 8 bytes, so every array starts 8-byte aligned
 and loads as a read-only view of the file bytes, with no copy. The first
 section is the magic and a u32 format version. A vocabulary is two
 sections: its UTF-8 byte length as u64, then its ids joined by "\\n" (an id
-therefore cannot contain "\\n").
+therefore cannot contain "\\n"). A loaded vocabulary keeps those bytes, a
+view of the file body, and decodes ids only when they are asked for (see
+Vocabulary); saving it again writes the same bytes without splitting them.
 
 Reader checks every length against the body before it reads, so a
 truncated or inconsistent file is a DataError that names the path, never
@@ -46,10 +48,7 @@ def header(magic: bytes, version: int) -> bytes:
 
 def encode_vocab(vocab: Vocabulary):
     """The two sections of a vocabulary; ValueError if an id holds "\\n"."""
-    text = "\n".join(vocab.ids)
-    if text.count("\n") != max(len(vocab) - 1, 0):
-        raise ValueError('an id contains "\\n", which the file format cannot hold')
-    data = text.encode("utf-8")
+    data = vocab.utf8()
     return struct.pack("<Q", len(data)), data
 
 
@@ -67,16 +66,17 @@ def read_verified(path) -> memoryview:
 
 
 def decode_vocab(data, count: int, origin: str) -> Vocabulary:
-    """Split a vocabulary's UTF-8 text back into its `count` ids."""
+    """A vocabulary over its UTF-8 bytes, once they are checked to be UTF-8
+    and to hold `count` ids; the ids are not split out."""
     try:
         text = str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{origin}: invalid UTF-8 at byte {exc.start}") from None
-    # "".split("\n") is [""]: one empty id, not none
-    ids = text.split("\n") if text or count else []
-    if len(ids) != count:
-        raise DataError(f"{origin}: {len(ids)} ids, header says {count}")
-    return Vocabulary.from_unique(ids, origin)
+    # "" holds one empty id, unless the header says none
+    found = text.count("\n") + 1 if text or count else 0
+    if found != count:
+        raise DataError(f"{origin}: {found} ids, header says {count}")
+    return Vocabulary.from_utf8(data, count, origin)
 
 
 class Reader:

@@ -1,6 +1,9 @@
+from pathlib import Path
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, load_dataset,
@@ -57,18 +60,22 @@ def test_full_pipeline_produces_golden_line(tmp_path, t1_file, capsys):
 
 def test_recommend_reuses_stored_idf_for_any_log_base(tmp_path, t1_file,
                                                       capsys, monkeypatch):
-    # the engine reads only natural-log idf, so a base-e table serves base 2
+    # the engine reads only natural-log idf, so a table stored at base 2
+    # serves as it is and gives the bytes of the base-e index
     code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "5"])
     assert code == 0
+    base_2_index = tmp_path / "t1_base_2.idx"
+    assert main(["build", "--input", str(tmp_path / "t1.ds"),
+                 "--out", str(base_2_index), "--log-base", "2"]) == 0
 
     def no_recompute(*args):
         raise AssertionError("compute_idf called on an index that has idf")
 
     monkeypatch.setattr(cli, "compute_idf", no_recompute)
     base_2 = tmp_path / "recs_base_2.txt"
-    assert main(["recommend", "--input", str(tmp_path / "t1.idx"),
+    assert main(["recommend", "--input", str(base_2_index),
                  "--users", str(tmp_path / "users.txt"), "--out", str(base_2),
-                 "--k", "5", "--log-base", "2"]) == 0
+                 "--k", "5"]) == 0
     assert base_2.read_bytes() == recs.read_bytes()
 
 
@@ -194,13 +201,60 @@ def test_unknown_user_id_exits_1_with_id(tmp_path, t1_file, capsys):
     dataset = tmp_path / "t1.ds"
     index = tmp_path / "t1.idx"
     users = tmp_path / "users.txt"
-    users.write_text("ghost\n")
+    users.write_text("u1\nghost\nu2\nspook\n")
     main(["ingest", "--input", str(t1_file), "--out", str(dataset)])
     main(["build", "--input", str(dataset), "--out", str(index)])
     capsys.readouterr()
     assert main(["recommend", "--input", str(index), "--users", str(users),
                  "--out", str(tmp_path / "r.txt")]) == 1
-    assert "ghost" in capsys.readouterr().err
+    # the first unknown id in file order is named
+    assert f"unknown user id 'ghost' in {users}" in capsys.readouterr().err
+
+
+def test_repeated_user_id_exits_1_with_line(tmp_path, t1_file, capsys):
+    code, _ = _pipeline(tmp_path, t1_file, capsys)
+    assert code == 0
+    users = tmp_path / "repeated.txt"
+    users.write_text("u1\nu3\n\n u1\n")
+    assert main(["recommend", "--input", str(tmp_path / "t1.idx"),
+                 "--users", str(users), "--out", str(tmp_path / "r.txt")]) == 1
+    assert f"{users}:4: duplicate user id 'u1'" in capsys.readouterr().err
+
+
+# ids shaped like pad labels, and non-ASCII ones
+_CLI_USERS = ["u1", "u2", "1", "é", "u3"]
+_CLI_TRACKS = ["1", "2", "#1", "##2", "01", "١", "a", "b", "c"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CLI_USERS), st.sampled_from(_CLI_TRACKS),
+                          st.integers(1, 3)),
+                min_size=1, unique_by=lambda row: row[:2]),
+       st.lists(st.sampled_from(_CLI_USERS), min_size=1, max_size=6),
+       st.integers(1, 8), st.sampled_from(["dummy", "popularity"]))
+def test_every_recs_file_recommend_writes_is_accepted_by_evaluate(
+        rows, query, k, pad):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "plays.txt").write_text(
+            "".join(f"{u}\t{t}\t{c}\n" for u, t, c in rows), encoding="utf-8")
+        present = {u for u, _, _ in rows}
+        query = [u for u in query if u in present] or [rows[0][0]]
+        (work / "users.txt").write_text("".join(f"{u}\n" for u in query),
+                                        encoding="utf-8")
+        (work / "hidden.txt").write_text(
+            "".join(f"{u}\t{t}\t{c}\n" for u, t, c in rows if u in query),
+            encoding="utf-8")
+        paths = {name: str(work / name) for name in
+                 ("plays.txt", "p.ds", "p.idx", "users.txt", "recs.txt", "hidden.txt")}
+        assert main(["ingest", "--input", paths["plays.txt"], "--out", paths["p.ds"]]) == 0
+        assert main(["build", "--input", paths["p.ds"], "--out", paths["p.idx"]]) == 0
+        code = main(["recommend", "--input", paths["p.idx"], "--users", paths["users.txt"],
+                     "--out", paths["recs.txt"], "--k", str(k), "--pad", pad])
+        assert code == (1 if len(set(query)) < len(query) else 0)
+        if code == 0:
+            assert main(["evaluate", "--recs", paths["recs.txt"],
+                         "--hidden", paths["hidden.txt"], "--k", str(k)]) == 0
 
 
 def test_ingest_id_with_space_exits_1_with_line(tmp_path, capsys):

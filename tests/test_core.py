@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tastecf import Config, DataError, Vocabulary
+from tastecf import Config, DataError, Vocabulary, core
 
 
 def test_intern_first_assignment_is_zero():
@@ -57,6 +57,64 @@ def test_intern_all_on_a_loaded_vocabulary_checks_for_repeats():
     assert loaded.intern_all(["b", "c", "a", "c"]).tolist() == [1, 2, 0, 2]
     with pytest.raises(DataError, match="'a' appears twice"):
         Vocabulary.from_unique(["a", "a"], "f.ds").intern_all(["b"])
+
+
+# ids across the 8-byte words the hash reads, the empty id, a tab, and
+# multi-byte UTF-8 that shifts byte lengths away from character counts
+_EDGE_IDS = ["", "\t", "a" * 7, "a" * 8, "a" * 9, "a" * 16, "a" * 17,
+             "b" * 7 + "é", "\t" * 9]
+_ID_TEXT = st.text(alphabet="ab\té中😀", max_size=18)
+
+
+def _loaded(ids, origin="vocabulary"):
+    return Vocabulary.from_utf8("\n".join(ids).encode(), len(ids), origin)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_IDS), _ID_TEXT), unique=True),
+       st.data())
+def test_indexes_of_equals_the_dict_lookup(ids, data):
+    # prefixes and extensions of stored ids share all but their last word
+    near = [v for i in ids for v in (i, i[:-1], i + "a", i + "\t", i + "é")]
+    wanted = data.draw(st.lists(st.one_of(st.sampled_from(near or [""]), _ID_TEXT)))
+    expected = list(map(dict(zip(ids, range(len(ids)))).get, wanted))
+    loaded = _loaded(ids)
+    assert loaded.indexes_of(wanted) == expected
+    assert Vocabulary(ids).indexes_of(wanted) == expected
+    assert [loaded.lookup(i) for i in range(len(ids))] == ids
+    assert loaded.ids == ids and len(loaded) == len(ids)
+
+
+def test_indexes_of_on_loaded_bytes_builds_no_id_map(monkeypatch):
+    def no_map(self):
+        raise AssertionError("id map built")
+
+    # the length is hashed too, so zero bytes at the end do not collide
+    loaded = _loaded(["u1", "u2", "u3", "u1\0", "", "\0"])
+    monkeypatch.setattr(Vocabulary, "_id_index", no_map)
+    assert loaded.indexes_of(["u3", "u9", "u1", "\0"]) == [2, None, 0, 5]
+    assert loaded.lookup(1) == "u2"
+    with pytest.raises(IndexError):
+        loaded.lookup(6)
+
+
+def test_indexes_of_is_exact_when_hashes_collide(monkeypatch):
+    repeated = _loaded(["u1", "u2", "u1"], "f.idx: user vocabulary")
+    with pytest.raises(DataError, match="f.idx: user vocabulary: id 'u1' appears twice"):
+        repeated.indexes_of(["u2"])
+
+    # a hash of the length alone: distinct stored hashes, so only the exact
+    # comparison turns away a wanted id of a stored id's length
+    monkeypatch.setattr(core, "_hash_spans",
+                        lambda buf, starts, lens: lens.astype(np.uint64))
+    assert _loaded(["a", "bb", "ccc"]).indexes_of(["x", "bb", "cc", ""]) == [
+        None, 1, None, None]
+    # a constant hash: equal stored hashes, so the id map answers
+    monkeypatch.setattr(core, "_hash_spans",
+                        lambda buf, starts, lens: np.zeros(lens.size, np.uint64))
+    assert _loaded(["u1", "u2", "u3"]).indexes_of(["u3", "u4", "u1"]) == [2, None, 0]
+    repeated = _loaded(["u1", "u2", "u1"], "f.idx: user vocabulary")
+    with pytest.raises(DataError, match="f.idx: user vocabulary: id 'u1' appears twice"):
+        repeated.indexes_of(["u2"])
 
 
 def test_config_defaults():

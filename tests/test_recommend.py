@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tastecf import (
     Config,
     DataError,
     IdfTable,
+    Recommendation,
+    Vocabulary,
     build_index,
     candidate_neighbors,
     compute_idf,
@@ -18,7 +21,7 @@ from tastecf import (
     render_recommendation,
     score_tracks,
 )
-from tastecf.recommend import ScoredTracks, pad_label
+from tastecf.recommend import ScoredTracks, pad_clashes, pad_label
 from tastecf.synth import random_batch
 from conftest import SCORE_U1_C, SCORE_U3_A, SCORE_U3_B, as_dict
 
@@ -186,6 +189,19 @@ def test_pad_label_escapes_collisions(t1_batch):
     assert pad_label(2, vocab) == "#2"
     vocab.intern("#3")
     assert pad_label(3, vocab) == "3"
+
+
+@given(st.lists(st.sampled_from(["1", "2", "#2", "##3", "#1", "01", "+1", "١",
+                                "1.0", "#", "", "a", "3#"]), unique=True),
+       st.integers(0, 6))
+def test_pad_labels_against_the_clash_set_equal_those_against_the_vocabulary(
+        track_ids, pads):
+    user_vocab, track_vocab = Vocabulary(["u"]), Vocabulary(track_ids)
+    items = list(range(len(track_ids))) + [-p for p in range(1, pads + 1)]
+    rec = Recommendation(0, items, [])
+    assert (render_recommendation(rec, user_vocab, track_vocab,
+                                  pad_clashes(track_vocab))
+            == render_recommendation(rec, user_vocab, track_vocab))
 
 
 def test_render_recommendation_line(t1_batch, t1_index, t1_idf):

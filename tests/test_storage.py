@@ -211,6 +211,18 @@ def test_loaded_vocabulary_behaves_like_an_interned_one(tmp_path, t1_batch):
     assert loaded == interned and len(loaded) == 5
 
 
+def test_a_loaded_vocabulary_is_saved_as_its_loaded_bytes(tmp_path, t1_batch):
+    path = tmp_path / "t1.ds"
+    save_dataset(t1_batch, path)
+    batch = load_dataset(path)
+    size, data = storage.encode_vocab(batch.user_vocab)
+    assert bytes(data) == b"u1\nu2\nu3\nu4" and size == struct.pack("<Q", 11)
+    assert data.obj is _file_bytes(batch.users)
+    again = tmp_path / "again.ds"
+    save_dataset(batch, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("first_use", [
     lambda v: v.get("a"), lambda v: v.index_of("a"), lambda v: "a" in v,
     lambda v: v.intern("z"),
