@@ -16,7 +16,6 @@ from .core import (
     MissingRecommendationError,
     PAD_DUMMY,
     PAD_POPULARITY,
-    Triplet,
     Vocabulary,
 )
 from .evaluate import (
@@ -67,7 +66,6 @@ __all__ = [
     "PAD_POPULARITY",
     "Recommendation",
     "ScoredTracks",
-    "Triplet",
     "TripletBatch",
     "Vocabulary",
     "average_precision",

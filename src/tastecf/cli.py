@@ -16,7 +16,7 @@ import sys
 from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    PAD_DUMMY, PAD_STRATEGIES)
-from .evaluate import mean_average_precision, split_history
+from .evaluate import mean_average_precision, split_history, tracks_by_user
 from .idf import compute_idf, valid_log_base
 from .index import build_index, load_index, save_index
 from .ingest import load_dataset, parse_triplets, save_dataset, write_triplets
@@ -165,10 +165,9 @@ def _cmd_evaluate(args) -> int:
                 ["recs", "hidden", "k", "mode", "per_user", "delimiter"])
     rankings = _read_recommendation_lines(args.recs)
     with open(args.hidden, "r", encoding="utf-8") as fh:
-        hidden_batch = parse_triplets(fh, args.delimiter)
-    hidden_by_user: dict[str, set] = {}
-    for triplet in hidden_batch.triplets():
-        hidden_by_user.setdefault(triplet.user, set()).add(triplet.track)
+        hidden = parse_triplets(fh, args.delimiter)
+    hidden_by_user = tracks_by_user(hidden, hidden.user_vocab.ids,
+                                    hidden.track_vocab.ids)
 
     report = mean_average_precision(rankings, hidden_by_user, args.k,
                                     _MODE_NAMES[args.mode])

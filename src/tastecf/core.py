@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,19 +58,19 @@ class MissingRecommendationError(DataError):
         self.user = user
 
 
-class Triplet(NamedTuple):
-    """One interaction record in external-id form."""
-
-    user: str
-    track: str
-    play_count: int
-
-
 # the id hash's multipliers for the length and for each word: odd, so that
 # multiplying modulo 2**64 loses no bits
 _HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], np.uint64)
 # _WORD_MASKS[n] keeps the first n bytes of a little-endian 8-byte word.
 _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The 8 bytes from every offset of buf, read unaligned as one
+    little-endian word and zero-filled past the end: buf.size + 1 words."""
+    padded = np.zeros(buf.size + 8, np.uint8)
+    padded[:buf.size] = buf
+    return np.ndarray((buf.size + 1,), "<u8", padded, 0, (1,))
 
 
 def _hash_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -80,10 +79,7 @@ def _hash_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.nda
     8-byte word (zero-filled past the end), mixed by multiply and
     xor-shift. A string's hash depends on its bytes alone, not on the
     other spans. Array arithmetic wraps modulo 2**64 without a warning."""
-    padded = np.zeros(buf.size + 8, np.uint8)
-    padded[:buf.size] = buf
-    # the 8 bytes from every offset, read unaligned as one little-endian word
-    words = np.ndarray((buf.size + 1,), "<u8", padded, 0, (1,))
+    words = _words(buf)
     length_mult, word_mult = _HASH_MULTIPLIERS
     h = lens.astype(np.uint64) * length_mult
     rows = slice(None)
@@ -97,6 +93,32 @@ def _hash_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.nda
     return h
 
 
+def _all_same(words_a, starts_a, lens_a, words_b, starts_b, lens_b) -> bool:
+    """Whether each span of words_a (as _words gives them), from a start
+    for a length, holds the same bytes as its paired span of words_b."""
+    if not (lens_a == lens_b).all():
+        return False
+    rows = slice(None)
+    for offset in range(0, int(lens_a.max(initial=0)), 8):
+        if offset:
+            rows = np.flatnonzero(lens_a > offset)
+        differ = ((words_a[starts_a[rows] + offset] ^ words_b[starts_b[rows] + offset])
+                  & _WORD_MASKS[np.minimum(lens_a[rows] - offset, 8)])
+        if differ.any():
+            return False
+    return True
+
+
+def _with_room(arr: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """arr, or its first `used` entries copied into a zeroed array at least
+    twice as large, so that `needed` entries fit."""
+    if needed <= arr.size:
+        return arr
+    grown = np.zeros(max(needed, 2 * arr.size), arr.dtype)
+    grown[:used] = arr[:used]
+    return grown
+
+
 class Vocabulary:
     """Bidirectional mapping between external string ids and dense indexes.
 
@@ -104,26 +126,30 @@ class Vocabulary:
     known id returns its existing index. External ids are treated as opaque
     strings, nothing about their format is assumed.
 
-    A vocabulary loaded from a file (from_utf8) keeps the file's bytes, the
-    ids joined by "\\n" in UTF-8, and decodes ids only on demand:
+    A vocabulary loaded from a file (from_utf8) or interned from bytes
+    (intern_utf8, as the text parser does) holds the ids joined by "\\n" in
+    UTF-8 and decodes ids only on demand:
 
     - lookup(i) decodes one id from its byte slice; the slice bounds come
-      from one np.flatnonzero over the bytes, made on first use and kept;
+      from one np.flatnonzero over the bytes, made on first use and kept
+      (intern_utf8 keeps them as it goes);
     - ids, iteration and == split the bytes into a list of str, once;
-    - get, index_of, `in`, intern and intern_all build the id -> index dict,
-      which checks that no id repeats; from then on the bytes are dropped,
-      since interning may add ids;
+    - get, index_of, `in` and intern build the id -> index dict, which
+      checks that no id repeats; from then on the bytes are dropped, since
+      interning may add ids, and intern_utf8 interns through the dict;
     - indexes_of finds a batch of ids without that dict, by hashing every
-      stored id (see there).
+      stored id (see there);
+    - utf8() and so the file formats take the bytes as they are.
     """
 
-    __slots__ = ("_ids", "_index", "_origin", "_data", "_count", "_bounds")
+    __slots__ = ("_ids", "_index", "_origin", "_data", "_count", "_bounds",
+                 "_table")
 
     def __init__(self, ids=()):
         self._ids: list[str] | None = []
         self._index: dict[str, int] | None = {}
         self._origin = "vocabulary"
-        self._data = self._bounds = None
+        self._data = self._bounds = self._table = None
         self._count = 0
         for ext_id in ids:
             self.intern(ext_id)
@@ -179,7 +205,7 @@ class Vocabulary:
             repeated = next(i for i in ids if i in seen or seen.add(i))
             raise DataError(f"{self._origin}: id {repeated!r} appears twice")
         self._index = index
-        self._data = self._bounds = None
+        self._data = self._bounds = self._table = None
         return index
 
     def intern(self, ext_id: str) -> int:
@@ -195,27 +221,112 @@ class Vocabulary:
             self._ids.append(ext_id)
         return idx
 
-    def intern_all(self, ids: list[str]) -> np.ndarray:
-        """intern() over a list of ids in one C-level pass: their int32
-        indexes, with new ids numbered in first-seen order."""
-        index = self._index
-        if index is None:
-            index = self._id_index()
-        n = len(self._ids)
-        # map takes len(index) just before each setdefault, so a new id is
-        # stored with its dense index and a known one returns its own
-        codes = np.fromiter(map(index.setdefault, ids, iter(index.__len__, -1)),
-                            np.int64, len(ids))
-        if len(index) > n:
-            if len(index) > MAX_INDEX + 1:
-                self._index = None   # drops the new entries
-                raise CapacityError("vocabulary exceeds 32-bit index space")
-            # new ids first appear in index order, each where the running
-            # maximum (known ids counted as n - 1) rises
-            running = np.maximum.accumulate(np.maximum(codes, n - 1))
-            first = np.flatnonzero(np.diff(running, prepend=n - 1) > 0)
-            self._ids.extend(map(ids.__getitem__, first.tolist()))
+    def intern_utf8(self, buf: np.ndarray, starts: np.ndarray,
+                    lens: np.ndarray) -> np.ndarray:
+        """intern() over the ids buf[start:start + len], UTF-8 byte strings
+        in a uint8 array, none holding "\\n": their int32 indexes, with new
+        ids numbered in first-seen order.
+
+        The ids are hashed (_hash_spans) and looked up in a sorted table of
+        the stored ids' hashes. Every match is confirmed byte for byte: ids
+        of this call against the first id with their hash, and a hash found
+        in the table against the stored id's bytes. New ids are appended to
+        the byte store, which doubles when full, and their hashes merged
+        into the table by np.searchsorted and np.insert. If two different
+        ids share a hash, or the dict is built already, the ids are decoded
+        and interned through the id dict instead.
+        """
+        codes = None
+        if lens.size and (self._index is None or not self._ids):
+            codes = self._intern_by_hash(buf, starts, lens)
+        if codes is None:
+            data = buf.tobytes()
+            ids = [str(data[start:start + n], "utf-8")
+                   for start, n in zip(starts.tolist(), lens.tolist())]
+            codes = np.fromiter(map(self.intern, ids), np.int64, len(ids))
         return codes.astype(np.int32)
+
+    def _new_table(self):
+        """(store, bounds, hashes, codes) for the ids held, or None if two of
+        their hashes are equal. store holds each id followed by "\\n", then
+        at least 8 zero bytes, so that words past an id can be read; id i
+        is store[bounds[i]:bounds[i + 1] - 1]; hashes are sorted and codes
+        gives the index of each."""
+        data = np.frombuffer(self.utf8(), np.uint8)
+        count = len(self)
+        size = data.size + 1 if count else 0
+        store = np.zeros(size + 8, np.uint8)
+        store[:data.size] = data
+        store[size - 1:size] = ord("\n")
+        bounds = np.zeros(count + 1, np.int64)
+        bounds[1:] = np.flatnonzero(store[:size] == ord("\n")) + 1
+        hashes = _hash_spans(store[:size], bounds[:-1], np.diff(bounds) - 1)
+        order = np.argsort(hashes)
+        hashes = hashes[order]
+        if (hashes[1:] == hashes[:-1]).any():
+            return None
+        return store, bounds, hashes, order.astype(np.int32)
+
+    def _intern_by_hash(self, buf, starts, lens):
+        """intern_utf8 through the hash table: the int64 indexes, or None,
+        with nothing changed, if two different ids share a hash."""
+        table = self._table if self._table is not None else self._new_table()
+        if table is None:
+            return None
+        store, bounds, hashes, codes = table
+        count = len(self)
+        words = _words(buf)
+        uniq, first, inverse = np.unique(_hash_spans(buf, starts, lens),
+                                         return_index=True, return_inverse=True)
+        # every id is the first id of its hash
+        rep = first[inverse]
+        if not _all_same(words, starts, lens, words, starts[rep], lens[rep]):
+            return None
+        # a hash held by the table names a stored id: it must be this one
+        pos = np.searchsorted(hashes, uniq)
+        held = pos < hashes.size
+        held[held] = hashes[pos[held]] == uniq[held]
+        old = codes[pos[held]].astype(np.int64)
+        found = first[held]
+        store_words = np.ndarray((store.size - 7,), "<u8", store, 0, (1,))
+        if not _all_same(words, starts[found], lens[found], store_words,
+                         bounds[old], bounds[old + 1] - bounds[old] - 1):
+            return None
+
+        new = np.flatnonzero(~held)
+        if count + new.size > MAX_INDEX + 1:
+            raise CapacityError("vocabulary exceeds 32-bit index space")
+        by_first = np.argsort(first[new])
+        new_codes = np.empty(new.size, np.int64)
+        new_codes[by_first] = np.arange(count, count + new.size)
+        unique_codes = np.empty(uniq.size, np.int64)
+        unique_codes[held] = old
+        unique_codes[new] = new_codes
+        if new.size:
+            hashes = np.insert(hashes, pos[new], uniq[new])
+            codes = np.insert(codes, pos[new], new_codes.astype(np.int32))
+            # the new ids' bytes, each followed by "\n", in index order: the
+            # id byte at `at` of the run of all of them goes `rank` bytes
+            # further on, one "\n" for each id before it
+            added = first[new[by_first]]
+            n = lens[added]
+            ends = np.cumsum(n)
+            at = np.arange(ends[-1])
+            rank = np.repeat(np.arange(n.size), n)
+            size = int(bounds[count])
+            grown = size + ends[-1] + n.size
+            store = _with_room(store, size, grown + 8)
+            store[size + rank + at] = buf[np.repeat(starts[added] - ends + n, n) + at]
+            store[size + ends + np.arange(n.size)] = ord("\n")
+            bounds = _with_room(bounds, count + 1, count + n.size + 1)
+            bounds[count + 1:count + n.size + 1] = size + ends + np.arange(1, n.size + 1)
+            count += n.size
+            self._data = memoryview(store)[:grown - 1]
+            self._bounds = bounds[:count + 1]
+            self._ids = self._index = None
+            self._count = count
+        self._table = store, bounds, hashes, codes
+        return unique_codes[inverse]
 
     def lookup(self, index: int) -> str:
         if self._ids is not None:
@@ -276,8 +387,8 @@ class Vocabulary:
 
     def utf8(self):
         """The ids joined by "\\n" in UTF-8, as the file formats store them:
-        the loaded bytes themselves while the vocabulary holds them.
-        ValueError if an id contains "\\n"."""
+        the loaded or interned bytes themselves while the vocabulary holds
+        them. ValueError if an id contains "\\n"."""
         if self._data is not None:
             return self._data
         text = "\n".join(self._ids)

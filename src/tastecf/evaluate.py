@@ -111,10 +111,21 @@ class HistorySplit:
     seed: int
 
     def hidden_by_user(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for u, t in zip(self.hidden.users.tolist(), self.hidden.tracks.tolist()):
-            out.setdefault(u, set()).add(t)
-        return out
+        return tracks_by_user(self.hidden, range(len(self.hidden.user_vocab)),
+                              range(len(self.hidden.track_vocab)))
+
+
+def tracks_by_user(batch: TripletBatch, user_ids, track_ids) -> dict:
+    """{user_ids[u]: the set of track_ids[t] over u's rows} for each user u
+    with a row, in ascending u: for a parsed batch, the order in which
+    users first appear."""
+    counts = np.bincount(batch.users, minlength=len(user_ids))
+    held = np.flatnonzero(counts)
+    ends = np.cumsum(counts[held]).tolist()
+    order = np.argsort(batch.users)
+    tracks = list(map(track_ids.__getitem__, batch.tracks[order].tolist()))
+    return {user_ids[u]: set(tracks[start:end])
+            for u, start, end in zip(held.tolist(), [0, *ends], ends)}
 
 
 def split_history(batch: TripletBatch, fraction: float, seed: int) -> HistorySplit:

@@ -4,6 +4,11 @@ The text convention is one interaction per line, `user<TAB>track<TAB>count`
 with a base-10 play count >= 1. A (user, track) pair appearing twice is a
 hard error: upstream data is defined to be unique per pair, so a repeat
 means corruption, not something to sum away.
+
+Parsing checks and splits the text as UTF-8 bytes in numpy and interns the
+ids from those bytes (Vocabulary.intern_utf8), so a parsed vocabulary holds
+its ids as UTF-8 bytes, as a loaded one does, and save_dataset writes them
+as they are.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,7 @@ import numpy as np
 
 from . import storage
 from .core import (DuplicatePairError, MAX_PLAY_COUNT, MalformedLineError,
-                   Triplet, Vocabulary)
+                   Vocabulary)
 
 _MAGIC = b"TCFDAT1\x00"
 _VERSION = 2
@@ -46,12 +51,8 @@ class TripletBatch:
             and self.track_vocab == other.track_vocab
         )
 
-    def triplets(self):
-        """Yield records in stored order, decoded to external ids."""
-        user_ids, track_ids = self.user_vocab.ids, self.track_vocab.ids
-        for u, t, c in zip(self.users, self.tracks, self.counts):
-            yield Triplet(user_ids[u], track_ids[t], int(c))
 
+_POWERS_OF_TEN = 10 ** np.arange(10, dtype=np.int64)
 
 # lines parsed per chunk: enough that the per-chunk calls cost little, few
 # enough that a chunk's strings stay a few MiB
@@ -73,6 +74,13 @@ def _check_line(line: str, line_no: int, delimiter: str) -> None:
     if "\n" in user_ext or "\n" in track_ext:
         raise MalformedLineError(
             line_no, f"id contains a newline: {user_ext!r}, {track_ext!r}")
+    # nor can a lone surrogate, which has no UTF-8 form
+    try:
+        user_ext.encode("utf-8")
+        track_ext.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedLineError(
+            line_no, f"id is not valid Unicode: {user_ext!r}, {track_ext!r}") from None
     if not (count_text.isascii() and count_text.isdecimal()):
         raise MalformedLineError(
             line_no, f"play_count is not a base-10 integer: {count_text!r}")
@@ -87,32 +95,62 @@ def _check_line(line: str, line_no: int, delimiter: str) -> None:
 
 
 def _columns(rows: list[str], delimiter: str):
-    """The user, track and count columns of non-empty rows, or None exactly
-    when some row fails _check_line; each check covers a whole column."""
+    """The UTF-8 bytes of non-empty rows, the start and length in them of
+    each row's user, track and count field as (rows, 3) arrays, and the
+    play counts; or None exactly when some row fails _check_line. Each
+    check covers all rows at once."""
     m = len(rows)
     if not m:
-        return [], [], np.empty(0, np.int64)
+        return (np.empty(0, np.uint8), np.empty((0, 3), np.int64),
+                np.empty((0, 3), np.int64), np.empty(0, np.int64))
     # str.count scans for the delimiter as str.split does. Rows joined by
     # "\n" split back into 3 fields each unless a field holds a "\n".
     if (not delimiter or "\n" in delimiter
             or list(map(str.count, rows, repeat(delimiter))).count(2) != m):
         return None
-    fields = "\n".join(rows).replace(delimiter, "\n").split("\n")
-    if len(fields) != 3 * m:
+    try:
+        data = "\n".join(rows).replace(delimiter, "\n").encode("utf-8")
+    except UnicodeEncodeError:
         return None
-    users, tracks, count_texts = fields[0::3], fields[1::3], fields[2::3]
-    if " " in "".join(users) or " " in "".join(tracks):
+    buf = np.frombuffer(data, np.uint8)
+    # in UTF-8 the bytes of "\n" and " " stand for those characters alone
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if newlines.size != 3 * m - 1:
         return None
-    # a count of only zeros strips to "": 0, out of range
-    digits = list(map(str.lstrip, count_texts, repeat("0")))
-    joined = "".join(digits)
-    if ("" in digits or not (joined.isascii() and joined.isdecimal())
-            or max(map(len, digits)) > 10):
+    starts = np.concatenate(([0], newlines + 1))
+    lens = np.append(newlines, buf.size) - starts
+    # the number of "\n"s before a byte is its field's number; a space is
+    # refused in an id, and in a count by the digit check
+    spaces = np.flatnonzero(buf == ord(" "))
+    if spaces.size and (np.searchsorted(newlines, spaces) % 3 != 2).any():
         return None
-    counts = np.fromiter(map(int, digits), np.int64, m)
-    if counts.max() > MAX_PLAY_COUNT:
+    counts = _play_counts(buf, starts[2::3], lens[2::3])
+    if counts is None:
         return None
-    return users, tracks, counts
+    return buf, starts.reshape(m, 3), lens.reshape(m, 3), counts
+
+
+def _play_counts(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """The value of each byte string buf[start:start + len], or None unless
+    each is ASCII digits (leading zeros allowed) worth 1 to MAX_PLAY_COUNT."""
+    if not lens.all():
+        return None
+    # all the counts' digits, one field after another, and the power of ten
+    # each stands for
+    ends = np.cumsum(lens)
+    at = np.arange(ends[-1])
+    digits = buf[np.repeat(starts - ends + lens, lens) + at] - np.uint8(ord("0"))
+    if (digits > 9).any():   # bytes below "0" wrap round to above 9
+        return None
+    place = np.repeat(ends - 1, lens) - at
+    # a digit other than 0 at 10**10 or above is over MAX_PLAY_COUNT
+    if digits[place > 9].any():
+        return None
+    counts = np.add.reduceat(digits * _POWERS_OF_TEN[np.minimum(place, 9)],
+                             ends - lens)
+    if counts.min() < 1 or counts.max() > MAX_PLAY_COUNT:
+        return None
+    return counts
 
 
 def _first_bad_line(rows: list[str], line_nos, delimiter: str):
@@ -154,9 +192,10 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
     DuplicatePairError when a (user, track) pair repeats. Both carry the
     1-based line number, and the first bad line decides which is raised.
 
-    The stream is read _CHUNK_LINES lines at a time and each chunk is
-    checked a column at a time; only a chunk that fails is checked line by
-    line, to find its first bad line.
+    The stream is read _CHUNK_LINES lines at a time. Each chunk is encoded
+    to UTF-8 once, checked and split in numpy, and its ids interned from
+    those bytes; only a chunk that fails is checked line by line, to find
+    its first bad line.
     """
     user_vocab = Vocabulary()
     track_vocab = Vocabulary()
@@ -182,9 +221,10 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
             columns = _columns(kept[:stop], delimiter)
             if columns is None:
                 raise RuntimeError("chunk checks reject a line _check_line accepts")
-        users.append(user_vocab.intern_all(columns[0]))
-        tracks.append(track_vocab.intern_all(columns[1]))
-        counts.append(columns[2])
+        buf, starts, lens, chunk_counts = columns
+        users.append(user_vocab.intern_utf8(buf, starts[:, 0], lens[:, 0]))
+        tracks.append(track_vocab.intern_utf8(buf, starts[:, 1], lens[:, 1]))
+        counts.append(chunk_counts)
         line_nos.append(numbers)
         if error is not None:
             break
@@ -198,9 +238,15 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
 
 
 def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:
+    """Write one `user<delimiter>track<delimiter>count` line per record, in
+    stored order."""
+    # braces in the delimiter stand for themselves in the format string
+    field = delimiter.replace("{", "{{").replace("}", "}}")
+    line = f"{{}}{field}{{}}{field}{{}}\n".format
+    users = map(batch.user_vocab.ids.__getitem__, batch.users.tolist())
+    tracks = map(batch.track_vocab.ids.__getitem__, batch.tracks.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user, track, count in batch.triplets():
-            fh.write(f"{user}{delimiter}{track}{delimiter}{count}\n")
+        fh.writelines(map(line, users, tracks, batch.counts.tolist()))
 
 
 def save_dataset(batch: TripletBatch, path) -> None:

@@ -3,11 +3,12 @@ import subprocess
 import sys
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, load_dataset,
-                     mean_average_precision, parse_triplets)
+from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, TripletBatch, Vocabulary,
+                     load_dataset, mean_average_precision, parse_triplets,
+                     save_dataset)
 from tastecf import cli
 from tastecf.cli import main
 from tastecf.ingest import write_triplets
@@ -255,6 +256,48 @@ def test_every_recs_file_recommend_writes_is_accepted_by_evaluate(
         if code == 0:
             assert main(["evaluate", "--recs", paths["recs.txt"],
                          "--hidden", paths["hidden.txt"], "--k", str(k)]) == 0
+
+
+# the empty id, ids across the id hash's 8-byte words, non-ASCII ones, and
+# one holding a tab, which only the comma delimiters allow
+_ROUND_TRIP_IDS = ["u1", "", "1", "é", "a" * 8, "中" * 3, "😀" * 4 + "a", "a\tb"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ROUND_TRIP_IDS),
+                          st.sampled_from(_ROUND_TRIP_IDS),
+                          st.integers(1, 2**32 - 1)),
+                min_size=1, max_size=30, unique_by=lambda row: row[:2]),
+       st.sampled_from(["\t", ",", ", "]), st.integers(0, 3))
+def test_every_file_split_and_ingest_write_is_accepted_by_its_reader(
+        rows, delimiter, seed):
+    rows = [row for row in rows if delimiter not in row[0] + row[1]]
+    assume(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "plays.txt").write_text(
+            "".join(f"{u}{delimiter}{t}{delimiter}{c}\n" for u, t, c in rows),
+            encoding="utf-8")
+        option = ["--delimiter", delimiter]
+        assert main(["split", "--input", str(work / "plays.txt"), "--seed", str(seed),
+                     "--visible-out", str(work / "visible.txt"),
+                     "--hidden-out", str(work / "hidden.txt"), *option]) == 0
+        for name in ("visible", "hidden", "plays"):
+            text, dataset = work / f"{name}.txt", work / f"{name}.ds"
+            assert main(["ingest", "--input", str(text), "--out", str(dataset),
+                         *option]) == 0
+            with open(text, encoding="utf-8") as fh:
+                batch = parse_triplets(fh, delimiter)
+            assert load_dataset(dataset) == batch
+            # the same bytes as a save from the ids as a list of str
+            listed = TripletBatch(batch.users, batch.tracks, batch.counts,
+                                  Vocabulary(batch.user_vocab.ids),
+                                  Vocabulary(batch.track_vocab.ids))
+            save_dataset(listed, work / "listed.ds")
+            assert (work / "listed.ds").read_bytes() == dataset.read_bytes()
+        assert main(["build", "--input", str(work / "plays.ds"),
+                     "--out", str(work / "plays.idx")]) == 0
+        assert main(["stats", "--input", str(work / "plays.ds")]) == 0
 
 
 def test_ingest_id_with_space_exits_1_with_line(tmp_path, capsys):

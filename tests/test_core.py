@@ -40,23 +40,53 @@ def test_vocabulary_is_a_bijection_over_distinct_inputs(ids):
     assert len(vocab) == len(distinct)
 
 
-@given(st.lists(st.text(alphabet="abc", max_size=2)),
-       st.lists(st.lists(st.text(alphabet="abcd", max_size=2))))
-def test_intern_all_equals_interning_one_by_one(known, batches):
-    bulk, single = Vocabulary(known), Vocabulary(known)
-    for ids in batches:
-        indexes = bulk.intern_all(ids)
-        assert indexes.dtype == np.int32
-        assert indexes.tolist() == [single.intern(ext_id) for ext_id in ids]
-        assert bulk.ids == single.ids
-    assert all(bulk.index_of(ext_id) == i for i, ext_id in enumerate(bulk.ids))
+def _spans(ids):
+    """ids encoded into one uint8 array, with the start and length of each."""
+    encoded = [ext_id.encode() for ext_id in ids]
+    lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return np.frombuffer(b"".join(encoded), np.uint8), np.cumsum(lens) - lens, lens
 
 
-def test_intern_all_on_a_loaded_vocabulary_checks_for_repeats():
+@given(st.lists(st.text(alphabet="abcé", max_size=2)),
+       st.lists(st.lists(st.text(alphabet="abcdé\t", max_size=2))))
+def test_intern_utf8_equals_interning_one_by_one(known, batches):
+    distinct = list(dict.fromkeys(known))
+    # through the id dict, from ids held as bytes, and from a list of ids
+    for bulk in (Vocabulary(known), _loaded(distinct),
+                 Vocabulary.from_unique(list(distinct))):
+        single = Vocabulary(known)
+        for ids in batches:
+            indexes = bulk.intern_utf8(*_spans(ids))
+            assert indexes.dtype == np.int32
+            assert indexes.tolist() == [single.intern(ext_id) for ext_id in ids]
+            assert bytes(bulk.utf8()) == "\n".join(single.ids).encode()
+            assert [bulk.lookup(i) for i in range(len(bulk))] == single.ids
+            assert bulk.ids == single.ids
+        assert all(bulk.index_of(ext_id) == i for i, ext_id in enumerate(bulk.ids))
+
+
+def test_intern_utf8_on_a_loaded_vocabulary_checks_for_repeats():
     loaded = Vocabulary.from_unique(["a", "b"])
-    assert loaded.intern_all(["b", "c", "a", "c"]).tolist() == [1, 2, 0, 2]
-    with pytest.raises(DataError, match="'a' appears twice"):
-        Vocabulary.from_unique(["a", "a"], "f.ds").intern_all(["b"])
+    assert loaded.intern_utf8(*_spans(["b", "c", "a", "c"])).tolist() == [1, 2, 0, 2]
+    for repeated in (Vocabulary.from_unique(["a", "a"], "f.ds"),
+                     _loaded(["a", "a"], "f.ds")):
+        with pytest.raises(DataError, match="f.ds: id 'a' appears twice"):
+            repeated.intern_utf8(*_spans(["b"]))
+
+
+@pytest.mark.parametrize("hash_of", [
+    lambda buf, starts, lens: lens.astype(np.uint64),
+    lambda buf, starts, lens: np.zeros(lens.size, np.uint64),
+], ids=["length", "constant"])
+def test_intern_utf8_is_exact_when_hashes_collide(monkeypatch, hash_of):
+    monkeypatch.setattr(core, "_hash_spans", hash_of)
+    vocab = Vocabulary()
+    # the first call holds one id per length, so only the constant hash
+    # collides in it; "cc" then shares the length hash of the stored "bb"
+    assert vocab.intern_utf8(*_spans(["a", "bb", "a"])).tolist() == [0, 1, 0]
+    assert vocab.intern_utf8(*_spans(["bb", "cc", "a", "d"])).tolist() == [1, 2, 0, 3]
+    assert vocab.intern_utf8(*_spans(["d", "ccc"])).tolist() == [3, 4]
+    assert vocab.ids == ["a", "bb", "cc", "d", "ccc"]
 
 
 # ids across the 8-byte words the hash reads, the empty id, a tab, and

@@ -17,7 +17,7 @@ from tastecf import (
     save_dataset,
     write_triplets,
 )
-from tastecf import ingest
+from tastecf import core, ingest
 from tastecf.core import MAX_PLAY_COUNT
 from conftest import T1_TEXT
 
@@ -44,6 +44,12 @@ def _reference_parse(stream, delimiter="\t"):
         if " " in user_ext or " " in track_ext:
             raise MalformedLineError(
                 line_no, f"id contains a space: {user_ext!r}, {track_ext!r}")
+        try:
+            user_ext.encode("utf-8")
+            track_ext.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLineError(
+                line_no, f"id is not valid Unicode: {user_ext!r}, {track_ext!r}") from None
         if not (count_text.isascii() and count_text.isdecimal()):
             raise MalformedLineError(
                 line_no, f"play_count is not a base-10 integer: {count_text!r}")
@@ -118,7 +124,7 @@ def test_parse_rejects_malformed_lines(line):
     assert err.value.line_no == 2
 
 
-@pytest.mark.parametrize("count", [str(2**64), "5000000000"])
+@pytest.mark.parametrize("count", [str(2**64), "5000000000", "10000000000"])
 def test_parse_rejects_play_count_above_u32(count):
     with pytest.raises(MalformedLineError, match=str(2**32 - 1)) as err:
         parse_triplets(io.StringIO(f"ok\tfine\t1\nu1\tta\t{count}\n"))
@@ -159,10 +165,37 @@ def test_parse_rejects_id_with_newline_from_a_list_of_lines():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("line", ["u\ud800\tt\t1\n", "u\tt\udfff\t1\n"],
+                         ids=["user", "track"])
+def test_parse_rejects_id_with_lone_surrogate_from_a_list_of_lines(line):
+    # only a str from the Python API can hold one; the id could not be saved
+    with pytest.raises(MalformedLineError, match="not valid Unicode") as err:
+        parse_triplets(["u\tt\t1\n", line, "v\tt\t0\n"])
+    assert err.value.line_no == 2
+
+
 def test_parse_rejects_duplicate_pair_with_line_number():
     with pytest.raises(DuplicatePairError) as err:
         parse_triplets(io.StringIO("u1\tta\t2\nu1\tta\t3\n"))
     assert err.value.line_no == 2
+
+
+def test_parse_interns_from_bytes_without_an_id_map(monkeypatch):
+    def no_map(self, *args):
+        raise AssertionError("id decoded and interned through the id map")
+
+    # ids across the hash's 8-byte words, repeated within and across chunks
+    ids = ["", "u", "é" * 4, "a" * 9, "中" * 6, "a" * 17]
+    rows = [f"{u}\t{t}\t{i + 1}\n" for i, (u, t) in enumerate(
+        (u, t) for u in ids for t in reversed(ids))]
+    monkeypatch.setattr(ingest, "_CHUNK_LINES", 7)
+    monkeypatch.setattr(Vocabulary, "_id_index", no_map)
+    monkeypatch.setattr(Vocabulary, "intern", no_map)
+    batch = parse_triplets(rows)
+    assert batch.user_vocab.ids == ids and batch.track_vocab.ids == ids[::-1]
+    assert batch.users.tolist() == [i // 6 for i in range(36)]
+    assert batch.tracks.tolist() == [i % 6 for i in range(36)]
+    assert bytes(batch.user_vocab.utf8()) == "\n".join(ids).encode()
 
 
 def test_parse_alternate_delimiter():
@@ -243,6 +276,15 @@ def test_write_triplets_round_trips_through_text(tmp_path, t1_batch):
         assert parse_triplets(fh) == t1_batch
 
 
+@pytest.mark.parametrize("delimiter", [",", ", ", "{}", "{0}"])
+def test_write_triplets_keeps_any_delimiter_literal(tmp_path, t1_batch, delimiter):
+    path = tmp_path / "t1.txt"
+    write_triplets(t1_batch, path, delimiter)
+    assert path.read_text() == T1_TEXT.replace("\t", delimiter)
+    with open(path) as fh:
+        assert parse_triplets(fh, delimiter) == t1_batch
+
+
 _id_text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r "),
     min_size=1, max_size=12)
@@ -270,12 +312,18 @@ def _outcome(parse, text, delimiter):
 
 # few ids, so (user, track) pairs repeat; tabs, commas and "\r" in ids are
 # fine under some delimiters and break the field count under others, and a
-# numeric id can pass for a count when fields shift
-_fuzz_id = st.text(alphabet="a1\t,\r", max_size=3)
+# numeric id can pass for a count when fields shift. Ids of 2-, 3- and
+# 4-byte UTF-8 characters, ids of 0, 7, 8, 9, 16 and 17 bytes (across the
+# 8-byte words the id hash reads), and an id holding a lone surrogate.
+_fuzz_id = st.one_of(
+    st.text(alphabet="a1\t,\ré中😀", max_size=3),
+    st.sampled_from(["", "a" * 7, "1" * 8, "a" * 9, "a" * 16, "a" * 17,
+                     "é" * 4, "中" * 3, "😀" * 4, "😀" * 4 + "a", "é" * 3 + "a",
+                     "a\ud800"]))
 _good_count = st.sampled_from(["1", "2", "13", "00000000007", "00004294967295",
                                "4294967295"])
 _bad_count = st.sampled_from(["0", "+1", "\u0663", "", " 1", "4294967296",
-                              "0" * 11])
+                              "0" * 11, "10000000000"])
 
 
 @st.composite
@@ -313,11 +361,22 @@ def _fuzz_text(draw):
     return text, delimiter
 
 
+# the id hash, and two stand-ins whose collisions send interning to the
+# exact id dict: ids of one length collide, then all ids
+_HASHES = {
+    "real": core._hash_spans,
+    "length": lambda buf, starts, lens: lens.astype(np.uint64),
+    "constant": lambda buf, starts, lens: np.zeros(lens.size, np.uint64),
+}
+
+
 @settings(max_examples=400)
-@given(_fuzz_text(), st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]))
-def test_chunked_parse_equals_line_by_line_reference(case, chunk_lines):
+@given(_fuzz_text(), st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]),
+       st.sampled_from(sorted(_HASHES)))
+def test_chunked_parse_equals_line_by_line_reference(case, chunk_lines, hash_name):
     text, delimiter = case
     expected = _outcome(_reference_parse, text, delimiter)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+        patch.setattr(core, "_hash_spans", _HASHES[hash_name])
         assert _outcome(parse_triplets, text, delimiter) == expected
