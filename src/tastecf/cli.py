@@ -9,6 +9,7 @@ supplied through TASTECF_* environment variables.
 """
 
 import argparse
+from contextlib import contextmanager
 import math
 import os
 import sys
@@ -69,6 +70,35 @@ def _add_path(parser, flag: str, env: str, help_text: str, required=True):
                         help=f"{help_text} (env {env})")
 
 
+def _undecodable_line(path):
+    """The number of the first line of `path` that is not valid UTF-8, or
+    None. Lines are counted as the text reader counts them."""
+    # surrogateescape turns each bad byte into a lone surrogate, which no
+    # valid UTF-8 decodes to and which has no UTF-8 form of its own
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    return None
+
+
+@contextmanager
+def _open_text(path):
+    """Open a text input as UTF-8. A byte that is not valid UTF-8 raises
+    DataError with the file and line it is on, in place of the decoder's
+    offset into its buffer."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        line_no = _undecodable_line(path)
+        if line_no is None:
+            raise
+        raise DataError(f"{path}:{line_no}: not valid UTF-8") from None
+
+
 def _log_config(command: str, args, keys) -> None:
     shown = []
     for key in keys:
@@ -81,7 +111,7 @@ def _log_config(command: str, args, keys) -> None:
 
 def _cmd_ingest(args) -> int:
     _log_config("ingest", args, ["input", "out", "delimiter"])
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with _open_text(args.input) as fh:
         batch = parse_triplets(fh, args.delimiter)
     save_dataset(batch, args.out)
     print(f"ingested {len(batch)} triplets "
@@ -106,7 +136,7 @@ def _read_user_ids(path) -> list[str]:
     the line number for an id listed twice."""
     ids = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             # only spaces are stripped: ids cannot hold one, but may hold a tab
             ext_id = line.rstrip("\n").strip(" ")
@@ -146,7 +176,7 @@ def _read_recommendation_lines(path):
     """{user: items} from lines of single-space-separated ids, so an empty
     id or one holding other whitespace reads back as written."""
     rankings = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -164,7 +194,7 @@ def _cmd_evaluate(args) -> int:
     _log_config("evaluate", args,
                 ["recs", "hidden", "k", "mode", "per_user", "delimiter"])
     rankings = _read_recommendation_lines(args.recs)
-    with open(args.hidden, "r", encoding="utf-8") as fh:
+    with _open_text(args.hidden) as fh:
         hidden = parse_triplets(fh, args.delimiter)
     hidden_by_user = tracks_by_user(hidden, hidden.user_vocab.ids,
                                     hidden.track_vocab.ids)
@@ -184,7 +214,7 @@ def _cmd_split(args) -> int:
     _log_config("split", args,
                 ["input", "visible_out", "hidden_out", "fraction", "seed",
                  "delimiter"])
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with _open_text(args.input) as fh:
         batch = parse_triplets(fh, args.delimiter)
     split = split_history(batch, args.fraction, args.seed)
     write_triplets(split.visible, args.visible_out, args.delimiter)
@@ -201,7 +231,7 @@ def _cmd_stats(args) -> int:
     if magic == ingest._MAGIC:
         batch = load_dataset(args.input)
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with _open_text(args.input) as fh:
             batch = parse_triplets(fh, args.delimiter)
     print(f"n_users={len(batch.user_vocab)}")
     print(f"n_tracks={len(batch.track_vocab)}")

@@ -164,14 +164,23 @@ def _first_bad_line(rows: list[str], line_nos, delimiter: str):
     return len(rows), None
 
 
+def _pair_keys(batch: TripletBatch) -> np.ndarray:
+    """One int64 key per row, user << 32 | track, built in place."""
+    keys = batch.users.astype(np.int64)
+    keys <<= 32
+    keys |= batch.tracks
+    return keys
+
+
 def _check_unique_pairs(batch: TripletBatch, line_nos) -> None:
     """DuplicatePairError at the first row whose (user, track) pair an
     earlier row holds; line_nos yields each row's line number."""
-    keys = (batch.users.astype(np.int64) << 32) | batch.tracks
-    ordered = np.sort(keys)
-    if not (ordered[1:] == ordered[:-1]).any():
+    keys = _pair_keys(batch)
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
         return
     # stable: each repeat of a key sorts after the row that holds it first
+    keys = _pair_keys(batch)
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     row = int(repeats.min())
@@ -229,8 +238,11 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
         if error is not None:
             break
 
-    batch = TripletBatch(np.concatenate(users), np.concatenate(tracks),
-                         np.concatenate(counts), user_vocab, track_vocab)
+    # each column's chunks go as soon as they are joined
+    users = np.concatenate(users)
+    tracks = np.concatenate(tracks)
+    counts = np.concatenate(counts)
+    batch = TripletBatch(users, tracks, counts, user_vocab, track_vocab)
     _check_unique_pairs(batch, chain.from_iterable(line_nos))
     if error is not None:
         raise error

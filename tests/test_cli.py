@@ -310,6 +310,47 @@ def test_ingest_id_with_space_exits_1_with_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def _write_with_bad_byte(path, line, end):
+    """Lines line(1) to line(2000) ended by `end`, with a 0xff byte in line
+    1900, which lies past the first 8 KiB."""
+    rows = [line(i).encode("utf-8") for i in range(1, 2001)]
+    rows[1899] = rows[1899][:1] + b"\xff" + rows[1899][1:]
+    data = end.encode("utf-8").join(rows) + end.encode("utf-8")
+    assert data.index(b"\xff") > 8192
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("case, end", [
+    ("ingest", "\n"), ("split", "\n"), ("stats", "\n"), ("stats", "\r\n"),
+    ("stats", "\r"), ("evaluate --recs", "\n"), ("evaluate --hidden", "\n"),
+    ("recommend --users", "\n"),
+])
+def test_invalid_utf8_in_text_input_exits_1_with_file_and_line(
+        tmp_path, t1_file, capsys, case, end):
+    bad = tmp_path / "bad.txt"
+    line = {"evaluate --recs": "u{0} t{0}",
+            "recommend --users": "user{0}"}.get(case, "u{0}\tt{0}\t1")
+    _write_with_bad_byte(bad, line.format, end)
+    good_recs = tmp_path / "recs.txt"
+    good_recs.write_text("u1 a\n")
+    if case == "recommend --users":
+        assert _pipeline(tmp_path, t1_file, capsys)[0] == 0
+    argv = {
+        "ingest": ["ingest", "--input", str(bad), "--out", str(tmp_path / "d.ds")],
+        "split": ["split", "--input", str(bad),
+                  "--visible-out", str(tmp_path / "v.txt"),
+                  "--hidden-out", str(tmp_path / "h.txt")],
+        "stats": ["stats", "--input", str(bad)],
+        "evaluate --recs": ["evaluate", "--recs", str(bad), "--hidden", str(t1_file)],
+        "evaluate --hidden": ["evaluate", "--recs", str(good_recs),
+                              "--hidden", str(bad)],
+        "recommend --users": ["recommend", "--input", str(tmp_path / "t1.idx"),
+                              "--users", str(bad), "--out", str(tmp_path / "r.txt")],
+    }[case]
+    assert main(argv) == 1
+    assert f"{bad}:1900: not valid UTF-8" in capsys.readouterr().err
+
+
 def _recommend_csv(tmp_path, plays, users, k):
     """ingest, build and recommend over comma-separated triplet text, so ids
     may be empty or hold a tab; returns the recs path."""

@@ -1,7 +1,10 @@
+from functools import lru_cache
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tastecf import (
     ChecksumError,
@@ -15,7 +18,116 @@ from tastecf import (
     parse_triplets,
     save_index,
 )
-from tastecf.synth import random_batch
+from tastecf.index import InteractionIndex
+from tastecf.synth import random_batch, skewed_batch
+
+
+def _reference_build(batch):
+    """The index as two np.lexsort calls build it, over int64 copies of the
+    columns: the construction build_index replaced, kept as its reference."""
+    n_users = len(batch.user_vocab)
+    n_tracks = len(batch.track_vocab)
+    users = np.asarray(batch.users, dtype=np.int64)
+    tracks = np.asarray(batch.tracks, dtype=np.int64)
+    counts = np.asarray(batch.counts, dtype=np.int64)
+    fwd_order = np.lexsort((tracks, users))
+    fwd_users = users[fwd_order]
+    fwd_tracks = tracks[fwd_order]
+    fwd_counts = counts[fwd_order]
+    if ((fwd_users[1:] == fwd_users[:-1])
+            & (fwd_tracks[1:] == fwd_tracks[:-1])).any():
+        raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+    fwd_offsets = np.zeros(n_users + 1, dtype=np.int64)
+    fwd_offsets[1:] = np.cumsum(np.bincount(fwd_users, minlength=n_users))
+    inv_order = np.lexsort((users, tracks))
+    inv_offsets = np.zeros(n_tracks + 1, dtype=np.int64)
+    inv_offsets[1:] = np.cumsum(np.bincount(tracks[inv_order], minlength=n_tracks))
+    total_plays = np.bincount(fwd_users, weights=fwd_counts,
+                              minlength=n_users).astype(np.int64)
+    return InteractionIndex(n_users, n_tracks, fwd_offsets,
+                            fwd_tracks.astype(np.int32), fwd_counts,
+                            inv_offsets, users[inv_order].astype(np.int32),
+                            np.diff(inv_offsets), total_plays)
+
+
+# ids on both sides of 2**16 and 2**17 that share their low 16 bits, so the
+# inverse order needs the high 16-bit pass
+_WIDE_TRACK_IDS = [0, 1, 2, 65535, 65536, 65537, 131071, 131072, 131073]
+
+
+@lru_cache(maxsize=None)
+def _vocab(n: int) -> Vocabulary:
+    return Vocabulary(f"t{i}" for i in range(n))
+
+
+@st.composite
+def _batches(draw):
+    """A batch in any row order over at most 8 users, some of whom hold no
+    pair, and a track vocabulary of at most 8 or of 131,074 ids; and
+    whether some pair in it is repeated."""
+    n_users = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        track_ids = st.sampled_from(_WIDE_TRACK_IDS)
+        n_tracks = _WIDE_TRACK_IDS[-1] + 1
+    else:
+        n_tracks = draw(st.integers(1, 8))
+        track_ids = st.integers(0, n_tracks - 1)
+    counts = st.integers(1, 2**32 - 1)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1), track_ids),
+                          unique=True, max_size=40))
+    rows = [(u, t, draw(counts)) for u, t in pairs]
+    repeated = bool(rows) and draw(st.booleans())
+    if repeated:
+        u, t, _ = draw(st.sampled_from(rows))
+        rows.append((u, t, draw(counts)))
+    rows = draw(st.permutations(rows))
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    batch = TripletBatch(columns[0].astype(np.int32), columns[1].astype(np.int32),
+                         columns[2], _vocab(n_users), _vocab(n_tracks))
+    return batch, repeated
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+def test_build_index_equals_the_lexsort_reference(drawn):
+    batch, repeated = drawn
+    if repeated:
+        with pytest.raises(DuplicatePairError):
+            _reference_build(batch)
+        with pytest.raises(DuplicatePairError):
+            build_index(batch)
+        return
+    index = build_index(batch)
+    reference = _reference_build(batch)
+    assert (index.n_users, index.n_tracks) == (reference.n_users, reference.n_tracks)
+    for name in ("fwd_offsets", "fwd_tracks", "fwd_counts", "inv_offsets",
+                 "inv_users", "df", "total_plays"):
+        got, want = getattr(index, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+# the tracemalloc peak of build_index per triplet, beyond the batch; it was
+# 71-80 bytes with the lexsort construction and is 32-38 bytes now
+_BUILD_BYTES_PER_TRIPLET = 42
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_users=20_000, n_tracks=5_000, mean_tracks_per_user=10.0),
+    # 77,224 tracks: the high 16-bit pass runs over ids above 2**16
+    dict(n_users=40_000, n_tracks=100_000, mean_tracks_per_user=4.0, skew=0.3),
+])
+def test_build_index_peak_memory_per_triplet(shape):
+    batch = skewed_batch(**shape)
+    assert (len(batch.track_vocab) > 2**16) == (shape["n_tracks"] > 2**16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_index(batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / len(batch) <= _BUILD_BYTES_PER_TRIPLET
 
 
 def test_empty_batch_builds_empty_index():
