@@ -63,6 +63,11 @@ class MissingRecommendationError(DataError):
 _HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], np.uint64)
 # _WORD_MASKS[n] keeps the first n bytes of a little-endian 8-byte word.
 _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+# a hash table entry is an id's hash in the high 33 bits and its index in
+# the low 31; the masks are uint64 scalars, since numpy 1.x turns uint64
+# mixed with int64 into float64
+_HIGH = np.uint64(2**64 - 1 - MAX_INDEX)
+_LOW = np.uint64(MAX_INDEX)
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -73,13 +78,13 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((buf.size + 1,), "<u8", padded, 0, (1,))
 
 
-def _hash_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """A uint64 hash of each byte string buf[start:start + len], in one
-    vectorised pass per 8 bytes of the longest: the length, then each
-    8-byte word (zero-filled past the end), mixed by multiply and
-    xor-shift. A string's hash depends on its bytes alone, not on the
-    other spans. Array arithmetic wraps modulo 2**64 without a warning."""
-    words = _words(buf)
+def _hash_spans(words: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each byte string of `lens` bytes from `starts`, over
+    the words _words gives, in one vectorised pass per 8 bytes of the
+    longest: the length, then each 8-byte word (zero-filled past the end),
+    mixed by multiply and xor-shift. A string's hash depends on its bytes
+    alone, not on the other spans. Array arithmetic wraps modulo 2**64
+    without a warning."""
     length_mult, word_mult = _HASH_MULTIPLIERS
     h = lens.astype(np.uint64) * length_mult
     rows = slice(None)
@@ -93,20 +98,36 @@ def _hash_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.nda
     return h
 
 
-def _all_same(words_a, starts_a, lens_a, words_b, starts_b, lens_b) -> bool:
+def _same_spans(words_a, starts_a, lens_a, words_b, starts_b, lens_b) -> np.ndarray:
     """Whether each span of words_a (as _words gives them), from a start
     for a length, holds the same bytes as its paired span of words_b."""
-    if not (lens_a == lens_b).all():
-        return False
+    same = lens_a == lens_b
+    lens = np.minimum(lens_a, lens_b)
     rows = slice(None)
-    for offset in range(0, int(lens_a.max(initial=0)), 8):
+    for offset in range(0, int(lens.max(initial=0)), 8):
         if offset:
-            rows = np.flatnonzero(lens_a > offset)
+            rows = np.flatnonzero(lens > offset)
         differ = ((words_a[starts_a[rows] + offset] ^ words_b[starts_b[rows] + offset])
-                  & _WORD_MASKS[np.minimum(lens_a[rows] - offset, 8)])
-        if differ.any():
-            return False
-    return True
+                  & _WORD_MASKS[np.minimum(lens[rows] - offset, 8)])
+        same[rows] &= differ == 0
+    return same
+
+
+def _gather(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """values[start:start + len] for each span, concatenated without
+    per-span slicing: entry j of the output sits at its span's start plus
+    its distance from that span's first output slot."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    return values[np.arange(total) + np.repeat(starts - (ends - lens), lens)]
+
+
+def _encoded(ext_ids, errors: str = "strict"):
+    """The ids as UTF-8 in one uint8 array, with the start and length of
+    each."""
+    encoded = [ext_id.encode("utf-8", errors) for ext_id in ext_ids]
+    lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return np.frombuffer(b"".join(encoded), np.uint8), np.cumsum(lens) - lens, lens
 
 
 def _with_room(arr: np.ndarray, used: int, needed: int) -> np.ndarray:
@@ -126,61 +147,48 @@ class Vocabulary:
     known id returns its existing index. External ids are treated as opaque
     strings, nothing about their format is assumed.
 
-    A vocabulary loaded from a file (from_utf8) or interned from bytes
-    (intern_utf8, as the text parser does) holds the ids joined by "\\n" in
-    UTF-8 and decodes ids only on demand:
+    A vocabulary holds its ids joined by "\\n" in UTF-8, as the file formats
+    store them: the file bytes themselves once loaded (from_utf8), or a
+    store that doubles when full as ids are interned. Beside them it keeps
+    where each id starts (derived from the bytes on first use) and one
+    sorted hash table of 8 bytes per id, built on the first lookup. No
+    id -> index dictionary is ever built.
 
-    - lookup(i) decodes one id from its byte slice; the slice bounds come
-      from one np.flatnonzero over the bytes, made on first use and kept
-      (intern_utf8 keeps them as it goes);
-    - ids, iteration and == split the bytes into a list of str, once;
-    - get, index_of, `in` and intern build the id -> index dict, which
-      checks that no id repeats; from then on the bytes are dropped, since
-      interning may add ids, and intern_utf8 interns through the dict;
-    - indexes_of finds a batch of ids without that dict, by hashing every
-      stored id (see there);
+    - Every lookup (intern, intern_utf8, indexes_of, get, index_of, `in`)
+      goes through _find: one table probe per id, each match confirmed
+      byte for byte. A one-id lookup is a whole probe of numpy calls, so a
+      loop over many ids should call indexes_of once instead.
+    - lookup(i) decodes one id from its byte slice; ids, iteration and ==
+      split the bytes into a list of str, kept until ids are added.
     - utf8() and so the file formats take the bytes as they are.
     """
 
-    __slots__ = ("_ids", "_index", "_origin", "_data", "_count", "_bounds",
-                 "_table")
+    __slots__ = ("_origin", "_data", "_count", "_bounds", "_table", "_store",
+                 "_ids")
 
     def __init__(self, ids=()):
-        self._ids: list[str] | None = []
-        self._index: dict[str, int] | None = {}
         self._origin = "vocabulary"
-        self._data = self._bounds = self._table = None
+        self._data = b""
         self._count = 0
-        for ext_id in ids:
-            self.intern(ext_id)
-
-    @classmethod
-    def from_unique(cls, ids: list[str], origin: str = "vocabulary") -> "Vocabulary":
-        """Wrap a list of ids that should already be distinct, taking
-        ownership of it.
-
-        The id -> index map is built on the first get, index_of, `in` or
-        intern; a repeated id raises DataError, naming `origin`, then.
-        """
-        if len(ids) > MAX_INDEX + 1:
-            raise CapacityError(f"{origin}: exceeds 32-bit index space")
-        vocab = cls()
-        vocab._ids = ids
-        vocab._index = None
-        vocab._origin = origin
-        return vocab
+        self._bounds = np.zeros(1, np.int64)
+        self._table = np.empty(0, np.uint64)
+        self._store = self._ids = None
+        if ids:
+            self.intern_utf8(*_encoded(ids))
 
     @classmethod
     def from_utf8(cls, data, count: int, origin: str = "vocabulary") -> "Vocabulary":
         """Wrap `count` ids joined by "\\n" as UTF-8 bytes (any buffer),
-        without decoding them; the caller has checked that the bytes are
-        UTF-8 and hold `count` ids. As with from_unique, a repeated id
-        raises DataError when first looked up."""
-        vocab = cls.from_unique([], origin)
+        without decoding or copying them; the caller has checked that the
+        bytes are UTF-8 and hold `count` ids. A repeated id raises
+        DataError, naming `origin`, at the first lookup."""
+        if count > MAX_INDEX + 1:
+            raise CapacityError(f"{origin}: exceeds 32-bit index space")
+        vocab = cls()
+        vocab._origin = origin
         if count:
-            if count > MAX_INDEX + 1:
-                raise CapacityError(f"{origin}: exceeds 32-bit index space")
-            vocab._ids, vocab._data, vocab._count = None, data, count
+            vocab._data, vocab._count = data, count
+            vocab._bounds = vocab._table = None
         return vocab
 
     def _id_bounds(self) -> np.ndarray:
@@ -190,225 +198,187 @@ class Vocabulary:
             buf = np.frombuffer(self._data, np.uint8)
             bounds = np.empty(self._count + 1, np.int64)
             bounds[0] = 0
-            bounds[1:-1] = np.flatnonzero(buf == ord("\n")) + 1
+            np.add(np.flatnonzero(buf == ord("\n")), 1, out=bounds[1:-1])
             bounds[-1] = buf.size + 1
             self._bounds = bounds
-        return self._bounds
+        return self._bounds[:self._count + 1]
 
-    def _id_index(self) -> dict[str, int]:
-        if self._index is not None:
-            return self._index
-        ids = self.ids
-        index = dict(zip(ids, range(len(ids))))
-        if len(index) != len(ids):
-            seen = set()
-            repeated = next(i for i in ids if i in seen or seen.add(i))
-            raise DataError(f"{self._origin}: id {repeated!r} appears twice")
-        self._index = index
-        self._data = self._bounds = self._table = None
-        return index
+    def _hash_table(self) -> np.ndarray:
+        """The table of (hash high bits, index) entries, sorted by the high
+        bits, built from the bytes on first use. Ids that share their full
+        hash are a repeated id or a true collision: the ids are then
+        decoded and scanned once, and a repeat raises DataError."""
+        if self._table is None:
+            bounds = self._id_bounds()
+            words = _words(np.frombuffer(self._data, np.uint8))
+            starts = bounds[:-1]
+            lens = np.diff(bounds)
+            lens -= 1
+            hashes = np.empty(self._count, np.uint64)
+            # a block of ids at a time, so that few temporaries are held
+            for at in range(0, self._count, 1 << 16):
+                block = slice(at, at + (1 << 16))
+                hashes[block] = _hash_spans(words, starts[block], lens[block])
+            del words, lens
+            table = hashes & _HIGH
+            table |= np.arange(self._count, dtype=np.uint64)
+            table.sort()
+            # entries whose high bits equal their neighbour's
+            runs = np.flatnonzero((table[1:] ^ table[:-1]) <= _LOW)
+            shared = hashes[(table[np.union1d(runs, runs + 1)] & _LOW).astype(np.intp)]
+            if np.unique(shared).size < shared.size:
+                seen = set()
+                repeated = next((i for i in self.ids if i in seen or seen.add(i)), None)
+                if repeated is not None:
+                    raise DataError(f"{self._origin}: id {repeated!r} appears twice")
+            self._table = table
+        return self._table
+
+    def _find(self, words, starts, lens, hashes):
+        """(index, position) of each id of `lens` bytes from `starts` over
+        words (as _words gives them), whose hashes rise: its index, or -1
+        if not held, and the table position it would be inserted at.
+
+        Each hash's high bits are searched for in the table. The entries
+        with those bits sit together and are tried in turn, each held id
+        gathered from the bytes and compared byte for byte, until one
+        matches; an id not held goes after them."""
+        table = self._hash_table()
+        bounds = self._id_bounds()
+        data = np.frombuffer(self._data, np.uint8)
+        keys = hashes & _HIGH
+        pos = np.searchsorted(table, keys)
+        found = np.full(keys.size, -1, np.int64)
+        rows = np.arange(keys.size)
+        while rows.size:
+            rows = rows[pos[rows] < table.size]
+            entries = table[pos[rows]]
+            candidate = (entries & _HIGH) == keys[rows]
+            rows = rows[candidate]
+            held = (entries[candidate] & _LOW).astype(np.intp)
+            held_starts = bounds[held]
+            held_lens = bounds[held + 1] - held_starts - 1
+            same = _same_spans(words, starts[rows], lens[rows],
+                               _words(_gather(data, held_starts, held_lens)),
+                               np.cumsum(held_lens) - held_lens, held_lens)
+            found[rows[same]] = held[same]
+            rows = rows[~same]
+            pos[rows] += 1
+        return found, pos
 
     def intern(self, ext_id: str) -> int:
-        index = self._index
-        if index is None:   # checked inline: parsing interns every field
-            index = self._id_index()
-        idx = index.get(ext_id)
-        if idx is None:
-            idx = len(self._ids)
-            if idx > MAX_INDEX:
-                raise CapacityError("vocabulary exceeds 32-bit index space")
-            index[ext_id] = idx
-            self._ids.append(ext_id)
-        return idx
+        return int(self.intern_utf8(*_encoded([ext_id]))[0])
 
     def intern_utf8(self, buf: np.ndarray, starts: np.ndarray,
                     lens: np.ndarray) -> np.ndarray:
         """intern() over the ids buf[start:start + len], UTF-8 byte strings
-        in a uint8 array, none holding "\\n": their int32 indexes, with new
-        ids numbered in first-seen order.
+        in a uint8 array: their int32 indexes, with new ids numbered in
+        first-seen order.
 
-        The ids are hashed (_hash_spans) and looked up in a sorted table of
-        the stored ids' hashes. Every match is confirmed byte for byte: ids
-        of this call against the first id with their hash, and a hash found
-        in the table against the stored id's bytes. New ids are appended to
-        the byte store, which doubles when full, and their hashes merged
-        into the table by np.searchsorted and np.insert. If two different
-        ids share a hash, or the dict is built already, the ids are decoded
-        and interned through the id dict instead.
+        The ids are hashed (_hash_spans), each confirmed byte for byte to
+        equal the first id of this call with its hash, and looked up once
+        per hash (_find). New ids are appended to the bytes, each after a
+        "\\n", and their entries merged into the table by one np.insert at
+        the positions _find gives. If two different ids of this call share
+        a hash, they are interned one id at a time instead.
         """
-        codes = None
-        if lens.size and (self._index is None or not self._ids):
-            codes = self._intern_by_hash(buf, starts, lens)
-        if codes is None:
-            data = buf.tobytes()
-            ids = [str(data[start:start + n], "utf-8")
-                   for start, n in zip(starts.tolist(), lens.tolist())]
-            codes = np.fromiter(map(self.intern, ids), np.int64, len(ids))
-        return codes.astype(np.int32)
-
-    def _new_table(self):
-        """(store, bounds, hashes, codes) for the ids held, or None if two of
-        their hashes are equal. store holds each id followed by "\\n", then
-        at least 8 zero bytes, so that words past an id can be read; id i
-        is store[bounds[i]:bounds[i + 1] - 1]; hashes are sorted and codes
-        gives the index of each."""
-        data = np.frombuffer(self.utf8(), np.uint8)
-        count = len(self)
-        size = data.size + 1 if count else 0
-        store = np.zeros(size + 8, np.uint8)
-        store[:data.size] = data
-        store[size - 1:size] = ord("\n")
-        bounds = np.zeros(count + 1, np.int64)
-        bounds[1:] = np.flatnonzero(store[:size] == ord("\n")) + 1
-        hashes = _hash_spans(store[:size], bounds[:-1], np.diff(bounds) - 1)
-        order = np.argsort(hashes)
-        hashes = hashes[order]
-        if (hashes[1:] == hashes[:-1]).any():
-            return None
-        return store, bounds, hashes, order.astype(np.int32)
-
-    def _intern_by_hash(self, buf, starts, lens):
-        """intern_utf8 through the hash table: the int64 indexes, or None,
-        with nothing changed, if two different ids share a hash."""
-        table = self._table if self._table is not None else self._new_table()
-        if table is None:
-            return None
-        store, bounds, hashes, codes = table
-        count = len(self)
         words = _words(buf)
-        uniq, first, inverse = np.unique(_hash_spans(buf, starts, lens),
+        uniq, first, inverse = np.unique(_hash_spans(words, starts, lens),
                                          return_index=True, return_inverse=True)
-        # every id is the first id of its hash
         rep = first[inverse]
-        if not _all_same(words, starts, lens, words, starts[rep], lens[rep]):
-            return None
-        # a hash held by the table names a stored id: it must be this one
-        pos = np.searchsorted(hashes, uniq)
-        held = pos < hashes.size
-        held[held] = hashes[pos[held]] == uniq[held]
-        old = codes[pos[held]].astype(np.int64)
-        found = first[held]
-        store_words = np.ndarray((store.size - 7,), "<u8", store, 0, (1,))
-        if not _all_same(words, starts[found], lens[found], store_words,
-                         bounds[old], bounds[old + 1] - bounds[old] - 1):
-            return None
-
-        new = np.flatnonzero(~held)
-        if count + new.size > MAX_INDEX + 1:
-            raise CapacityError("vocabulary exceeds 32-bit index space")
-        by_first = np.argsort(first[new])
-        new_codes = np.empty(new.size, np.int64)
-        new_codes[by_first] = np.arange(count, count + new.size)
-        unique_codes = np.empty(uniq.size, np.int64)
-        unique_codes[held] = old
-        unique_codes[new] = new_codes
+        if not _same_spans(words, starts, lens, words, starts[rep], lens[rep]).all():
+            return np.concatenate([self.intern_utf8(buf, starts[i:i + 1], lens[i:i + 1])
+                                   for i in range(lens.size)])
+        found, pos = self._find(words, starts[first], lens[first], uniq)
+        new = np.flatnonzero(found < 0)
         if new.size:
-            hashes = np.insert(hashes, pos[new], uniq[new])
-            codes = np.insert(codes, pos[new], new_codes.astype(np.int32))
-            # the new ids' bytes, each followed by "\n", in index order: the
-            # id byte at `at` of the run of all of them goes `rank` bytes
-            # further on, one "\n" for each id before it
+            count = self._count
+            if count + new.size > MAX_INDEX + 1:
+                raise CapacityError("vocabulary exceeds 32-bit index space")
+            by_first = np.argsort(first[new])
+            found[new[by_first]] = np.arange(count, count + new.size)
             added = first[new[by_first]]
-            n = lens[added]
-            ends = np.cumsum(n)
-            at = np.arange(ends[-1])
-            rank = np.repeat(np.arange(n.size), n)
-            size = int(bounds[count])
-            grown = size + ends[-1] + n.size
-            store = _with_room(store, size, grown + 8)
-            store[size + rank + at] = buf[np.repeat(starts[added] - ends + n, n) + at]
-            store[size + ends + np.arange(n.size)] = ord("\n")
-            bounds = _with_room(bounds, count + 1, count + n.size + 1)
-            bounds[count + 1:count + n.size + 1] = size + ends + np.arange(1, n.size + 1)
-            count += n.size
-            self._data = memoryview(store)[:grown - 1]
-            self._bounds = bounds[:count + 1]
-            self._ids = self._index = None
-            self._count = count
-        self._table = store, bounds, hashes, codes
-        return unique_codes[inverse]
+            self._append(buf, starts[added], lens[added])
+            entries = uniq[new] & _HIGH
+            entries |= found[new].astype(np.uint64)
+            self._table = np.insert(self._table, pos[new], entries)
+        return found[inverse].astype(np.int32)
+
+    def _append(self, buf, starts, lens) -> None:
+        """Add the ids buf[start:start + len] after those held, in order."""
+        bounds = self._id_bounds()
+        count = self._count
+        size = int(bounds[-1]) if count else 0
+        ends = np.cumsum(lens)
+        grown = size + int(ends[-1]) + lens.size
+        if self._store is None:
+            # the bytes are a fixed buffer: copy them to a store that grows
+            self._store = np.full(size, ord("\n"), np.uint8)
+            self._store[:size - 1] = np.frombuffer(self._data, np.uint8)
+        store = self._store = _with_room(self._store, size, grown)
+        # each id followed by "\n"; the store keeps the "\n" after the last
+        store[size:grown] = np.insert(_gather(buf, starts, lens), ends, ord("\n"))
+        self._bounds = _with_room(self._bounds, count + 1, count + lens.size + 1)
+        self._bounds[count + 1:count + lens.size + 1] = (
+            size + ends + np.arange(1, lens.size + 1))
+        self._data = memoryview(store)[:grown - 1]
+        self._count = count + lens.size
+        self._ids = None
 
     def lookup(self, index: int) -> str:
-        if self._ids is not None:
-            return self._ids[index]
         if not 0 <= index < self._count:
             raise IndexError(f"vocabulary index {index} out of range")
         start, stop = self._id_bounds()[index:index + 2].tolist()
         return str(self._data[start:stop - 1], "utf-8")
 
     def index_of(self, ext_id: str) -> int:
-        return self._id_index()[ext_id]
+        idx = self.get(ext_id)
+        if idx is None:
+            raise KeyError(ext_id)
+        return idx
 
     def get(self, ext_id: str, default=None):
-        return self._id_index().get(ext_id, default)
+        (idx,) = self.indexes_of([ext_id])
+        return default if idx is None else idx
 
     def indexes_of(self, ext_ids) -> list[int | None]:
-        """The index of each id, or None for an id not held.
-
-        A vocabulary that still holds its file bytes and has built no id
-        map answers without building one: it hashes every stored id in one
-        vectorised pass (_hash_spans), sorts the hashes and hashes the
-        wanted ids the same way. Two equal stored hashes come from a
-        repeated id or from a true collision, so then the id map answers
-        instead, which raises DataError for a repeat. Otherwise each stored
-        hash names at most one index, and a wanted id is found only when
-        the id decoded at that index equals it, so an id that merely
-        shares a hash with a stored one is not taken for it.
-        """
-        ext_ids = list(ext_ids)
-        if self._index is None and self._data is not None:
-            found = self._indexes_by_hash(ext_ids)
-            if found is not None:
-                return found
-        return list(map(self._id_index().get, ext_ids))
-
-    def _indexes_by_hash(self, ext_ids: list[str]) -> list[int | None] | None:
-        """indexes_of through hashes, or None if two stored hashes are equal."""
-        bounds = self._id_bounds()
-        stored = _hash_spans(np.frombuffer(self._data, np.uint8), bounds[:-1],
-                             np.diff(bounds) - 1)
-        ordered = np.sort(stored)
-        if (ordered[1:] == ordered[:-1]).any():
-            return None
+        """The index of each id, or None for an id not held: the ids are
+        hashed together and found by one _find."""
         # ids from outside may hold lone surrogates; those match nothing
-        encoded = [ext_id.encode("utf-8", "surrogatepass") for ext_id in ext_ids]
-        lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
-        wanted = _hash_spans(np.frombuffer(b"".join(encoded), np.uint8),
-                             np.cumsum(lens) - lens, lens)
-        # stored hashes equal to a wanted one: a table of the wanted hashes'
-        # low 16 bits passes a few candidates, and np.isin checks those
-        table = np.zeros(1 << 16, bool)
-        table[(wanted & 0xFFFF).astype(np.intp)] = True
-        candidates = np.flatnonzero(table[(stored & 0xFFFF).astype(np.intp)])
-        hits = candidates[np.isin(stored[candidates], wanted)]
-        by_hash = dict(zip(stored[hits].tolist(), hits.tolist()))
-        return [idx if idx is not None and self.lookup(idx) == ext_id else None
-                for ext_id, idx in zip(ext_ids, map(by_hash.get, wanted.tolist()))]
+        buf, starts, lens = _encoded(list(ext_ids), "surrogatepass")
+        words = _words(buf)
+        hashes = _hash_spans(words, starts, lens)
+        order = np.argsort(hashes)
+        found = np.empty(order.size, np.int64)
+        found[order] = self._find(words, starts[order], lens[order],
+                                  hashes[order])[0]
+        return [None if idx < 0 else idx for idx in found.tolist()]
 
     def utf8(self):
         """The ids joined by "\\n" in UTF-8, as the file formats store them:
-        the loaded or interned bytes themselves while the vocabulary holds
-        them. ValueError if an id contains "\\n"."""
-        if self._data is not None:
-            return self._data
-        text = "\n".join(self._ids)
-        if text.count("\n") != max(len(self._ids) - 1, 0):
+        the loaded or interned bytes themselves. ValueError if an id
+        contains "\\n"."""
+        if self._store is not None and self._count != np.count_nonzero(
+                self._store[:int(self._bounds[self._count])] == ord("\n")):
             raise ValueError('an id contains "\\n", which the file format cannot hold')
-        return text.encode("utf-8")
+        return self._data
 
     @property
     def ids(self) -> list[str]:
-        """Registered ids in index order, split from the loaded bytes on
-        first use. Treat as read-only."""
+        """Registered ids in index order, split from the bytes on first use
+        and kept until ids are added. Treat as read-only."""
         if self._ids is None:
-            self._ids = str(self._data, "utf-8").split("\n")
+            ids = str(self._data, "utf-8").split("\n") if self._count else []
+            if len(ids) != self._count:   # an id holds "\n"
+                ids = list(map(self.lookup, range(self._count)))
+            self._ids = ids
         return self._ids
 
     def __len__(self) -> int:
-        return self._count if self._ids is None else len(self._ids)
+        return self._count
 
     def __contains__(self, ext_id) -> bool:
-        return ext_id in self._id_index()
+        return self.get(ext_id) is not None
 
     def __iter__(self):
         return iter(self.ids)

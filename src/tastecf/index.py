@@ -15,7 +15,7 @@ import numpy as np
 
 from . import storage
 from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
-                   MAX_PLAY_COUNT, Vocabulary)
+                   MAX_PLAY_COUNT, Vocabulary, _gather)
 from .idf import IdfTable, valid_log_base
 from .ingest import TripletBatch
 
@@ -80,15 +80,10 @@ class InteractionIndex:
 
 
 def _gather_rows(offsets: np.ndarray, values: np.ndarray, rows: np.ndarray):
-    """Concatenate CSR rows without per-row slicing: entry j of the output
-    sits at its row's start plus its distance from that row's first output
-    slot."""
+    """Concatenate CSR rows without per-row slicing (core._gather)."""
     starts = offsets[rows]
     lens = offsets[rows + 1] - starts
-    out_ends = np.cumsum(lens)
-    total = int(out_ends[-1]) if out_ends.size else 0
-    positions = np.arange(total) + np.repeat(starts - (out_ends - lens), lens)
-    return values[positions], lens
+    return _gather(values, starts, lens), lens
 
 
 def _freeze(*arrays):
@@ -219,9 +214,12 @@ def load_index(path) -> LoadedIndex:
     Every array except fwd_counts (widened from u32) and the derived df is
     a read-only view of the file bytes. The structure is checked with array
     operations: offsets that do not rise from 0 to nnz, an index outside
-    its vocabulary, a play count of 0, an idf flag other than 0 or 1, an
-    idf log base that is not positive or equals 1, or a length that does
-    not match the body raise DataError.
+    its vocabulary, a play count of 0, total_plays that differ from the
+    users' summed play counts, an idf flag other than 0 or 1, an idf log
+    base that is not positive or equals 1, an idf value that is not finite
+    and >= 0, or a length that does not match the body raise DataError.
+    Each of the value checks guards output that would otherwise change
+    without an error.
     """
     r = storage.Reader(path, _MAGIC, _VERSION)
     n_users, n_tracks, nnz = r.unpack("<QQQ")
@@ -233,13 +231,24 @@ def load_index(path) -> LoadedIndex:
     inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
     inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
     total_plays = r.array("<i8", n_users)
+    # each user's play total is the running sum differenced at the offsets;
+    # summed before fwd_counts is widened, so that the two are not held
+    # together
+    sums = np.zeros(nnz + 1, np.int64)
+    np.cumsum(fwd_counts, dtype=np.int64, out=sums[1:])
+    if not np.array_equal(np.diff(sums[fwd_offsets]), total_plays):
+        raise r.fail("total_plays differ from the users' summed fwd_counts")
+    del sums
     (has_idf,) = r.unpack("<B")
     idf = None
     if has_idf == 1:
         (log_base,) = r.unpack("<d")
         if not valid_log_base(log_base):
             raise r.fail(f"idf log base is {log_base!r}, not positive and != 1")
-        idf = IdfTable(r.array("<f8", n_tracks), n_users, log_base)
+        ln_values = r.array("<f8", n_tracks)
+        if not (np.isfinite(ln_values).all() and (ln_values >= 0).all()):
+            raise r.fail("idf values are not all finite and >= 0")
+        idf = IdfTable(ln_values, n_users, log_base)
     elif has_idf != 0:
         raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
     r.finish()

@@ -8,7 +8,8 @@ means corruption, not something to sum away.
 Parsing checks and splits the text as UTF-8 bytes in numpy and interns the
 ids from those bytes (Vocabulary.intern_utf8), so a parsed vocabulary holds
 its ids as UTF-8 bytes, as a loaded one does, and save_dataset writes them
-as they are.
+as they are. Interning goes through the vocabulary's one hash table of 8
+bytes per id; no id dictionary or per-id str is made.
 """
 
 from dataclasses import dataclass

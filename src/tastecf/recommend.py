@@ -131,9 +131,14 @@ def recommend_one(index, idf, u: int, config: Config) -> Recommendation:
                         seen=index.forward_tracks(u))
 
 
-# Worker state shared through fork; set in the parent right before the pool
-# starts so children inherit it copy-on-write.
+# A fork-pool worker's (index, idf, config), set in the worker by the pool's
+# initializer; forked workers get its arguments copy-on-write, unpickled.
 _WORKER_STATE = None
+
+
+def _init_worker(*state):
+    global _WORKER_STATE
+    _WORKER_STATE = state
 
 
 def _run_chunk(chunk):
@@ -148,7 +153,6 @@ def recommend_all(index, idf, users: Iterable[int], config: Config,
     Output is identical for every worker count; per-user failures carry the
     offending user index.
     """
-    global _WORKER_STATE
     user_list = [int(u) for u in users]
     ctx = None
     if workers > 1 and len(user_list) > 1:
@@ -165,13 +169,9 @@ def recommend_all(index, idf, users: Iterable[int], config: Config,
     chunk_size = max(1, math.ceil(len(user_list) / (workers * 8)))
     chunks = [user_list[i:i + chunk_size]
               for i in range(0, len(user_list), chunk_size)]
-    _WORKER_STATE = (index, idf, config)
-    try:
-        with ctx.Pool(workers) as pool:
-            for batch in pool.imap(_run_chunk, chunks):
-                yield from batch
-    finally:
-        _WORKER_STATE = None
+    with ctx.Pool(workers, _init_worker, (index, idf, config)) as pool:
+        for batch in pool.imap(_run_chunk, chunks):
+            yield from batch
 
 
 def pad_label(pad_number: int, clashes) -> str:
@@ -194,7 +194,8 @@ def pad_clashes(track_vocab) -> set:
 def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
                           clashes=None) -> str:
     """`<user> <item_1> ... <item_k>`; pads are labelled against `clashes`,
-    by default the whole track vocabulary."""
+    by default the whole track vocabulary, which costs one table probe per
+    pad label tried (write_recommendations passes the pad_clashes set)."""
     tracks = track_vocab.ids
     if clashes is None:
         clashes = track_vocab

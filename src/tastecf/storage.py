@@ -7,8 +7,10 @@ and loads as a read-only view of the file bytes, with no copy. The first
 section is the magic and a u32 format version. A vocabulary is two
 sections: its UTF-8 byte length as u64, then its ids joined by "\\n" (an id
 therefore cannot contain "\\n"). A loaded vocabulary keeps those bytes, a
-view of the file body, and decodes ids only when they are asked for (see
-Vocabulary); saving it again writes the same bytes without splitting them.
+view of the file body, and decodes ids only when they are asked for. Beside
+them it builds one hash table of 8 bytes per id at its first lookup, never
+an id dictionary (see Vocabulary); saving it again writes the same bytes
+without splitting them.
 
 Reader checks every length against the body before it reads, so a
 truncated or inconsistent file is a DataError that names the path, never

@@ -51,32 +51,36 @@ def _spans(ids):
        st.lists(st.lists(st.text(alphabet="abcdé\t", max_size=2))))
 def test_intern_utf8_equals_interning_one_by_one(known, batches):
     distinct = list(dict.fromkeys(known))
-    # through the id dict, from ids held as bytes, and from a list of ids
-    for bulk in (Vocabulary(known), _loaded(distinct),
-                 Vocabulary.from_unique(list(distinct))):
-        single = Vocabulary(known)
+    # interned from a list of ids, from ids held as bytes, and from ids
+    # held as bytes whose list was split out before interning
+    split_out = _loaded(distinct)
+    assert split_out.ids == distinct
+    for bulk in (Vocabulary(known), _loaded(distinct), split_out):
+        # the reference: a plain dict, one id at a time
+        index = dict(zip(distinct, range(len(distinct))))
         for ids in batches:
             indexes = bulk.intern_utf8(*_spans(ids))
             assert indexes.dtype == np.int32
-            assert indexes.tolist() == [single.intern(ext_id) for ext_id in ids]
-            assert bytes(bulk.utf8()) == "\n".join(single.ids).encode()
-            assert [bulk.lookup(i) for i in range(len(bulk))] == single.ids
-            assert bulk.ids == single.ids
+            assert indexes.tolist() == [index.setdefault(ext_id, len(index))
+                                        for ext_id in ids]
+            assert bytes(bulk.utf8()) == "\n".join(index).encode()
+            assert [bulk.lookup(i) for i in range(len(bulk))] == list(index)
+            assert bulk.ids == list(index)
         assert all(bulk.index_of(ext_id) == i for i, ext_id in enumerate(bulk.ids))
 
 
 def test_intern_utf8_on_a_loaded_vocabulary_checks_for_repeats():
-    loaded = Vocabulary.from_unique(["a", "b"])
+    loaded = _loaded(["a", "b"])
     assert loaded.intern_utf8(*_spans(["b", "c", "a", "c"])).tolist() == [1, 2, 0, 2]
-    for repeated in (Vocabulary.from_unique(["a", "a"], "f.ds"),
+    for repeated in (Vocabulary.from_utf8(b"a\nb\na", 3, "f.ds"),
                      _loaded(["a", "a"], "f.ds")):
         with pytest.raises(DataError, match="f.ds: id 'a' appears twice"):
             repeated.intern_utf8(*_spans(["b"]))
 
 
 @pytest.mark.parametrize("hash_of", [
-    lambda buf, starts, lens: lens.astype(np.uint64),
-    lambda buf, starts, lens: np.zeros(lens.size, np.uint64),
+    lambda words, starts, lens: lens.astype(np.uint64),
+    lambda words, starts, lens: np.zeros(lens.size, np.uint64),
 ], ids=["length", "constant"])
 def test_intern_utf8_is_exact_when_hashes_collide(monkeypatch, hash_of):
     monkeypatch.setattr(core, "_hash_spans", hash_of)
@@ -115,16 +119,22 @@ def test_indexes_of_equals_the_dict_lookup(ids, data):
 
 
 def test_indexes_of_on_loaded_bytes_builds_no_id_map(monkeypatch):
-    def no_map(self):
-        raise AssertionError("id map built")
+    def no_list(self):
+        raise AssertionError("id list split out")
 
     # the length is hashed too, so zero bytes at the end do not collide
     loaded = _loaded(["u1", "u2", "u3", "u1\0", "", "\0"])
-    monkeypatch.setattr(Vocabulary, "_id_index", no_map)
+    monkeypatch.setattr(Vocabulary, "ids", property(no_list))
     assert loaded.indexes_of(["u3", "u9", "u1", "\0"]) == [2, None, 0, 5]
     assert loaded.lookup(1) == "u2"
     with pytest.raises(IndexError):
         loaded.lookup(6)
+
+
+def test_indexes_of_on_loaded_bytes_hashed_in_several_blocks():
+    ids = [f"u{i}" for i in range(70_000)]
+    wanted = ["u0", "u65535", "u65536", "u69999", "u70000", "u1\0"]
+    assert _loaded(ids).indexes_of(wanted) == [0, 65535, 65536, 69999, None, None]
 
 
 def test_indexes_of_is_exact_when_hashes_collide(monkeypatch):
@@ -135,16 +145,69 @@ def test_indexes_of_is_exact_when_hashes_collide(monkeypatch):
     # a hash of the length alone: distinct stored hashes, so only the exact
     # comparison turns away a wanted id of a stored id's length
     monkeypatch.setattr(core, "_hash_spans",
-                        lambda buf, starts, lens: lens.astype(np.uint64))
+                        lambda words, starts, lens: lens.astype(np.uint64))
     assert _loaded(["a", "bb", "ccc"]).indexes_of(["x", "bb", "cc", ""]) == [
         None, 1, None, None]
-    # a constant hash: equal stored hashes, so the id map answers
+    # a constant hash: equal stored hashes, so the stored ids are scanned
+    # once for a repeat, and every lookup walks the one run of entries
     monkeypatch.setattr(core, "_hash_spans",
-                        lambda buf, starts, lens: np.zeros(lens.size, np.uint64))
+                        lambda words, starts, lens: np.zeros(lens.size, np.uint64))
     assert _loaded(["u1", "u2", "u3"]).indexes_of(["u3", "u4", "u1"]) == [2, None, 0]
     repeated = _loaded(["u1", "u2", "u1"], "f.idx: user vocabulary")
     with pytest.raises(DataError, match="f.idx: user vocabulary: id 'u1' appears twice"):
         repeated.indexes_of(["u2"])
+
+
+_REAL_HASH = core._hash_spans
+
+
+@pytest.mark.parametrize("low_bits", [0x7FFFFFFF, 0x3F], ids=["low-31", "low-6"])
+@given(st.lists(_ID_TEXT, max_size=8),
+       st.lists(st.lists(st.one_of(st.sampled_from(_EDGE_IDS), _ID_TEXT),
+                         max_size=6), max_size=3),
+       st.data())
+def test_packed_table_is_exact_when_keys_share_their_high_bits(
+        low_bits, known, batches, data):
+    # every id gets the same high 33 bits, so every table entry shares its
+    # key and each lookup walks the whole run of entries; with 6 low bits
+    # left, different ids also share their full hash now and then
+    def hash_of(words, starts, lens):
+        return (_REAL_HASH(words, starts, lens) & np.uint64(low_bits)
+                | np.uint64(0x5A5A5A5A80000000))
+
+    distinct = list(dict.fromkeys(known))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_hash_spans", hash_of)
+        # fresh, interned from a list, and loaded from bytes
+        for vocab, index in ((Vocabulary(), {}),
+                             (Vocabulary(known), dict.fromkeys(distinct)),
+                             (_loaded(distinct), dict.fromkeys(distinct))):
+            index = dict(zip(index, range(len(index))))
+            for ids in batches:
+                expected = [index.setdefault(ext_id, len(index)) for ext_id in ids]
+                assert vocab.intern_utf8(*_spans(ids)).tolist() == expected
+            assert vocab.ids == list(index)
+            wanted = data.draw(st.lists(st.one_of(
+                st.sampled_from(list(index) or [""]), _ID_TEXT), max_size=6))
+            assert vocab.indexes_of(wanted) == list(map(index.get, wanted))
+            for ext_id in wanted:
+                assert vocab.get(ext_id, -1) == index.get(ext_id, -1)
+                assert (ext_id in vocab) == (ext_id in index)
+                if ext_id in index:
+                    assert vocab.index_of(ext_id) == index[ext_id]
+                else:
+                    with pytest.raises(KeyError):
+                        vocab.index_of(ext_id)
+
+        if distinct:
+            extra = data.draw(st.lists(st.sampled_from(distinct), min_size=1,
+                                       max_size=3))
+            ids = data.draw(st.permutations(distinct + extra))
+            seen = set()
+            first_repeat = next(i for i in ids if i in seen or seen.add(i))
+            with pytest.raises(DataError) as caught:
+                _loaded(ids, "f.ds").indexes_of([])
+            assert str(caught.value) == f"f.ds: id {first_repeat!r} appears twice"
 
 
 def test_config_defaults():

@@ -25,8 +25,10 @@ from conftest import T1_TEXT
 def _reference_parse(stream, delimiter="\t"):
     """parse_triplets as one loop over lines: the specification the chunked
     parser must match, batch for batch and error for error."""
-    user_vocab = Vocabulary()
-    track_vocab = Vocabulary()
+    # interned through plain dicts, so that the reference does not run the
+    # Vocabulary lookups under test
+    user_index = {}
+    track_index = {}
     users = array("i")
     tracks = array("i")
     counts = array("q")
@@ -59,8 +61,8 @@ def _reference_parse(stream, delimiter="\t"):
         if not 1 <= count <= MAX_PLAY_COUNT:
             raise MalformedLineError(
                 line_no, f"play_count must be in [1, {MAX_PLAY_COUNT}]")
-        u = user_vocab.intern(user_ext)
-        t = track_vocab.intern(track_ext)
+        u = user_index.setdefault(user_ext, len(user_index))
+        t = track_index.setdefault(track_ext, len(track_index))
         key = (u << 32) | t
         if key in seen_pairs:
             raise DuplicatePairError(
@@ -74,8 +76,8 @@ def _reference_parse(stream, delimiter="\t"):
         np.array(users, dtype=np.int32),
         np.array(tracks, dtype=np.int32),
         np.array(counts, dtype=np.int64),
-        user_vocab,
-        track_vocab,
+        *(Vocabulary.from_utf8("\n".join(index).encode(), len(index))
+          for index in (user_index, track_index)),
     )
 
 
@@ -182,14 +184,13 @@ def test_parse_rejects_duplicate_pair_with_line_number():
 
 def test_parse_interns_from_bytes_without_an_id_map(monkeypatch):
     def no_map(self, *args):
-        raise AssertionError("id decoded and interned through the id map")
+        raise AssertionError("id decoded and interned one at a time")
 
     # ids across the hash's 8-byte words, repeated within and across chunks
     ids = ["", "u", "é" * 4, "a" * 9, "中" * 6, "a" * 17]
     rows = [f"{u}\t{t}\t{i + 1}\n" for i, (u, t) in enumerate(
         (u, t) for u in ids for t in reversed(ids))]
     monkeypatch.setattr(ingest, "_CHUNK_LINES", 7)
-    monkeypatch.setattr(Vocabulary, "_id_index", no_map)
     monkeypatch.setattr(Vocabulary, "intern", no_map)
     batch = parse_triplets(rows)
     assert batch.user_vocab.ids == ids and batch.track_vocab.ids == ids[::-1]
@@ -361,12 +362,13 @@ def _fuzz_text(draw):
     return text, delimiter
 
 
-# the id hash, and two stand-ins whose collisions send interning to the
-# exact id dict: ids of one length collide, then all ids
+# the id hash, and two stand-ins whose collisions make interning go one id
+# at a time and lookups walk runs of table entries: ids of one length
+# collide, then all ids
 _HASHES = {
     "real": core._hash_spans,
-    "length": lambda buf, starts, lens: lens.astype(np.uint64),
-    "constant": lambda buf, starts, lens: np.zeros(lens.size, np.uint64),
+    "length": lambda words, starts, lens: lens.astype(np.uint64),
+    "constant": lambda words, starts, lens: np.zeros(lens.size, np.uint64),
 }
 
 

@@ -1,6 +1,6 @@
 """Binary format v2: structural validation of crafted files (version 1
-included), ids the format cannot hold, the lazily built id map and
-zero-copy loads."""
+included), ids the format cannot hold, lookups in loaded vocabularies
+and zero-copy loads."""
 
 import struct
 
@@ -84,6 +84,17 @@ INDEX_FAULTS = {
                                  "fwd_tracks outside [0, 3)"),
     "fwd_counts_zero": (lambda s: _put(s, "fwd_counts", "<u4", 1, 0),
                         "fwd_counts outside [1, 4294967296)"),
+    # u4 plays a, b and c once each; a total of 0 only warned of a division
+    # by zero, and a negative one turned every list into pads
+    **{f"total_plays_{total}": (
+        lambda s, total=total: _put(s, "total_plays", "<i8", 3, total),
+        "total_plays differ from the users' summed fwd_counts")
+       for total in (-3, 0, 4)},
+    # a NaN idf for track a turned u1's list into pads without a warning
+    **{f"idf_value_{value}": (
+        lambda s, value=value: _put(s, "idf_values", "<f8", 0, value),
+        "idf values are not all finite and >= 0")
+       for value in (float("nan"), float("inf"), -0.5)},
     "idf_flag_2": (lambda s: s.update(idf_flag=b"\x02"), "idf flag is 2, not 0 or 1"),
     **{f"idf_log_base_{base}": (
         lambda s, base=base: s.update(log_base=struct.pack("<d", base)),
@@ -151,7 +162,8 @@ def test_structural_faults_with_valid_crc_raise_data_error(
 
 @pytest.mark.parametrize("fault", ["inv_users_past_n_users",
                                    "fwd_offsets_end_past_nnz", "idf_flag_2",
-                                   "vocab_not_utf8", "version_1"])
+                                   "vocab_not_utf8", "version_1",
+                                   "total_plays_-3", "idf_value_nan"])
 def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
                                             t1_batch, t1_idf, fault):
     sections = _index_sections(monkeypatch, t1_batch, t1_idf)
@@ -228,7 +240,7 @@ def test_a_loaded_vocabulary_is_saved_as_its_loaded_bytes(tmp_path, t1_batch):
     lambda v: v.intern("z"),
 ])
 def test_repeated_id_raises_at_first_lookup(first_use):
-    vocab = Vocabulary.from_unique(["a", "b", "a"], "f.idx: user vocabulary")
+    vocab = Vocabulary.from_utf8(b"a\nb\na", 3, "f.idx: user vocabulary")
     assert len(vocab) == 3 and vocab.lookup(2) == "a"
     with pytest.raises(DataError, match="f.idx: user vocabulary: id 'a' appears twice"):
         first_use(vocab)
