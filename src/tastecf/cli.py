@@ -16,7 +16,8 @@ import sys
 
 from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
-                   PAD_DUMMY, PAD_STRATEGIES)
+                   DuplicatePairError, MalformedLineError, PAD_DUMMY,
+                   PAD_STRATEGIES)
 from .evaluate import mean_average_precision, split_history, tracks_by_user
 from .idf import compute_idf, valid_log_base
 from .index import build_index, load_index, save_index
@@ -86,12 +87,14 @@ def _undecodable_line(path):
 
 @contextmanager
 def _open_text(path):
-    """Open a text input as UTF-8. A byte that is not valid UTF-8 raises
-    DataError with the file and line it is on, in place of the decoder's
-    offset into its buffer."""
+    """Open a text input as UTF-8. A line error raised while it is open, or
+    a byte that is not valid UTF-8, raises DataError as `FILE:LINE: ...`,
+    the latter in place of the decoder's offset into its buffer."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
+    except (MalformedLineError, DuplicatePairError) as exc:
+        raise DataError(f"{path}:{exc.line_no}: {exc.message}") from None
     except UnicodeDecodeError:
         line_no = _undecodable_line(path)
         if line_no is None:
@@ -123,7 +126,10 @@ def _cmd_ingest(args) -> int:
 def _cmd_build(args) -> int:
     _log_config("build", args, ["input", "out", "log_base"])
     batch = load_dataset(args.input)
-    index = build_index(batch)
+    try:
+        index = build_index(batch)
+    except DuplicatePairError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     idf = compute_idf(index, args.log_base)
     save_index(index, batch.user_vocab, batch.track_vocab, args.out, idf=idf)
     print(f"built index: {index.n_users} users, {index.n_tracks} tracks, "
@@ -132,8 +138,8 @@ def _cmd_build(args) -> int:
 
 
 def _read_user_ids(path) -> list[str]:
-    """The ids of a --users file, one per non-empty line; DataError with
-    the line number for an id listed twice."""
+    """The ids of a --users file, one per non-empty line; an id listed
+    twice is a MalformedLineError."""
     ids = []
     seen = set()
     with _open_text(path) as fh:
@@ -143,7 +149,7 @@ def _read_user_ids(path) -> list[str]:
             if not ext_id:
                 continue
             if ext_id in seen:
-                raise DataError(f"{path}:{line_no}: duplicate user id {ext_id!r}")
+                raise MalformedLineError(line_no, f"duplicate user id {ext_id!r}")
             seen.add(ext_id)
             ids.append(ext_id)
     return ids
@@ -184,8 +190,8 @@ def _read_recommendation_lines(path):
             parts = line.split(" ")
             user, items = parts[0], parts[1:]
             if user in rankings:
-                raise DataError(f"{path}:{line_no}: duplicate recommendation "
-                                f"for user {user!r}")
+                raise MalformedLineError(
+                    line_no, f"duplicate recommendation for user {user!r}")
             rankings[user] = items
     return rankings
 

@@ -27,13 +27,13 @@ class DataError(Exception):
 class MalformedLineError(DataError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        self.line_no, self.message = line_no, message
 
 
 class DuplicatePairError(DataError):
     def __init__(self, line_no, message: str):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
-        self.line_no = line_no
+        self.line_no, self.message = line_no, message
 
 
 class FormatVersionError(DataError):

@@ -174,48 +174,41 @@ def recommend_all(index, idf, users: Iterable[int], config: Config,
             yield from batch
 
 
-def pad_label(pad_number: int, clashes) -> str:
-    """Decimal dummy id, '#'-prefixed as needed to dodge real track ids:
-    `clashes` is the track vocabulary or its pad_clashes set."""
-    label = str(pad_number)
-    while label in clashes:
-        label = "#" + label
-    return label
-
-
-def pad_clashes(track_vocab) -> set:
-    """The track ids that could equal a pad label, which is decimal digits
-    after any '#'s. A superset, such as "01", is harmless: no label equals
-    it, so pad_label gives the same labels with this set as with the whole
-    vocabulary."""
-    return {t for t in track_vocab.ids if t.lstrip("#").isdigit()}
+def pad_labels(track_vocab, count: int) -> list[str]:
+    """The labels of pads 1..count: each is its decimal number, '#'-prefixed
+    until no track id equals it. Each round of prefixing is one
+    track_vocab.indexes_of over the labels that still clash."""
+    labels = [str(p) for p in range(1, count + 1)]
+    clashing = range(count)
+    while clashing:
+        found = track_vocab.indexes_of([labels[i] for i in clashing])
+        clashing = [i for i, idx in zip(clashing, found) if idx is not None]
+        for i in clashing:
+            labels[i] = "#" + labels[i]
+    return labels
 
 
 def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
-                          clashes=None) -> str:
-    """`<user> <item_1> ... <item_k>`; pads are labelled against `clashes`,
-    by default the whole track vocabulary, which costs one table probe per
-    pad label tried (write_recommendations passes the pad_clashes set)."""
+                          labels=None) -> str:
+    """`<user> <item_1> ... <item_k>`, pad p rendered as labels[p - 1];
+    without `labels`, pad_labels is called for this list's pads."""
     tracks = track_vocab.ids
-    if clashes is None:
-        clashes = track_vocab
+    if labels is None:
+        labels = pad_labels(track_vocab, -min(rec.items, default=0))
     parts = [user_vocab.lookup(rec.user)]
-    for item in rec.items:
-        if item >= 0:
-            parts.append(tracks[item])
-        else:
-            parts.append(pad_label(-item, clashes))
+    parts.extend(tracks[i] if i >= 0 else labels[-i - 1] for i in rec.items)
     return " ".join(parts)
 
 
 def write_recommendations(recs: Iterable[Recommendation], path,
                           user_vocab, track_vocab) -> None:
-    """One line per user: `<user> <track_1> ... <track_k>`. The pad_clashes
-    set is made at the first pad, so a run without pads never makes it."""
-    clashes = None
+    """One line per user, each through render_recommendation. A list that
+    needs more pad labels than are held gets pad_labels for all its slots,
+    so a run makes them once, at its first pad, or never without pads."""
+    labels = []
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in recs:
-            if clashes is None and min(rec.items, default=0) < 0:
-                clashes = pad_clashes(track_vocab)
-            fh.write(render_recommendation(rec, user_vocab, track_vocab, clashes))
+            if -min(rec.items, default=0) > len(labels):
+                labels = pad_labels(track_vocab, len(rec.items))
+            fh.write(render_recommendation(rec, user_vocab, track_vocab, labels))
             fh.write("\n")

@@ -4,6 +4,7 @@ import sys
 import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, TripletBatch, Vocabulary,
@@ -306,8 +307,39 @@ def test_ingest_id_with_space_exits_1_with_line(tmp_path, capsys):
     out = tmp_path / "spaced.ds"
     assert main(["ingest", "--input", str(text), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "line 2" in err and "'u 1'" in err
+    assert f"{text}:2: id contains a space: 'u 1'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["split", "stats", "evaluate --hidden"])
+def test_parse_error_in_text_input_exits_1_with_file_and_line(
+        tmp_path, capsys, case):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("u1\ta\t1\nu1\ta\t2\n")
+    recs = tmp_path / "recs.txt"
+    recs.write_text("u1 a\n")
+    argv = {
+        "split": ["split", "--input", str(bad),
+                  "--visible-out", str(tmp_path / "v.txt"),
+                  "--hidden-out", str(tmp_path / "h.txt")],
+        "stats": ["stats", "--input", str(bad)],
+        "evaluate --hidden": ["evaluate", "--recs", str(recs), "--hidden", str(bad)],
+    }[case]
+    assert main(argv) == 1
+    assert (f"error: {case.split()[0]}: {bad}:2: duplicate (user, track) pair: "
+            f"'u1', 'a'\n") in capsys.readouterr().err
+
+
+def test_build_names_the_dataset_holding_a_repeated_pair(tmp_path, capsys):
+    dataset = tmp_path / "repeated.ds"
+    pair = np.zeros(2, np.int32)
+    save_dataset(TripletBatch(pair, pair, np.array([1, 2]), Vocabulary(["u"]),
+                              Vocabulary(["a"])), dataset)
+    assert main(["build", "--input", str(dataset),
+                 "--out", str(tmp_path / "repeated.idx")]) == 1
+    assert (f"error: build: {dataset}: duplicate (user, track) pair in batch\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "repeated.idx").exists()
 
 
 def _write_with_bad_byte(path, line, end):
@@ -395,7 +427,7 @@ def test_ingest_play_count_above_u32_exits_1_with_line(tmp_path, capsys, count):
     text.write_text(f"u1\ta\t1\nu1\tb\t{count}\n")
     out = tmp_path / "big.ds"
     assert main(["ingest", "--input", str(text), "--out", str(out)]) == 1
-    assert "line 2" in capsys.readouterr().err
+    assert f"{text}:2: play_count must be in [1, " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -21,7 +21,7 @@ from tastecf import (
     render_recommendation,
     score_tracks,
 )
-from tastecf.recommend import ScoredTracks, pad_clashes, pad_label
+from tastecf.recommend import ScoredTracks, pad_labels, write_recommendations
 from tastecf.synth import random_batch
 from conftest import SCORE_U1_C, SCORE_U3_A, SCORE_U3_B, as_dict
 
@@ -182,26 +182,64 @@ def test_play_count_redistribution_leaves_scores_unchanged(t1_batch):
         assert _scores(index1, idf1, u) == _scores(index2, idf2, u)
 
 
-def test_pad_label_escapes_collisions(t1_batch):
+def test_pad_labels_escape_collisions(t1_batch):
     vocab = t1_batch.track_vocab
-    assert pad_label(1, vocab) == "1"
+    assert pad_labels(vocab, 3) == ["1", "2", "3"]
     vocab.intern("2")
-    assert pad_label(2, vocab) == "#2"
+    assert pad_labels(vocab, 3) == ["1", "#2", "3"]
     vocab.intern("#3")
-    assert pad_label(3, vocab) == "3"
+    assert pad_labels(vocab, 3) == ["1", "#2", "3"]
+    assert pad_labels(vocab, 0) == []
 
 
-@given(st.lists(st.sampled_from(["1", "2", "#2", "##3", "#1", "01", "+1", "١",
-                                "1.0", "#", "", "a", "3#"]), unique=True),
+def _vocabularies(ids):
+    """The same ids as a fresh, an interned-into and a loaded Vocabulary."""
+    interned = Vocabulary(ids[:len(ids) // 2])
+    for ext_id in ids[len(ids) // 2:]:
+        interned.intern(ext_id)
+    loaded = Vocabulary.from_utf8("\n".join(ids).encode(), len(ids))
+    return Vocabulary(ids), interned, loaded
+
+
+@given(st.lists(st.sampled_from(["1", "2", "#1", "##2", "01", "١", "", "a",
+                                "3#", "#2", "##3", "+1", "1.0", "#"]),
+                unique=True),
        st.integers(0, 6))
-def test_pad_labels_against_the_clash_set_equal_those_against_the_vocabulary(
-        track_ids, pads):
-    user_vocab, track_vocab = Vocabulary(["u"]), Vocabulary(track_ids)
-    items = list(range(len(track_ids))) + [-p for p in range(1, pads + 1)]
-    rec = Recommendation(0, items, [])
-    assert (render_recommendation(rec, user_vocab, track_vocab,
-                                  pad_clashes(track_vocab))
-            == render_recommendation(rec, user_vocab, track_vocab))
+def test_pad_labels_equal_their_definition(track_ids, count):
+    want = []
+    for p in range(1, count + 1):
+        label = str(p)
+        while label in track_ids:
+            label = "#" + label
+        want.append(label)
+    for vocab in _vocabularies(track_ids):
+        assert pad_labels(vocab, count) == want
+    # the three-argument render labels its own pads the same way
+    rec = Recommendation(0, list(range(len(track_ids)))
+                         + [-p for p in range(1, count + 1)], [])
+    assert (render_recommendation(rec, Vocabulary(["u"]), Vocabulary(track_ids))
+            == " ".join(["u", *track_ids, *want]))
+
+
+def test_write_recommendations_resolves_pad_labels_once(tmp_path, monkeypatch):
+    user_vocab = Vocabulary(["u", "v", "w"])
+    track_vocab = Vocabulary(["2", "#2", "x", "y"])
+    calls = []
+    indexes_of = Vocabulary.indexes_of
+
+    def counted(self, ids):
+        calls.append(ids)
+        return indexes_of(self, ids)
+
+    monkeypatch.setattr(Vocabulary, "indexes_of", counted)
+    recs = [Recommendation(0, [2, 3, 0, 1], []),
+            Recommendation(1, [2, -1, -2, -3], []),
+            Recommendation(2, [-1, -2, -3, -4], [])]
+    path = tmp_path / "recs.txt"
+    write_recommendations(recs, path, user_vocab, track_vocab)
+    assert path.read_text() == "u x y 2 #2\nv x 1 ##2 3\nw 1 ##2 3 4\n"
+    # one pad_labels call for all 4 slots: "2" clashes, then "#2"
+    assert calls == [["1", "2", "3", "4"], ["#2"], ["##2"]]
 
 
 def test_render_recommendation_line(t1_batch, t1_index, t1_idf):
