@@ -28,7 +28,8 @@ from .evaluate import (
 )
 from .idf import IdfTable, compute_idf
 from .index import InteractionIndex, LoadedIndex, build_index, load_index, save_index
-from .ingest import TripletBatch, load_dataset, parse_triplets, save_dataset, write_triplets
+from .ingest import (TripletBatch, load_dataset, parse_triplets, read_triplets,
+                     save_dataset, write_triplets)
 from .recommend import (
     Recommendation,
     ScoredTracks,
@@ -79,6 +80,7 @@ __all__ = [
     "precision_at_k",
     "prune",
     "rank_and_pad",
+    "read_triplets",
     "recommend_all",
     "recommend_one",
     "render_recommendation",

@@ -21,7 +21,7 @@ from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
 from .evaluate import mean_average_precision, split_history, tracks_by_user
 from .idf import compute_idf, valid_log_base
 from .index import build_index, load_index, save_index
-from .ingest import load_dataset, parse_triplets, save_dataset, write_triplets
+from .ingest import load_dataset, read_triplets, save_dataset, write_triplets
 from .recommend import recommend_all, write_recommendations
 
 _MODE_NAMES = {"challenge": AP_CHALLENGE, "paper": AP_LIST_LENGTH}
@@ -86,20 +86,35 @@ def _undecodable_line(path):
 
 
 @contextmanager
-def _open_text(path):
-    """Open a text input as UTF-8. A line error raised while it is open, or
-    a byte that is not valid UTF-8, raises DataError as `FILE:LINE: ...`,
-    the latter in place of the decoder's offset into its buffer."""
+def _located(path):
+    """Raise a line error raised inside as DataError `FILE:LINE: ...`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+        yield
     except (MalformedLineError, DuplicatePairError) as exc:
         raise DataError(f"{path}:{exc.line_no}: {exc.message}") from None
-    except UnicodeDecodeError:
-        line_no = _undecodable_line(path)
-        if line_no is None:
-            raise
-        raise DataError(f"{path}:{line_no}: not valid UTF-8") from None
+
+
+@contextmanager
+def _open_text(path):
+    """Open a text input as UTF-8, for inputs read line by line. A line
+    error raised while it is open, or a byte that is not valid UTF-8,
+    raises DataError as `FILE:LINE: ...`, the latter in place of the
+    decoder's offset into its buffer."""
+    with _located(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield fh
+        except UnicodeDecodeError:
+            line_no = _undecodable_line(path)
+            if line_no is None:
+                raise
+            raise MalformedLineError(line_no, "not valid UTF-8") from None
+
+
+def _read_triplets(path, delimiter: str):
+    """read_triplets, with a line error raised as `FILE:LINE: ...`."""
+    with _located(path):
+        return read_triplets(path, delimiter)
 
 
 def _log_config(command: str, args, keys) -> None:
@@ -114,8 +129,7 @@ def _log_config(command: str, args, keys) -> None:
 
 def _cmd_ingest(args) -> int:
     _log_config("ingest", args, ["input", "out", "delimiter"])
-    with _open_text(args.input) as fh:
-        batch = parse_triplets(fh, args.delimiter)
+    batch = _read_triplets(args.input, args.delimiter)
     save_dataset(batch, args.out)
     print(f"ingested {len(batch)} triplets "
           f"({len(batch.user_vocab)} users, {len(batch.track_vocab)} tracks) "
@@ -200,8 +214,7 @@ def _cmd_evaluate(args) -> int:
     _log_config("evaluate", args,
                 ["recs", "hidden", "k", "mode", "per_user", "delimiter"])
     rankings = _read_recommendation_lines(args.recs)
-    with _open_text(args.hidden) as fh:
-        hidden = parse_triplets(fh, args.delimiter)
+    hidden = _read_triplets(args.hidden, args.delimiter)
     hidden_by_user = tracks_by_user(hidden, hidden.user_vocab.ids,
                                     hidden.track_vocab.ids)
 
@@ -220,8 +233,7 @@ def _cmd_split(args) -> int:
     _log_config("split", args,
                 ["input", "visible_out", "hidden_out", "fraction", "seed",
                  "delimiter"])
-    with _open_text(args.input) as fh:
-        batch = parse_triplets(fh, args.delimiter)
+    batch = _read_triplets(args.input, args.delimiter)
     split = split_history(batch, args.fraction, args.seed)
     write_triplets(split.visible, args.visible_out, args.delimiter)
     write_triplets(split.hidden, args.hidden_out, args.delimiter)
@@ -237,8 +249,7 @@ def _cmd_stats(args) -> int:
     if magic == ingest._MAGIC:
         batch = load_dataset(args.input)
     else:
-        with _open_text(args.input) as fh:
-            batch = parse_triplets(fh, args.delimiter)
+        batch = _read_triplets(args.input, args.delimiter)
     print(f"n_users={len(batch.user_vocab)}")
     print(f"n_tracks={len(batch.track_vocab)}")
     print(f"triplets={len(batch)}")

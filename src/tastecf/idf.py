@@ -71,10 +71,12 @@ def compute_idf(index, log_base: float = math.e) -> IdfTable:
         raise EmptyIndexError("cannot compute idf over zero users")
     n = int(index.n_users)
     # scalar math.log, not np.log: keeps values bit-identical to any
-    # straight per-entry reimplementation of the formula
+    # straight per-entry reimplementation of the formula; it runs once per
+    # distinct df, since each track with that df gets the same scalar
+    dfs, inverse = np.unique(index.df, return_inverse=True)
     ln_values = np.array(
-        [0.0 if d == 0 else math.log(n / d) for d in index.df.tolist()],
+        [0.0 if d == 0 else math.log(n / d) for d in dfs.tolist()],
         dtype=np.float64,
-    )
+    )[inverse]
     ln_values.flags.writeable = False
     return IdfTable(ln_values, n, float(log_base))

@@ -5,15 +5,21 @@ with a base-10 play count >= 1. A (user, track) pair appearing twice is a
 hard error: upstream data is defined to be unique per pair, so a repeat
 means corruption, not something to sum away.
 
-Parsing checks and splits the text as UTF-8 bytes in numpy and interns the
-ids from those bytes (Vocabulary.intern_utf8), so a parsed vocabulary holds
-its ids as UTF-8 bytes, as a loaded one does, and save_dataset writes them
-as they are. Interning goes through the vocabulary's one hash table of 8
-bytes per id; no id dictionary or per-id str is made.
+Parsing works on UTF-8 bytes. read_triplets reads a file in binary blocks
+of about 1 MiB cut after their last line end, reads "\r\n" and a lone "\r"
+as "\n" as text mode does, and checks each block with one decode;
+parse_triplets encodes the items of a line iterable a chunk at a time. One
+numpy core (_columns) then checks and splits each block, and the ids are
+interned from its bytes (Vocabulary.intern_utf8). So a parsed vocabulary
+holds its ids as UTF-8 bytes, as a loaded one does, and save_dataset writes
+them as they are. Interning goes through the vocabulary's hash table of 8
+bytes per id; no id dictionary or per-id str is made. Only a block the core
+refuses is walked line by line, by _check_line, the definition of a bad
+line.
 """
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 import struct
 
 import numpy as np
@@ -55,9 +61,14 @@ class TripletBatch:
 
 _POWERS_OF_TEN = 10 ** np.arange(10, dtype=np.int64)
 
-# lines parsed per chunk: enough that the per-chunk calls cost little, few
-# enough that a chunk's strings stay a few MiB
+# bytes read from a file per block: enough that the per-block calls cost
+# little, few enough that a block's arrays stay a few MiB
+_BLOCK_BYTES = 1 << 20
+# lines of a stream encoded per block
 _CHUNK_LINES = 1 << 16
+# what _columns gives for a block of empty lines
+_NO_ROWS = (np.empty(0, np.uint8), (np.empty(0, np.intp),) * 2,
+            (np.empty(0, np.intp),) * 2, np.empty(0, np.int64), None)
 
 
 def _check_line(line: str, line_no: int, delimiter: str) -> None:
@@ -95,40 +106,49 @@ def _check_line(line: str, line_no: int, delimiter: str) -> None:
             line_no, f"play_count must be in [1, {MAX_PLAY_COUNT}]")
 
 
-def _columns(rows: list[str], delimiter: str):
-    """The UTF-8 bytes of non-empty rows, the start and length in them of
-    each row's user, track and count field as (rows, 3) arrays, and the
-    play counts; or None exactly when some row fails _check_line. Each
-    check covers all rows at once."""
-    m = len(rows)
-    if not m:
-        return (np.empty(0, np.uint8), np.empty((0, 3), np.int64),
-                np.empty((0, 3), np.int64), np.empty(0, np.int64))
-    # str.count scans for the delimiter as str.split does. Rows joined by
-    # "\n" split back into 3 fields each unless a field holds a "\n".
-    if (not delimiter or "\n" in delimiter
-            or list(map(str.count, rows, repeat(delimiter))).count(2) != m):
+def _columns(data: bytes, delimiter: bytes):
+    """Check and split lines of UTF-8 text, each ended by "\n": the bytes
+    as a uint8 array, the (starts, lengths) in it of each non-empty line's
+    user and track id, the play counts, and the position of each non-empty
+    line among all lines (None when none is empty); or None exactly when
+    some non-empty line fails _check_line. Each check covers all lines at
+    once."""
+    if data.count(b"\n") == len(data):    # every line is empty
+        return _NO_ROWS
+    if not delimiter or b"\n" in delimiter:
         return None
-    try:
-        data = "\n".join(rows).replace(delimiter, "\n").encode("utf-8")
-    except UnicodeEncodeError:
+    mark = delimiter[0]
+    if len(delimiter) > 1:
+        # bytes.replace matches as str.split does, and no UTF-8 text holds
+        # the byte 0xff
+        data = data.replace(delimiter, b"\xff")
+        mark = 0xFF
+    # in UTF-8 the bytes of "\n" and " " stand for those characters alone;
+    # a space is refused in an id, and in a count by the digit check
+    if mark != ord(" ") and b" " in data:
         return None
     buf = np.frombuffer(data, np.uint8)
-    # in UTF-8 the bytes of "\n" and " " stand for those characters alone
-    newlines = np.flatnonzero(buf == ord("\n"))
-    if newlines.size != 3 * m - 1:
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    kept = None
+    if (starts == ends).any():
+        kept = np.flatnonzero(starts != ends)
+        starts, ends = starts[kept], ends[kept]
+    # each line holds exactly two delimiters: the (2j)th and (2j + 1)th of
+    # the block lie in line j, and there are no others
+    marks = np.flatnonzero(buf == mark)
+    if marks.size != 2 * ends.size:
         return None
-    starts = np.concatenate(([0], newlines + 1))
-    lens = np.append(newlines, buf.size) - starts
-    # the number of "\n"s before a byte is its field's number; a space is
-    # refused in an id, and in a count by the digit check
-    spaces = np.flatnonzero(buf == ord(" "))
-    if spaces.size and (np.searchsorted(newlines, spaces) % 3 != 2).any():
+    first, second = marks[0::2], marks[1::2]
+    if (first < starts).any() or (second > ends).any():
         return None
-    counts = _play_counts(buf, starts[2::3], lens[2::3])
+    counts = _play_counts(buf, second + 1, ends - second - 1)
     if counts is None:
         return None
-    return buf, starts.reshape(m, 3), lens.reshape(m, 3), counts
+    return (buf, (starts, first - starts), (first + 1, second - first - 1),
+            counts, kept)
 
 
 def _play_counts(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
@@ -154,15 +174,16 @@ def _play_counts(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
     return counts
 
 
-def _first_bad_line(rows: list[str], line_nos, delimiter: str):
-    """(position, error) of the first row that fails _check_line, or
-    (len(rows), None)."""
-    for position, (row, line_no) in enumerate(zip(rows, line_nos)):
-        try:
-            _check_line(row, line_no, delimiter)
-        except MalformedLineError as exc:
-            return position, exc
-    return len(rows), None
+def _first_bad_line(lines: list[str], first_line: int, delimiter: str):
+    """(position, error) of the first non-empty line that fails
+    _check_line, line number first_line + position; or (len(lines), None)."""
+    for position, line in enumerate(lines):
+        if line:
+            try:
+                _check_line(line, first_line + position, delimiter)
+            except MalformedLineError as exc:
+                return position, exc
+    return len(lines), None
 
 
 def _pair_keys(batch: TripletBatch) -> np.ndarray:
@@ -186,10 +207,119 @@ def _check_unique_pairs(batch: TripletBatch, line_nos) -> None:
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     row = int(repeats.min())
     raise DuplicatePairError(
-        next(islice(line_nos, row, None)),
+        int(next(islice(line_nos, row, None))),
         f"duplicate (user, track) pair: "
         f"{batch.user_vocab.lookup(int(batch.users[row]))!r}, "
         f"{batch.track_vocab.lookup(int(batch.tracks[row]))!r}")
+
+
+def _parse(blocks, delimiter: str) -> TripletBatch:
+    """The batch of a text given as blocks of lines; see parse_triplets.
+
+    Each block is (data, first_line, lines, error): its lines as UTF-8,
+    each ended by "\n", or None if they cannot be given so; the number of
+    its first line; the lines as str, or None to decode them from data; and
+    the error at the line after the block, or None. _columns checks and
+    splits the block; only a block it refuses is walked line by line by
+    _check_line, to find its first bad line."""
+    # a delimiter holding a lone surrogate can only split lines that are
+    # str from the Python API; surrogatepass keeps it from raising here
+    delimiter_bytes = delimiter.encode("utf-8", "surrogatepass")
+    user_vocab = Vocabulary()
+    track_vocab = Vocabulary()
+    users = [np.empty(0, np.int32)]
+    tracks = [np.empty(0, np.int32)]
+    counts = [np.empty(0, np.int64)]
+    line_nos = []    # per block, the line number of each row kept
+    error = None
+    for data, first_line, lines, error in blocks:
+        columns = None if data is None else _columns(data, delimiter_bytes)
+        if columns is None:
+            if lines is None:
+                lines = str(data, "utf-8").split("\n")[:-1]
+            # lines before the first bad one still count for duplicates
+            stop, bad = _first_bad_line(lines, first_line, delimiter)
+            error = error if bad is None else bad
+            # those lines passed _check_line, so only a delimiter can hold
+            # a lone surrogate
+            head = "".join(map("{}\n".format, lines[:stop]))
+            columns = _columns(head.encode("utf-8", "surrogatepass"), delimiter_bytes)
+            if columns is None:
+                raise RuntimeError("block checks reject a line _check_line accepts")
+        buf, user_spans, track_spans, block_counts, kept = columns
+        users.append(user_vocab.intern_utf8(buf, *user_spans))
+        tracks.append(track_vocab.intern_utf8(buf, *track_spans))
+        counts.append(block_counts)
+        line_nos.append(range(first_line, first_line + block_counts.size)
+                        if kept is None else kept + first_line)
+        if error is not None:
+            break
+
+    # each column's blocks go as soon as they are joined
+    users = np.concatenate(users)
+    tracks = np.concatenate(tracks)
+    counts = np.concatenate(counts)
+    batch = TripletBatch(users, tracks, counts, user_vocab, track_vocab)
+    _check_unique_pairs(batch, chain.from_iterable(line_nos))
+    if error is not None:
+        raise error
+    return batch
+
+
+def _stream_blocks(stream):
+    """_parse's blocks of _CHUNK_LINES items of a line iterable, each item
+    stripped of the "\r" and "\n" that end it."""
+    items = iter(stream)
+    first_line = 1
+    while chunk := list(islice(items, _CHUNK_LINES)):
+        lines = list(map(str.rstrip, chunk, repeat("\r\n")))
+        text = "\n".join(lines) + "\n"
+        data = None
+        # a lone surrogate has no UTF-8 form, and an item holding "\n"
+        # inside would shift the line numbers
+        if text.count("\n") == len(lines):
+            try:
+                data = text.encode("utf-8")
+            except UnicodeEncodeError:
+                pass
+        yield data, first_line, lines, None
+        first_line += len(lines)
+
+
+def _file_blocks(fh):
+    """_parse's blocks of a binary file: its whole lines, about
+    _BLOCK_BYTES at a time, with "\r\n" and a lone "\r" read as "\n" as
+    text mode reads them and a last line without an end ended. A block
+    that is not UTF-8 stops before the line of its first bad byte, and
+    carries a MalformedLineError at that line."""
+    pending = bytearray()
+    first_line = 1
+    at_end = False
+    while not at_end:
+        read = fh.read(_BLOCK_BYTES)
+        at_end = not read
+        pending += read
+        # after the last line end; a "\r" last may be half of a "\r\n"
+        cut = len(pending) if at_end else 1 + max(
+            pending.rfind(b"\n"), pending.rfind(b"\r", 0, len(pending) - 1))
+        if not cut:
+            continue
+        data = bytes(pending[:cut])
+        del pending[:cut]
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_start = data.rfind(b"\n", 0, exc.start) + 1
+            bad_line = first_line + data.count(b"\n", 0, line_start)
+            yield (data[:line_start], first_line, None,
+                   MalformedLineError(bad_line, "not valid UTF-8"))
+            return
+        yield data, first_line, None, None
+        first_line += data.count(b"\n")
 
 
 def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
@@ -202,52 +332,24 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
     DuplicatePairError when a (user, track) pair repeats. Both carry the
     1-based line number, and the first bad line decides which is raised.
 
-    The stream is read _CHUNK_LINES lines at a time. Each chunk is encoded
-    to UTF-8 once, checked and split in numpy, and its ids interned from
-    those bytes; only a chunk that fails is checked line by line, to find
-    its first bad line.
+    Each item of the stream is one line; the "\r" and "\n" that end it are
+    stripped. The items are encoded to UTF-8 _CHUNK_LINES at a time and
+    parsed as read_triplets parses a file's blocks.
     """
-    user_vocab = Vocabulary()
-    track_vocab = Vocabulary()
-    users = [np.empty(0, np.int32)]
-    tracks = [np.empty(0, np.int32)]
-    counts = [np.empty(0, np.int64)]
-    line_nos = []    # per chunk, the line number of each row kept
-    lines = iter(stream)
-    next_line_no = 1
-    error = None
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        rows = list(map(str.rstrip, chunk, repeat("\r\n")))
-        numbers = range(next_line_no, next_line_no + len(rows))
-        next_line_no += len(rows)
-        kept = list(filter(None, rows))
-        if len(kept) != len(rows):
-            numbers = list(compress(numbers, rows))
-        columns = _columns(kept, delimiter)
-        if columns is None:
-            # rows before the first bad one still count for duplicates
-            stop, error = _first_bad_line(kept, numbers, delimiter)
-            numbers = numbers[:stop]
-            columns = _columns(kept[:stop], delimiter)
-            if columns is None:
-                raise RuntimeError("chunk checks reject a line _check_line accepts")
-        buf, starts, lens, chunk_counts = columns
-        users.append(user_vocab.intern_utf8(buf, starts[:, 0], lens[:, 0]))
-        tracks.append(track_vocab.intern_utf8(buf, starts[:, 1], lens[:, 1]))
-        counts.append(chunk_counts)
-        line_nos.append(numbers)
-        if error is not None:
-            break
+    return _parse(_stream_blocks(stream), delimiter)
 
-    # each column's chunks go as soon as they are joined
-    users = np.concatenate(users)
-    tracks = np.concatenate(tracks)
-    counts = np.concatenate(counts)
-    batch = TripletBatch(users, tracks, counts, user_vocab, track_vocab)
-    _check_unique_pairs(batch, chain.from_iterable(line_nos))
-    if error is not None:
-        raise error
-    return batch
+
+def read_triplets(path, delimiter: str = "\t") -> TripletBatch:
+    """parse_triplets over the lines of the UTF-8 text file at `path`, as
+    text mode splits them ("\n", "\r\n" or a lone "\r").
+
+    The file is read as bytes, _BLOCK_BYTES at a time, and each block is
+    checked to be UTF-8 by one decode, then checked, split and interned in
+    numpy. A byte that is not UTF-8 raises MalformedLineError "not valid
+    UTF-8" at its line, unless an earlier line is bad.
+    """
+    with open(path, "rb") as fh:
+        return _parse(_file_blocks(fh), delimiter)
 
 
 def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:

@@ -24,6 +24,7 @@ for any idf log base. Only tracks scoring at least the k-th best score
 from dataclasses import dataclass
 import math
 import multiprocessing
+import os
 import sys
 from typing import Iterable, Iterator, Optional
 
@@ -204,11 +205,22 @@ def write_recommendations(recs: Iterable[Recommendation], path,
                           user_vocab, track_vocab) -> None:
     """One line per user, each through render_recommendation. A list that
     needs more pad labels than are held gets pad_labels for all its slots,
-    so a run makes them once, at its first pad, or never without pads."""
+    so a run makes them once, at its first pad, or never without pads.
+
+    The lines go to a new file beside `path`, which replaces `path` only
+    once all are written: an error leaves neither a partial file nor the
+    temporary one."""
     labels = []
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in recs:
-            if -min(rec.items, default=0) > len(labels):
-                labels = pad_labels(track_vocab, len(rec.items))
-            fh.write(render_recommendation(rec, user_vocab, track_vocab, labels))
-            fh.write("\n")
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(temporary, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for rec in recs:
+                if -min(rec.items, default=0) > len(labels):
+                    labels = pad_labels(track_vocab, len(rec.items))
+                fh.write(render_recommendation(rec, user_vocab, track_vocab, labels))
+                fh.write("\n")
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise

@@ -93,6 +93,20 @@ def test_intern_utf8_is_exact_when_hashes_collide(monkeypatch, hash_of):
     assert vocab.ids == ["a", "bb", "cc", "d", "ccc"]
 
 
+def test_intern_utf8_merges_the_recent_table_as_it_grows():
+    # calls that each add a few ids, to a fresh and to a loaded vocabulary
+    for vocab in (Vocabulary(["k7"]), _loaded([f"k{i}" for i in range(500)])):
+        held = len(vocab)
+        for call in range(200):
+            ids = [f"c{call}.{i}" for i in range(5)] + ["k7", f"c{call // 2}.1"]
+            vocab.intern_utf8(*_spans(ids))
+            held += 5
+            assert len(vocab) == held
+            assert vocab._recent.size * core._RECENT_SHARE <= vocab._table.size
+            assert vocab._recent.size + vocab._table.size == held
+        assert vocab.indexes_of(vocab.ids) == list(range(held))
+
+
 # ids across the 8-byte words the hash reads, the empty id, a tab, and
 # multi-byte UTF-8 that shifts byte lengths away from character counts
 _EDGE_IDS = ["", "\t", "a" * 7, "a" * 8, "a" * 9, "a" * 16, "a" * 17,

@@ -90,3 +90,26 @@ def test_track_without_listeners_gets_inert_zero():
                          Vocabulary(["a", "ghost"]))
     table = compute_idf(build_index(batch))
     assert table.values[1] == 0.0
+
+
+def test_idf_equals_the_per_entry_formula():
+    # 40 users, df values that repeat, and tracks no one plays at both ends
+    # of the vocabulary and between played ones
+    rng = np.random.default_rng(5)
+    n_users, n_tracks = 40, 60
+    played = rng.random((n_users, n_tracks)) < rng.random(n_tracks) ** 3
+    played[:, [0, 17, 59]] = False
+    played[:, 30] = True
+    users, tracks = np.nonzero(played)
+    batch = TripletBatch(users.astype(np.int32), tracks.astype(np.int32),
+                         np.ones(users.size, np.int64),
+                         Vocabulary([f"u{i}" for i in range(n_users)]),
+                         Vocabulary([f"t{i}" for i in range(n_tracks)]))
+    index = build_index(batch)
+    assert 0 in index.df.tolist() and n_users in index.df.tolist()
+    expected = np.array([0.0 if d == 0 else math.log(n_users / d)
+                         for d in index.df.tolist()])
+    table = compute_idf(index)
+    assert table.ln_values.dtype == np.float64
+    assert table.ln_values.tobytes() == expected.tobytes()
+    assert not table.ln_values.flags.writeable

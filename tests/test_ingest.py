@@ -14,10 +14,11 @@ from tastecf import (
     Vocabulary,
     load_dataset,
     parse_triplets,
+    read_triplets,
     save_dataset,
     write_triplets,
 )
-from tastecf import core, ingest
+from tastecf import cli, core, ingest
 from tastecf.core import MAX_PLAY_COUNT
 from conftest import T1_TEXT
 
@@ -182,21 +183,24 @@ def test_parse_rejects_duplicate_pair_with_line_number():
     assert err.value.line_no == 2
 
 
-def test_parse_interns_from_bytes_without_an_id_map(monkeypatch):
+def test_parse_interns_from_bytes_without_an_id_map(monkeypatch, tmp_path):
     def no_map(self, *args):
         raise AssertionError("id decoded and interned one at a time")
 
-    # ids across the hash's 8-byte words, repeated within and across chunks
+    # ids across the hash's 8-byte words, repeated within and across blocks
     ids = ["", "u", "é" * 4, "a" * 9, "中" * 6, "a" * 17]
     rows = [f"{u}\t{t}\t{i + 1}\n" for i, (u, t) in enumerate(
         (u, t) for u in ids for t in reversed(ids))]
     monkeypatch.setattr(ingest, "_CHUNK_LINES", 7)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 37)
     monkeypatch.setattr(Vocabulary, "intern", no_map)
-    batch = parse_triplets(rows)
-    assert batch.user_vocab.ids == ids and batch.track_vocab.ids == ids[::-1]
-    assert batch.users.tolist() == [i // 6 for i in range(36)]
-    assert batch.tracks.tolist() == [i % 6 for i in range(36)]
-    assert bytes(batch.user_vocab.utf8()) == "\n".join(ids).encode()
+    path = tmp_path / "ids.txt"
+    path.write_text("".join(rows), encoding="utf-8")
+    for batch in (parse_triplets(rows), read_triplets(path)):
+        assert batch.user_vocab.ids == ids and batch.track_vocab.ids == ids[::-1]
+        assert batch.users.tolist() == [i // 6 for i in range(36)]
+        assert batch.tracks.tolist() == [i % 6 for i in range(36)]
+        assert bytes(batch.user_vocab.utf8()) == "\n".join(ids).encode()
 
 
 def test_parse_alternate_delimiter():
@@ -302,10 +306,10 @@ def test_round_trip_identity_property(tmp_path_factory, rows):
     assert load_dataset(path) == batch
 
 
-def _outcome(parse, text, delimiter):
+def _outcome(parse, *args):
     """The batch with its dtypes, or the error's type, text and line."""
     try:
-        batch = parse(io.StringIO(text), delimiter)
+        batch = parse(*args)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line_no", None)
     return batch, [a.dtype for a in (batch.users, batch.tracks, batch.counts)]
@@ -350,11 +354,11 @@ def _fuzz_line(draw, ids, delimiter):
 
 
 @st.composite
-def _fuzz_text(draw):
+def _fuzz_text(draw, line_ends=("\n", "\r\n")):
     ids = draw(st.lists(_fuzz_id, min_size=1, max_size=4))
     delimiter = draw(st.sampled_from(["\t", ",", ", "]))
     lines = draw(st.lists(_fuzz_line(ids, delimiter), max_size=16))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+    ends = draw(st.lists(st.sampled_from(line_ends),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(map(str.__add__, lines, ends))
     if draw(st.booleans()):
@@ -377,8 +381,93 @@ _HASHES = {
        st.sampled_from(sorted(_HASHES)))
 def test_chunked_parse_equals_line_by_line_reference(case, chunk_lines, hash_name):
     text, delimiter = case
-    expected = _outcome(_reference_parse, text, delimiter)
+    expected = _outcome(_reference_parse, io.StringIO(text), delimiter)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
         patch.setattr(core, "_hash_spans", _HASHES[hash_name])
-        assert _outcome(parse_triplets, text, delimiter) == expected
+        assert _outcome(parse_triplets, io.StringIO(text), delimiter) == expected
+
+
+def _file_lines(path):
+    """The lines of a text file as text mode splits them; MalformedLineError
+    at the first line that is not valid UTF-8, once the lines before it are
+    taken."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for line_no, line in enumerate(lines, 1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLineError(line_no, "not valid UTF-8") from None
+        yield line
+
+
+# a lone surrogate is written as the 3 bytes surrogatepass gives it, which
+# are not UTF-8; "\r" in ids and as line ends splits lines in a file
+@settings(max_examples=400)
+@given(_fuzz_text(line_ends=("\n", "\r\n", "\r")),
+       st.sampled_from([1, 2, 3, 7, ingest._BLOCK_BYTES]),
+       st.sampled_from(sorted(_HASHES)))
+def test_file_parse_equals_line_by_line_reference(tmp_path_factory, case,
+                                                  block_bytes, hash_name):
+    text, delimiter = case
+    path = tmp_path_factory.mktemp("fuzz") / "plays.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    expected = _outcome(_reference_parse, _file_lines(path), delimiter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        patch.setattr(core, "_hash_spans", _HASHES[hash_name])
+        assert _outcome(read_triplets, path, delimiter) == expected
+
+
+@pytest.mark.parametrize("data, delimiter, block_bytes", [
+    # no final newline, after any kind of line end
+    (b"u1\ta\t1\nu2\tb\t2", "\t", 4),
+    (b"u1\ta\t1\r\nu2\tb\t2", "\t", 1 << 20),
+    # a lone "\r" last in the first block, and a "\r\n" split by the edge
+    (b"u1\ta\t1\ru2\tb\t2\r\n", "\t", 7),
+    (b"u1\ta\t1\r\nu2\tb\t2\r\n", "\t", 7),
+    # a 2-byte character split by the edge
+    ("u1\té\t1\nu2\té\t2\n".encode(), "\t", 5),
+    # a delimiter of two bytes, split by the edge, beside a comma in an id
+    (b"u,1, a, 1\n\nu2, b,, 2\n", ", ", 4),
+], ids=["no-end", "no-end-crlf", "lone-cr-at-edge", "crlf-at-edge",
+        "character-at-edge", "two-byte-delimiter"])
+def test_read_triplets_equals_text_mode_parse(tmp_path, monkeypatch, data,
+                                              delimiter, block_bytes):
+    path = tmp_path / "plays.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    with open(path, encoding="utf-8") as fh:
+        expected = parse_triplets(fh, delimiter)
+    assert len(expected) == 2
+    assert read_triplets(path, delimiter) == expected
+    # the same text with line 2 bad: the line numbers agree too
+    path.write_bytes(data.replace(b"2", b"x"))
+    with pytest.raises(MalformedLineError) as err:
+        read_triplets(path, delimiter)
+    assert err.value.line_no == (3 if b"\n\n" in data else 2)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_triplets_names_the_line_of_a_byte_not_utf8(tmp_path, monkeypatch, end):
+    path = tmp_path / "bad.txt"
+    rows = [f"u{i}\tt{i}\t1".encode() for i in range(1, 2001)]
+    rows[1899] = rows[1899][:1] + b"\xff" + rows[1899][1:]
+    path.write_bytes(end.encode().join(rows) + end.encode())
+    # many blocks before the one that holds the byte
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1024)
+    assert path.read_bytes().index(b"\xff") > 8 * 1024
+    with pytest.raises(MalformedLineError, match="not valid UTF-8") as err:
+        read_triplets(path)
+    assert err.value.line_no == cli._undecodable_line(path) == 1900
+
+
+@pytest.mark.parametrize("line_2, error", [
+    (b"u2\tb\tx", MalformedLineError), (b"u1\ta\t2", DuplicatePairError)])
+def test_a_bad_line_before_a_byte_not_utf8_decides(tmp_path, line_2, error):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"u1\ta\t1\n" + line_2 + b"\nu3\tc\t1\nu\xff\td\t1\n")
+    with pytest.raises(error) as err:
+        read_triplets(path)
+    assert err.value.line_no == 2

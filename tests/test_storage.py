@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from tastecf import (DataError, FormatVersionError, TripletBatch, Vocabulary,
-                     build_index, load_dataset, load_index, save_dataset,
-                     save_index)
+                     build_index, compute_idf, load_dataset, load_index,
+                     save_dataset, save_index)
 from tastecf import index as index_module, ingest, storage
 from tastecf.cli import main
 
@@ -260,6 +260,64 @@ def test_crafted_file_with_duplicated_id_raises(tmp_path, monkeypatch, capsys,
                  "--out", str(tmp_path / "recs.txt")])
     assert code == 1
     assert f"{path}: user vocabulary: id 'u1' appears twice" in capsys.readouterr().err
+
+
+def test_recommend_leaves_no_file_when_writing_fails(tmp_path, monkeypatch, capsys,
+                                                    t1_batch, t1_idf):
+    # the first pad label looks 'a' up in the track vocabulary, which holds
+    # it twice
+    sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+    _vocab_text(sections, "track", b"a\nb\na")
+    path = tmp_path / "rep.idx"
+    _write(path, sections)
+    users = tmp_path / "users.txt"
+    users.write_text("u1\n")
+    recs = tmp_path / "recs.txt"
+    for before in (None, "kept\n"):
+        if before is not None:
+            recs.write_text(before)
+        code = main(["recommend", "--input", str(path), "--users", str(users),
+                     "--out", str(recs)])
+        assert code == 1
+        assert (f"error: recommend: {path}: track vocabulary: id 'a' appears twice\n"
+                in capsys.readouterr().err)
+        assert (recs.read_text() if recs.exists() else None) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["rep.idx", "users.txt"] + (["recs.txt"] if before else []))
+
+
+def _empty_rows_sections(monkeypatch):
+    """An index whose users u2 and u4 play nothing: an empty row between
+    two others, and one at the end."""
+    batch = TripletBatch(np.array([0, 2, 2], np.int32), np.array([0, 0, 1], np.int32),
+                         np.array([2, 5, 7], np.int64),
+                         Vocabulary(["u1", "u2", "u3", "u4"]), Vocabulary(["a", "b"]))
+    index = build_index(batch)
+    return _sections(
+        monkeypatch,
+        lambda path: save_index(index, batch.user_vocab, batch.track_vocab, path,
+                                idf=compute_idf(index)),
+        INDEX_SECTIONS)
+
+
+@pytest.mark.parametrize("user, total", [
+    (None, None),
+    # per row, np.add.reduceat gives an empty row the next row's first count
+    (1, 5), (1, 12), (3, 7), (0, 0), (2, 7),
+])
+def test_total_plays_are_checked_over_empty_rows(tmp_path, monkeypatch, user, total):
+    sections = _empty_rows_sections(monkeypatch)
+    if user is not None:
+        _put(sections, "total_plays", "<i8", user, total)
+    path = tmp_path / "empty_rows.idx"
+    _write(path, sections)
+    if user is None:
+        assert load_index(path).index.total_plays.tolist() == [2, 0, 12, 0]
+    else:
+        with pytest.raises(DataError) as caught:
+            load_index(path)
+        assert str(caught.value) == (
+            f"{path}: total_plays differ from the users' summed fwd_counts")
 
 
 def _file_bytes(arr):
