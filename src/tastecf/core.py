@@ -68,11 +68,6 @@ _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 # mixed with int64 into float64
 _HIGH = np.uint64(2**64 - 1 - MAX_INDEX)
 _LOW = np.uint64(MAX_INDEX)
-# the recent table is merged into the table once it holds more than
-# 1/_RECENT_SHARE as many entries: the table is then copied each time it
-# grows by that share, not on every intern_utf8 call that adds ids, and a
-# call copies only the recent table
-_RECENT_SHARE = 16
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -135,12 +130,6 @@ def _encoded(ext_ids, errors: str = "strict"):
     return np.frombuffer(b"".join(encoded), np.uint8), np.cumsum(lens) - lens, lens
 
 
-def _merged(table: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """The sorted table with the entries added, kept sorted."""
-    entries = np.sort(entries)
-    return np.insert(table, np.searchsorted(table, entries), entries)
-
-
 def _with_room(arr: np.ndarray, used: int, needed: int) -> np.ndarray:
     """arr, or its first `used` entries copied into a zeroed array at least
     twice as large, so that `needed` entries fit."""
@@ -161,29 +150,28 @@ class Vocabulary:
     A vocabulary holds its ids joined by "\\n" in UTF-8, as the file formats
     store them: the file bytes themselves once loaded (from_utf8), or a
     store that doubles when full as ids are interned. Beside them it keeps
-    where each id starts (derived from the bytes on first use) and a
-    sorted hash table of 8 bytes per id, built on the first lookup, split in
-    two: the table and a small recent table of the ids interned since the
-    last merge. No id -> index dictionary is ever built.
+    where each id starts (derived from the bytes on first use) and one
+    sorted hash table of 8 bytes per id, built on the first lookup. No
+    id -> index dictionary is ever built.
 
     - Every lookup (intern, intern_utf8, indexes_of, get, index_of, `in`)
-      goes through _find: one probe of each table per id, each match
-      confirmed byte for byte. A one-id lookup is a whole probe of numpy
-      calls, so a loop over many ids should call indexes_of once instead.
+      goes through _find: one table probe per id, each match confirmed
+      byte for byte. A one-id lookup is a whole probe of numpy calls, so a
+      loop over many ids should call indexes_of once instead.
     - lookup(i) decodes one id from its byte slice; ids, iteration and ==
       split the bytes into a list of str, kept until ids are added.
     - utf8() and so the file formats take the bytes as they are.
     """
 
-    __slots__ = ("_origin", "_data", "_count", "_bounds", "_table", "_recent",
-                 "_store", "_ids")
+    __slots__ = ("_origin", "_data", "_count", "_bounds", "_table", "_store",
+                 "_ids")
 
     def __init__(self, ids=()):
         self._origin = "vocabulary"
         self._data = b""
         self._count = 0
         self._bounds = np.zeros(1, np.int64)
-        self._table = self._recent = np.empty(0, np.uint64)
+        self._table = np.empty(0, np.uint64)
         self._store = self._ids = None
         if ids:
             self.intern_utf8(*_encoded(ids))
@@ -246,36 +234,37 @@ class Vocabulary:
             self._table = table
         return self._table
 
-    def _find(self, words, starts, lens, hashes) -> np.ndarray:
-        """The index of each id of `lens` bytes from `starts` over words (as
-        _words gives them), or -1 if not held.
+    def _find(self, words, starts, lens, hashes):
+        """(index, position) of each id of `lens` bytes from `starts` over
+        words (as _words gives them), whose hashes rise: its index, or -1
+        if not held, and the table position it would be inserted at.
 
-        Each hash's high bits are searched for in the table, then in the
-        recent table. The entries with those bits sit together in each and
-        are tried in turn, each held id gathered from the bytes and compared
-        byte for byte, until one matches."""
+        Each hash's high bits are searched for in the table. The entries
+        with those bits sit together and are tried in turn, each held id
+        gathered from the bytes and compared byte for byte, until one
+        matches; an id not held goes after them."""
+        table = self._hash_table()
         bounds = self._id_bounds()
         data = np.frombuffer(self._data, np.uint8)
         keys = hashes & _HIGH
+        pos = np.searchsorted(table, keys)
         found = np.full(keys.size, -1, np.int64)
-        for table in (self._hash_table(), self._recent):
-            pos = np.searchsorted(table, keys)
-            rows = np.flatnonzero(found < 0)
-            while rows.size:
-                rows = rows[pos[rows] < table.size]
-                entries = table[pos[rows]]
-                candidate = (entries & _HIGH) == keys[rows]
-                rows = rows[candidate]
-                held = (entries[candidate] & _LOW).astype(np.intp)
-                held_starts = bounds[held]
-                held_lens = bounds[held + 1] - held_starts - 1
-                same = _same_spans(words, starts[rows], lens[rows],
-                                   _words(_gather(data, held_starts, held_lens)),
-                                   np.cumsum(held_lens) - held_lens, held_lens)
-                found[rows[same]] = held[same]
-                rows = rows[~same]
-                pos[rows] += 1
-        return found
+        rows = np.arange(keys.size)
+        while rows.size:
+            rows = rows[pos[rows] < table.size]
+            entries = table[pos[rows]]
+            candidate = (entries & _HIGH) == keys[rows]
+            rows = rows[candidate]
+            held = (entries[candidate] & _LOW).astype(np.intp)
+            held_starts = bounds[held]
+            held_lens = bounds[held + 1] - held_starts - 1
+            same = _same_spans(words, starts[rows], lens[rows],
+                               _words(_gather(data, held_starts, held_lens)),
+                               np.cumsum(held_lens) - held_lens, held_lens)
+            found[rows[same]] = held[same]
+            rows = rows[~same]
+            pos[rows] += 1
+        return found, pos
 
     def intern(self, ext_id: str) -> int:
         return int(self.intern_utf8(*_encoded([ext_id]))[0])
@@ -290,10 +279,9 @@ class Vocabulary:
         unstable argsort; each is confirmed byte for byte to equal the first
         id of its group, and each group is looked up once (_find). New ids
         are appended to the bytes, each after a "\\n", and their entries
-        merged into the recent table, which is merged into the table once it
-        passes 1/_RECENT_SHARE of its size; so the table is not copied on
-        every call. If two different ids of this call share a hash, they are
-        interned one id at a time instead.
+        merged into the table by one np.insert at the positions _find gives.
+        If two different ids of this call share a hash, they are interned
+        one id at a time instead.
         """
         words = _words(buf)
         hashes = _hash_spans(words, starts, lens)
@@ -313,7 +301,7 @@ class Vocabulary:
         if not _same_spans(words, starts, lens, words, starts[rep], lens[rep]).all():
             return np.concatenate([self.intern_utf8(buf, starts[i:i + 1], lens[i:i + 1])
                                    for i in range(lens.size)])
-        found = self._find(words, starts[first], lens[first], uniq)
+        found, pos = self._find(words, starts[first], lens[first], uniq)
         new = np.flatnonzero(found < 0)
         if new.size:
             count = self._count
@@ -325,10 +313,7 @@ class Vocabulary:
             self._append(buf, starts[added], lens[added])
             entries = uniq[new] & _HIGH
             entries |= found[new].astype(np.uint64)
-            self._recent = _merged(self._recent, entries)
-            if self._recent.size * _RECENT_SHARE > self._table.size:
-                self._table = _merged(self._table, self._recent)
-                self._recent = np.empty(0, np.uint64)
+            self._table = np.insert(self._table, pos[new], entries)
         return found[inverse].astype(np.int32)
 
     def _append(self, buf, starts, lens) -> None:
@@ -378,7 +363,7 @@ class Vocabulary:
         order = np.argsort(hashes)
         found = np.empty(order.size, np.int64)
         found[order] = self._find(words, starts[order], lens[order],
-                                  hashes[order])
+                                  hashes[order])[0]
         return [None if idx < 0 else idx for idx in found.tolist()]
 
     def utf8(self):

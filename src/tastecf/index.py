@@ -231,16 +231,14 @@ def load_index(path) -> LoadedIndex:
     inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
     inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
     total_plays = r.array("<i8", n_users)
-    # each user's play total, summed before fwd_counts is widened, so that
-    # the two are not held together. reduceat gives an empty row the next
-    # row's first count, not 0, so only rows holding plays are summed.
-    sums = np.zeros(n_users, np.int64)
-    held = np.flatnonzero(np.diff(fwd_offsets))
-    if held.size:
-        sums[held] = np.add.reduceat(fwd_counts, fwd_offsets[held], dtype=np.int64)
-    if not np.array_equal(sums, total_plays):
+    # each user's play total is the running sum differenced at the offsets;
+    # summed before fwd_counts is widened, so that the two are not held
+    # together
+    sums = np.zeros(nnz + 1, np.int64)
+    np.cumsum(fwd_counts, dtype=np.int64, out=sums[1:])
+    if not np.array_equal(np.diff(sums[fwd_offsets]), total_plays):
         raise r.fail("total_plays differ from the users' summed fwd_counts")
-    del sums, held
+    del sums
     (has_idf,) = r.unpack("<B")
     idf = None
     if has_idf == 1:

@@ -201,26 +201,38 @@ def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
     return " ".join(parts)
 
 
+def _write_lines(fh, recs, user_vocab, track_vocab) -> None:
+    labels = []
+    for rec in recs:
+        if -min(rec.items, default=0) > len(labels):
+            labels = pad_labels(track_vocab, len(rec.items))
+        fh.write(render_recommendation(rec, user_vocab, track_vocab, labels))
+        fh.write("\n")
+
+
 def write_recommendations(recs: Iterable[Recommendation], path,
                           user_vocab, track_vocab) -> None:
     """One line per user, each through render_recommendation. A list that
     needs more pad labels than are held gets pad_labels for all its slots,
     so a run makes them once, at its first pad, or never without pads.
 
-    The lines go to a new file beside `path`, which replaces `path` only
-    once all are written: an error leaves neither a partial file nor the
-    temporary one."""
-    labels = []
-    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    If `path` resolves (through any links) to a regular file or to none,
+    in a directory that can be written, the lines go to a new file beside
+    it, which replaces it only once all are written: an error leaves
+    neither a partial file nor the temporary one. Anything else, such as a
+    device or a pipe, is written in place."""
+    target = os.path.realpath(path)
+    if ((os.path.exists(target) and not os.path.isfile(target))
+            or not os.access(os.path.dirname(target), os.W_OK)):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            _write_lines(fh, recs, user_vocab, track_vocab)
+        return
+    temporary = f"{target}.{os.getpid()}.tmp"
     fh = open(temporary, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            for rec in recs:
-                if -min(rec.items, default=0) > len(labels):
-                    labels = pad_labels(track_vocab, len(rec.items))
-                fh.write(render_recommendation(rec, user_vocab, track_vocab, labels))
-                fh.write("\n")
-        os.replace(temporary, path)
+            _write_lines(fh, recs, user_vocab, track_vocab)
+        os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise

@@ -93,7 +93,7 @@ def test_intern_utf8_is_exact_when_hashes_collide(monkeypatch, hash_of):
     assert vocab.ids == ["a", "bb", "cc", "d", "ccc"]
 
 
-def test_intern_utf8_merges_the_recent_table_as_it_grows():
+def test_intern_utf8_keeps_the_table_sorted_over_many_calls():
     # calls that each add a few ids, to a fresh and to a loaded vocabulary
     for vocab in (Vocabulary(["k7"]), _loaded([f"k{i}" for i in range(500)])):
         held = len(vocab)
@@ -102,8 +102,8 @@ def test_intern_utf8_merges_the_recent_table_as_it_grows():
             vocab.intern_utf8(*_spans(ids))
             held += 5
             assert len(vocab) == held
-            assert vocab._recent.size * core._RECENT_SHARE <= vocab._table.size
-            assert vocab._recent.size + vocab._table.size == held
+            assert vocab._table.size == held
+            assert (vocab._table[1:] > vocab._table[:-1]).all()
         assert vocab.indexes_of(vocab.ids) == list(range(held))
 
 

@@ -2,7 +2,10 @@
 included), ids the format cannot hold, lookups in loaded vocabularies
 and zero-copy loads."""
 
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -286,6 +289,45 @@ def test_recommend_leaves_no_file_when_writing_fails(tmp_path, monkeypatch, caps
             ["rep.idx", "users.txt"] + (["recs.txt"] if before else []))
 
 
+def _recommend_to(tmp_path, out):
+    code = main(["recommend", "--input", str(tmp_path / "rep.idx"),
+                 "--users", str(tmp_path / "users.txt"), "--out", str(out)])
+    assert code == 0
+
+
+def test_recommend_out_keeps_links_pipes_and_unwritable_directories(
+        tmp_path, monkeypatch, t1_batch, t1_idf):
+    _write(tmp_path / "rep.idx", _index_sections(monkeypatch, t1_batch, t1_idf))
+    (tmp_path / "users.txt").write_text("u1\nu2\n")
+    _recommend_to(tmp_path, tmp_path / "plain.txt")
+    expected = (tmp_path / "plain.txt").read_text()
+    # a link is followed: its target is replaced, and the link kept
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    _recommend_to(tmp_path, link)
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text() == expected
+    # a pipe is written in place, not replaced by a file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    _recommend_to(tmp_path, pipe)
+    reader.join(timeout=30)
+    assert got == [expected]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    # a file in a directory that cannot be written is written in place
+    inode = real.stat().st_ino
+    with monkeypatch.context() as m:
+        m.setattr(os, "access", lambda path, mode: False)
+        _recommend_to(tmp_path, real)
+    assert real.stat().st_ino == inode and real.read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.txt", "pipe", "plain.txt", "real.txt", "rep.idx", "users.txt"]
+
+
 def _empty_rows_sections(monkeypatch):
     """An index whose users u2 and u4 play nothing: an empty row between
     two others, and one at the end."""
@@ -302,7 +344,8 @@ def _empty_rows_sections(monkeypatch):
 
 @pytest.mark.parametrize("user, total", [
     (None, None),
-    # per row, np.add.reduceat gives an empty row the next row's first count
+    # among them the next row's first count, which a per-row np.add.reduceat
+    # would give an empty row
     (1, 5), (1, 12), (3, 7), (0, 0), (2, 7),
 ])
 def test_total_plays_are_checked_over_empty_rows(tmp_path, monkeypatch, user, total):
