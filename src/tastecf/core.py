@@ -68,6 +68,10 @@ _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 # mixed with int64 into float64
 _HIGH = np.uint64(2**64 - 1 - MAX_INDEX)
 _LOW = np.uint64(MAX_INDEX)
+# a loaded vocabulary's bounds and table are built a block of bytes or of
+# ids at a time, so that no temporary is the size of the whole vocabulary
+_BLOCK_BYTES = 1 << 20
+_BLOCK_IDS = 1 << 16
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -113,13 +117,18 @@ def _same_spans(words_a, starts_a, lens_a, words_b, starts_b, lens_b) -> np.ndar
     return same
 
 
-def _gather(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """values[start:start + len] for each span, concatenated without
-    per-span slicing: entry j of the output sits at its span's start plus
-    its distance from that span's first output slot."""
+def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """start, start + 1, ..., start + len - 1 for each span, concatenated
+    without per-span slicing: entry j sits at its span's start plus its
+    distance from that span's first slot."""
     ends = np.cumsum(lens)
     total = int(ends[-1]) if ends.size else 0
-    return values[np.arange(total) + np.repeat(starts - (ends - lens), lens)]
+    return np.arange(total) + np.repeat(starts - (ends - lens), lens)
+
+
+def _gather(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """values[start:start + len] for each span, concatenated."""
+    return values[_positions(starts, lens)]
 
 
 def _encoded(ext_ids, errors: str = "strict"):
@@ -158,8 +167,10 @@ class Vocabulary:
       goes through _find: one table probe per id, each match confirmed
       byte for byte. A one-id lookup is a whole probe of numpy calls, so a
       loop over many ids should call indexes_of once instead.
-    - lookup(i) decodes one id from its byte slice; ids, iteration and ==
-      split the bytes into a list of str, kept until ids are added.
+    - lookup(i) decodes one id from its byte slice; spans(indexes) gives
+      the bytes and where the ids lie in them, for rendering without
+      decoding; ids, iteration and == split the bytes into a list of str,
+      kept until ids are added.
     - utf8() and so the file formats take the bytes as they are.
     """
 
@@ -193,46 +204,84 @@ class Vocabulary:
 
     def _id_bounds(self) -> np.ndarray:
         """Where each stored id starts in the bytes, then len(bytes) + 1:
-        id i is bytes[b[i]:b[i + 1] - 1]."""
+        id i is bytes[b[i]:b[i + 1] - 1]. Built on first use from the
+        newlines of one block of bytes at a time."""
         if self._bounds is None:
             buf = np.frombuffer(self._data, np.uint8)
             bounds = np.empty(self._count + 1, np.int64)
             bounds[0] = 0
-            np.add(np.flatnonzero(buf == ord("\n")), 1, out=bounds[1:-1])
+            filled = 1
+            for at in range(0, buf.size, _BLOCK_BYTES):
+                ends = np.flatnonzero(buf[at:at + _BLOCK_BYTES] == ord("\n"))
+                np.add(ends, at + 1, out=bounds[filled:filled + ends.size])
+                filled += ends.size
             bounds[-1] = buf.size + 1
             self._bounds = bounds
         return self._bounds[:self._count + 1]
 
+    def spans(self, indexes: np.ndarray):
+        """The held bytes as a uint8 array, with the start and length in it
+        of each id of `indexes`."""
+        bounds = self._id_bounds()
+        starts = bounds[indexes]
+        return (np.frombuffer(self._data, np.uint8), starts,
+                bounds[indexes + 1] - starts - 1)
+
+    def check_distinct(self) -> None:
+        """Raise DataError, naming the origin, if an id is held twice. The
+        first lookup checks this too, as it builds the hash table."""
+        self._hash_table()
+
     def _hash_table(self) -> np.ndarray:
         """The table of (hash high bits, index) entries, sorted by the high
-        bits, built from the bytes on first use. Ids that share their full
-        hash are a repeated id or a true collision: the ids are then
-        decoded and scanned once, and a repeat raises DataError."""
+        bits, built from the bytes on first use. Each block of ids is hashed
+        from its own byte range, straight into the table. Ids that share
+        their full hash are a repeated id or a true collision: only the ids
+        whose high bits are shared are hashed again, and those that share
+        the full hash are decoded and scanned in index order, so that the
+        first repeat raises DataError."""
         if self._table is None:
             bounds = self._id_bounds()
-            words = _words(np.frombuffer(self._data, np.uint8))
-            starts = bounds[:-1]
-            lens = np.diff(bounds)
-            lens -= 1
-            hashes = np.empty(self._count, np.uint64)
-            # a block of ids at a time, so that few temporaries are held
-            for at in range(0, self._count, 1 << 16):
-                block = slice(at, at + (1 << 16))
-                hashes[block] = _hash_spans(words, starts[block], lens[block])
-            del words, lens
-            table = hashes & _HIGH
-            table |= np.arange(self._count, dtype=np.uint64)
+            data = np.frombuffer(self._data, np.uint8)
+            table = np.empty(self._count, np.uint64)
+            for at in range(0, self._count, _BLOCK_IDS):
+                edges = bounds[at:at + _BLOCK_IDS + 1]
+                first = int(edges[0])
+                lens = np.diff(edges)
+                lens -= 1
+                entries = _hash_spans(_words(data[first:int(edges[-1]) - 1]),
+                                      edges[:-1] - first, lens)
+                entries &= _HIGH
+                entries |= np.arange(at, at + lens.size, dtype=np.uint64)
+                table[at:at + lens.size] = entries
             table.sort()
-            # entries whose high bits equal their neighbour's
-            runs = np.flatnonzero((table[1:] ^ table[:-1]) <= _LOW)
-            shared = hashes[(table[np.union1d(runs, runs + 1)] & _LOW).astype(np.intp)]
-            if np.unique(shared).size < shared.size:
+            shared = self._shared_entries(table)
+            if shared.size:
+                held = (table[shared] & _LOW).astype(np.intp)
+                _, starts, lens = self.spans(held)
+                hashes = _hash_spans(_words(_gather(data, starts, lens)),
+                                     np.cumsum(lens) - lens, lens)
+                _, group, sizes = np.unique(hashes, return_inverse=True,
+                                            return_counts=True)
                 seen = set()
-                repeated = next((i for i in self.ids if i in seen or seen.add(i)), None)
-                if repeated is not None:
-                    raise DataError(f"{self._origin}: id {repeated!r} appears twice")
+                for index in np.sort(held[sizes[group] > 1]).tolist():
+                    ext_id = self.lookup(index)
+                    if ext_id in seen:
+                        raise DataError(f"{self._origin}: id {ext_id!r} appears twice")
+                    seen.add(ext_id)
             self._table = table
         return self._table
+
+    @staticmethod
+    def _shared_entries(table: np.ndarray) -> np.ndarray:
+        """The positions in the sorted table of the entries whose high bits
+        equal a neighbour's, compared one block at a time."""
+        runs = []
+        for at in range(0, table.size - 1, _BLOCK_IDS):
+            block = table[at:at + _BLOCK_IDS + 1]
+            runs.append(np.flatnonzero((block[1:] ^ block[:-1]) <= _LOW) + at)
+        runs = np.concatenate(runs) if runs else np.empty(0, np.intp)
+        return np.union1d(runs, runs + 1)
 
     def _find(self, words, starts, lens, hashes):
         """(index, position) of each id of `lens` bytes from `starts` over

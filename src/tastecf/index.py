@@ -21,6 +21,8 @@ from .ingest import TripletBatch
 
 _MAGIC = b"TCFIDX1\x00"
 _VERSION = 2
+# load_index sums the play counts of this many users' rows at a time
+_CHECK_USERS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -30,13 +32,16 @@ class InteractionIndex:
     df[t] is the number of distinct listeners of track t (the length of its
     posting list); total_plays[u] is the sum of u's play counts. All arrays
     are frozen after construction and safe to share across workers.
+    fwd_counts is int64 from build_index and the file's u32 from
+    load_index; the engine never reads it, and a sum of it must ask for
+    dtype=np.int64.
     """
 
     n_users: int
     n_tracks: int
     fwd_offsets: np.ndarray   # int64, n_users + 1
     fwd_tracks: np.ndarray    # int32, ascending within each user run
-    fwd_counts: np.ndarray    # int64, parallel to fwd_tracks
+    fwd_counts: np.ndarray    # int64 built, u32 loaded; parallel to fwd_tracks
     inv_offsets: np.ndarray   # int64, n_tracks + 1
     inv_users: np.ndarray     # int32, ascending within each track run
     df: np.ndarray            # int64 per track
@@ -211,15 +216,17 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
 def load_index(path) -> LoadedIndex:
     """Inverse of save_index.
 
-    Every array except fwd_counts (widened from u32) and the derived df is
-    a read-only view of the file bytes. The structure is checked with array
-    operations: offsets that do not rise from 0 to nnz, an index outside
-    its vocabulary, a play count of 0, total_plays that differ from the
-    users' summed play counts, an idf flag other than 0 or 1, an idf log
-    base that is not positive or equals 1, an idf value that is not finite
-    and >= 0, or a length that does not match the body raise DataError.
-    Each of the value checks guards output that would otherwise change
-    without an error.
+    Every array except the derived df is a read-only view of the file
+    bytes, fwd_counts included, which stays u32. The structure is checked
+    with array operations, none of which makes an nnz-size temporary:
+    offsets that do not rise from 0 to nnz, an index outside its
+    vocabulary, a play count of 0, total_plays that differ from the users'
+    summed play counts (summed one block of users' rows at a time), an idf
+    flag other than 0 or 1, an idf log base that is not positive or equals
+    1, an idf value that is not finite and >= 0, or a length that does not
+    match the body raise DataError. Each of the value checks guards output
+    that would otherwise change without an error. A vocabulary that holds
+    an id twice raises DataError at its first lookup or check_distinct.
     """
     r = storage.Reader(path, _MAGIC, _VERSION)
     n_users, n_tracks, nnz = r.unpack("<QQQ")
@@ -231,14 +238,16 @@ def load_index(path) -> LoadedIndex:
     inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
     inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
     total_plays = r.array("<i8", n_users)
-    # each user's play total is the running sum differenced at the offsets;
-    # summed before fwd_counts is widened, so that the two are not held
-    # together
-    sums = np.zeros(nnz + 1, np.int64)
-    np.cumsum(fwd_counts, dtype=np.int64, out=sums[1:])
-    if not np.array_equal(np.diff(sums[fwd_offsets]), total_plays):
-        raise r.fail("total_plays differ from the users' summed fwd_counts")
-    del sums
+    # each user's play total is the running sum differenced at the offsets,
+    # summed over one block of users' rows at a time
+    for at in range(0, n_users, _CHECK_USERS):
+        rows = fwd_offsets[at:at + _CHECK_USERS + 1]
+        first = int(rows[0])
+        sums = np.zeros(int(rows[-1]) - first + 1, np.int64)
+        np.cumsum(fwd_counts[first:int(rows[-1])], dtype=np.int64, out=sums[1:])
+        if not np.array_equal(np.diff(sums[rows - first]),
+                              total_plays[at:at + _CHECK_USERS]):
+            raise r.fail("total_plays differ from the users' summed fwd_counts")
     (has_idf,) = r.unpack("<B")
     idf = None
     if has_idf == 1:
@@ -253,9 +262,11 @@ def load_index(path) -> LoadedIndex:
         raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
     r.finish()
 
-    fwd_counts = fwd_counts.astype(np.int64)
+    # the posting lengths must be the tracks' counts in the forward lists
     df = np.diff(inv_offsets)
-    _freeze(fwd_counts, df)
+    if not np.array_equal(np.bincount(fwd_tracks, minlength=n_tracks), df):
+        raise r.fail("inv_offsets differ from the tracks' counts in fwd_tracks")
+    _freeze(df)
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                              fwd_counts, inv_offsets, inv_users, df,
                              total_plays)

@@ -22,6 +22,7 @@ for any idf log base. Only tracks scoring at least the k-th best score
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 import math
 import multiprocessing
 import os
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Config, DataError, PAD_POPULARITY
+from .core import Config, DataError, PAD_POPULARITY, _positions
 from .similarity import NeighborSet, candidate_neighbors, prune
 
 
@@ -175,6 +176,10 @@ def recommend_all(index, idf, users: Iterable[int], config: Config,
             yield from batch
 
 
+# lines rendered together by write_recommendations
+_RENDER_LINES = 16
+
+
 def pad_labels(track_vocab, count: int) -> list[str]:
     """The labels of pads 1..count: each is its decimal number, '#'-prefixed
     until no track id equals it. Each round of prefixing is one
@@ -189,32 +194,84 @@ def pad_labels(track_vocab, count: int) -> list[str]:
     return labels
 
 
+def _spaced(vocab, indexes: np.ndarray):
+    """The ids of `indexes` in UTF-8, each after a space, gathered from the
+    vocabulary's bytes without decoding, and where each ends: 0, then the
+    running total of their lengths plus one."""
+    data, starts, lens = vocab.spans(indexes)
+    ends = np.zeros(lens.size + 1, np.int64)
+    np.cumsum(lens + 1, out=ends[1:])
+    held = _positions(starts, lens)
+    text = np.full(int(ends[-1]), ord(" "), np.uint8)
+    text[held + np.repeat(ends[:-1] + 1 - starts, lens)] = data[held]
+    return text.tobytes(), ends
+
+
+def _render_lines(recs, user_vocab, track_vocab, labels):
+    """The lines of recs in UTF-8, each `<user> <item_1> ... <item_k>` and
+    "\\n", with the labels used: pad p renders as labels[p - 1], and labels
+    shorter than a list's pads are replaced by pad_labels for every slot of
+    the longest list. Both vocabularies are first checked for a repeated id.
+
+    Each user and the real items of all the lists are taken from their
+    vocabularies' bytes, and each list's pads, -1, -2, ... after its real
+    items, are the first labels joined."""
+    user_vocab.check_distinct()
+    track_vocab.check_distinct()
+    lens = np.fromiter((len(rec.items) for rec in recs), np.int64, len(recs))
+    items = np.fromiter(chain.from_iterable(rec.items for rec in recs),
+                        np.int64, int(lens.sum()))
+    is_pad = items < 0
+    pads = np.bincount(np.repeat(np.arange(lens.size), lens)[is_pad],
+                       minlength=lens.size)
+    need = int(pads.max(initial=0))
+    if need > len(labels):
+        labels = pad_labels(track_vocab, int(lens.max()))
+    user_bytes, user_starts, user_lens = user_vocab.spans(
+        np.fromiter((rec.user for rec in recs), np.int64, len(recs)))
+    track_text, track_ends = _spaced(track_vocab, items[~is_pad])
+    real_ends = np.zeros(lens.size + 1, np.int64)
+    np.cumsum(lens - pads, out=real_ends[1:])
+    pad_parts = [(" " + label).encode("utf-8") for label in labels[:need]]
+    pad_text = b"".join(pad_parts)
+    pad_ends = list(accumulate(map(len, pad_parts), initial=0))
+    track_ends = track_ends[real_ends].tolist()
+    lines = []
+    for i, (start, size, p) in enumerate(zip(user_starts.tolist(), user_lens.tolist(),
+                                           pads.tolist())):
+        lines += (user_bytes[start:start + size].tobytes(),
+                  track_text[track_ends[i]:track_ends[i + 1]],
+                  pad_text[:pad_ends[p]], b"\n")
+    return b"".join(lines), labels
+
+
 def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
                           labels=None) -> str:
-    """`<user> <item_1> ... <item_k>`, pad p rendered as labels[p - 1];
-    without `labels`, pad_labels is called for this list's pads."""
-    tracks = track_vocab.ids
+    """`<user> <item_1> ... <item_k>`, pad p rendered as labels[p - 1]; without
+    `labels`, pad_labels is called for this list's pads. The one-list case
+    of the render write_recommendations makes."""
     if labels is None:
         labels = pad_labels(track_vocab, -min(rec.items, default=0))
-    parts = [user_vocab.lookup(rec.user)]
-    parts.extend(tracks[i] if i >= 0 else labels[-i - 1] for i in rec.items)
-    return " ".join(parts)
+    text, _ = _render_lines([rec], user_vocab, track_vocab, labels)
+    return str(text[:-1], "utf-8")
 
 
 def _write_lines(fh, recs, user_vocab, track_vocab) -> None:
     labels = []
-    for rec in recs:
-        if -min(rec.items, default=0) > len(labels):
-            labels = pad_labels(track_vocab, len(rec.items))
-        fh.write(render_recommendation(rec, user_vocab, track_vocab, labels))
-        fh.write("\n")
+    recs = iter(recs)
+    while batch := list(islice(recs, _RENDER_LINES)):
+        text, labels = _render_lines(batch, user_vocab, track_vocab, labels)
+        fh.write(text)
 
 
 def write_recommendations(recs: Iterable[Recommendation], path,
                           user_vocab, track_vocab) -> None:
-    """One line per user, each through render_recommendation. A list that
-    needs more pad labels than are held gets pad_labels for all its slots,
-    so a run makes them once, at its first pad, or never without pads.
+    """One line per user, rendered from the vocabularies' bytes a batch of
+    lines at a time, as render_recommendation renders one. A batch whose
+    lists need more pad labels than are held gets pad_labels for all the
+    slots of its longest list, so a run makes them once, at its first pad,
+    or never without pads. Both vocabularies are checked for a repeated id
+    before the first line is written.
 
     If `path` resolves (through any links) to a regular file or to none,
     in a directory that can be written, the lines go to a new file beside
@@ -224,11 +281,11 @@ def write_recommendations(recs: Iterable[Recommendation], path,
     target = os.path.realpath(path)
     if ((os.path.exists(target) and not os.path.isfile(target))
             or not os.access(os.path.dirname(target), os.W_OK)):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             _write_lines(fh, recs, user_vocab, track_vocab)
         return
     temporary = f"{target}.{os.getpid()}.tmp"
-    fh = open(temporary, "x", encoding="utf-8", newline="\n")
+    fh = open(temporary, "xb")
     try:
         with fh:
             _write_lines(fh, recs, user_vocab, track_vocab)

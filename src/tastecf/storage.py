@@ -7,14 +7,15 @@ and loads as a read-only view of the file bytes, with no copy. The first
 section is the magic and a u32 format version. A vocabulary is two
 sections: its UTF-8 byte length as u64, then its ids joined by "\\n" (an id
 therefore cannot contain "\\n"). A loaded vocabulary keeps those bytes, a
-view of the file body, and decodes ids only when they are asked for. Beside
-them it builds one hash table of 8 bytes per id at its first lookup, never
-an id dictionary (see Vocabulary); saving it again writes the same bytes
-without splitting them.
+view of the file body, and decodes ids only when they are asked for; the
+recommendation lines are gathered from them undecoded. Beside them it
+builds, at its first lookup and one block at a time, the ids' bounds
+and one hash table, 8 bytes per id each, never an id dictionary (see
+Vocabulary); saving it again writes the same bytes without splitting them.
 
-Reader checks every length against the body before it reads, so a
-truncated or inconsistent file is a DataError that names the path, never
-an exception from struct or numpy.
+Reader checks every length against the body before it reads, and that
+each section's padding is zero, so a truncated or inconsistent file is a
+DataError that names the path, never an exception from struct or numpy.
 """
 
 import struct
@@ -110,6 +111,9 @@ class Reader:
         end = start + size + _padding(size)
         if end > len(self.body):
             raise self.fail("file body is shorter than its header says")
+        # a length cut short within its padding would otherwise go unseen
+        if any(self.body[start + size:end]):
+            raise self.fail(f"padding at byte {start + size} is not zero")
         self.offset = end
         return start
 

@@ -151,6 +151,30 @@ def test_indexes_of_on_loaded_bytes_hashed_in_several_blocks():
     assert _loaded(ids).indexes_of(wanted) == [0, 65535, 65536, 69999, None, None]
 
 
+@pytest.mark.parametrize("block_bytes, block_ids", [(1, 1), (7, 3), (64, 64)])
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_IDS), _ID_TEXT), unique=True),
+       st.lists(st.one_of(st.sampled_from(_EDGE_IDS), _ID_TEXT)), st.data())
+def test_tables_built_a_block_at_a_time_equal_the_dict_lookup(
+        block_bytes, block_ids, ids, wanted, data):
+    # blocks small enough that ids, and the chars in them, straddle their edges
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        patch.setattr(core, "_BLOCK_IDS", block_ids)
+        loaded = _loaded(ids)
+        assert loaded.indexes_of(ids + wanted) == list(map(
+            dict(zip(ids, range(len(ids)))).get, ids + wanted))
+        buf, starts, lens = _loaded(ids).spans(np.arange(len(ids)))
+        assert [bytes(buf[a:a + n]).decode() for a, n in zip(starts, lens)] == ids
+        if ids:
+            extra = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+            repeated = data.draw(st.permutations(ids + extra))
+            seen = set()
+            first_repeat = next(i for i in repeated if i in seen or seen.add(i))
+            with pytest.raises(DataError) as caught:
+                _loaded(repeated, "f.ds").check_distinct()
+            assert str(caught.value) == f"f.ds: id {first_repeat!r} appears twice"
+
+
 def test_indexes_of_is_exact_when_hashes_collide(monkeypatch):
     repeated = _loaded(["u1", "u2", "u1"], "f.idx: user vocabulary")
     with pytest.raises(DataError, match="f.idx: user vocabulary: id 'u1' appears twice"):

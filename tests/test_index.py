@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tastecf import (
     ChecksumError,
+    Config,
     DataError,
     DuplicatePairError,
     TripletBatch,
@@ -16,8 +17,11 @@ from tastecf import (
     compute_idf,
     load_index,
     parse_triplets,
+    recommend_all,
     save_index,
+    write_recommendations,
 )
+from tastecf import core, index as index_module
 from tastecf.index import InteractionIndex
 from tastecf.synth import random_batch, skewed_batch
 
@@ -128,6 +132,41 @@ def test_build_index_peak_memory_per_triplet(shape):
     finally:
         tracemalloc.stop()
     assert peak / len(batch) <= _BUILD_BYTES_PER_TRIPLET
+
+
+# the tracemalloc peak of serving recommend from an index file (load_index,
+# the query users' indexes_of, write_recommendations) beyond the file body,
+# per user and track id; it was 69 bytes with the widened fwd_counts, the
+# nnz + 1 cumsum check and whole-vocabulary hash temporaries, and is about
+# 22 now, most of it the 16 bytes per id of the user bounds and hash table
+_RECOMMEND_BYTES_PER_ID = 32
+
+
+def test_recommend_peak_memory_per_id(tmp_path, monkeypatch):
+    batch = skewed_batch(40_000, 8_000, 2.0, seed=3)
+    index = build_index(batch)
+    path = tmp_path / "wide.idx"
+    save_index(index, batch.user_vocab, batch.track_vocab, path, idf=compute_idf(index))
+    wanted = batch.user_vocab.ids[::997]
+    del index
+    # blocks small enough that this index holds many, as a large one does
+    monkeypatch.setattr(core, "_BLOCK_IDS", 1024, raising=False)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8192, raising=False)
+    monkeypatch.setattr(index_module, "_CHECK_USERS", 1024, raising=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_index(path)
+        users = loaded.user_vocab.indexes_of(wanted)
+        recs = recommend_all(loaded.index, loaded.idf, users, Config(k=50))
+        write_recommendations(recs, tmp_path / "recs.txt", loaded.user_vocab,
+                              loaded.track_vocab)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n_ids = len(batch.user_vocab) + len(batch.track_vocab)
+    assert (peak - path.stat().st_size) / n_ids <= _RECOMMEND_BYTES_PER_ID
+    assert (tmp_path / "recs.txt").read_text().count("\n") == len(wanted)
 
 
 def test_empty_batch_builds_empty_index():

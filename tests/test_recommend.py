@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tastecf import (
     Config,
@@ -240,6 +240,34 @@ def test_write_recommendations_resolves_pad_labels_once(tmp_path, monkeypatch):
     assert path.read_text() == "u x y 2 #2\nv x 1 ##2 3\nw 1 ##2 3 4\n"
     # one pad_labels call for all 4 slots: "2" clashes, then "#2"
     assert calls == [["1", "2", "3", "4"], ["#2"], ["##2"]]
+
+
+_RENDER_IDS = ["1", "2", "#1", "", "a", "é", "中" * 3, "😀a", "a" * 9, "\t"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_RENDER_IDS), min_size=1, unique=True),
+       st.lists(st.sampled_from(_RENDER_IDS), min_size=1, unique=True),
+       st.data())
+def test_written_lines_equal_joined_ids(tmp_path_factory, user_ids, track_ids, data):
+    # more lists than one batch holds, each its real items then pads -1..-p
+    recs = []
+    for _ in range(data.draw(st.integers(0, 40), label="lists")):
+        real = data.draw(st.lists(st.integers(0, len(track_ids) - 1), max_size=6))
+        pads = data.draw(st.integers(0, 6 - len(real)))
+        recs.append(Recommendation(data.draw(st.integers(0, len(user_ids) - 1)),
+                                   real + [-p for p in range(1, pads + 1)], []))
+    labels = pad_labels(Vocabulary(track_ids), 6)
+    # the join of each id as a str: the render the byte gather replaced
+    want = "".join(" ".join([user_ids[rec.user]]
+                            + [track_ids[i] if i >= 0 else labels[-i - 1]
+                               for i in rec.items]) + "\n" for rec in recs)
+    path = tmp_path_factory.mktemp("recs") / "recs.txt"
+    for users, tracks in zip(_vocabularies(user_ids), _vocabularies(track_ids)):
+        write_recommendations(iter(recs), path, users, tracks)
+        assert path.read_bytes() == want.encode("utf-8")
+        assert "".join(render_recommendation(rec, users, tracks) + "\n"
+                       for rec in recs) == want
 
 
 def test_render_recommendation_line(t1_batch, t1_index, t1_idf):

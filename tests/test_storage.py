@@ -2,11 +2,18 @@
 included), ids the format cannot hold, lookups in loaded vocabularies
 and zero-copy loads."""
 
+import contextlib
+from functools import lru_cache
+import io
 import os
+from pathlib import Path
 import stat
 import struct
+import tempfile
 import threading
+import zlib
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -15,6 +22,7 @@ from tastecf import (DataError, FormatVersionError, TripletBatch, Vocabulary,
                      save_dataset, save_index)
 from tastecf import index as index_module, ingest, storage
 from tastecf.cli import main
+from tastecf.synth import skewed_batch
 
 # the sections save_index and save_dataset hand to storage.write_file
 INDEX_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
@@ -116,6 +124,15 @@ INDEX_FAULTS = {
         "file body is shorter than its header says"),
     "version_1": (lambda s: _version_1(s, index_module._MAGIC),
                   "format version 1, expected 2"),
+    # "u1\nu2\nu3\n" still holds 4 ids, and its section ends where the
+    # whole one did
+    "vocab_size_within_padding": (
+        lambda s: s.update(user_vocab_size=struct.pack("<Q", 9)),
+        "padding at byte 57 is not zero"),
+    # posting lengths 3, 2, 3 still rise from 0 to 8, but a is played by
+    # two users and b by three
+    "inv_offsets_shifted": (lambda s: _put(s, "inv_offsets", "<i8", 1, 3),
+                            "inv_offsets differ from the tracks' counts in fwd_tracks"),
 }
 
 DATASET_FAULTS = {
@@ -139,6 +156,9 @@ DATASET_FAULTS = {
                              "track vocabulary: 2 ids, header says 3"),
     "version_1": (lambda s: _version_1(s, ingest._MAGIC),
                   "format version 1, expected 2"),
+    "vocab_size_within_padding": (
+        lambda s: s.update(track_vocab_size=struct.pack("<Q", 3)),
+        "padding at byte 75 is not zero"),
 }
 
 
@@ -267,8 +287,8 @@ def test_crafted_file_with_duplicated_id_raises(tmp_path, monkeypatch, capsys,
 
 def test_recommend_leaves_no_file_when_writing_fails(tmp_path, monkeypatch, capsys,
                                                     t1_batch, t1_idf):
-    # the first pad label looks 'a' up in the track vocabulary, which holds
-    # it twice
+    # the track vocabulary holds 'a' twice, which is refused before the
+    # first line is written
     sections = _index_sections(monkeypatch, t1_batch, t1_idf)
     _vocab_text(sections, "track", b"a\nb\na")
     path = tmp_path / "rep.idx"
@@ -287,6 +307,24 @@ def test_recommend_leaves_no_file_when_writing_fails(tmp_path, monkeypatch, caps
         assert (recs.read_text() if recs.exists() else None) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["rep.idx", "users.txt"] + (["recs.txt"] if before else []))
+
+
+def test_recommend_refuses_a_repeated_track_id_without_pads(tmp_path, monkeypatch,
+                                                           capsys, t1_batch, t1_idf):
+    # with k = 1 no list needs a pad, so no pad label looks a track id up
+    sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+    _vocab_text(sections, "track", b"ta\ntc\nta")
+    path = tmp_path / "rep.idx"
+    _write(path, sections)
+    users = tmp_path / "users.txt"
+    users.write_text("u1\nu2\n")
+    recs = tmp_path / "recs.txt"
+    code = main(["recommend", "--input", str(path), "--users", str(users),
+                 "--out", str(recs), "--k", "1"])
+    assert code == 1
+    assert (f"error: recommend: {path}: track vocabulary: id 'ta' appears twice\n"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.idx", "users.txt"]
 
 
 def _recommend_to(tmp_path, out):
@@ -363,6 +401,21 @@ def test_total_plays_are_checked_over_empty_rows(tmp_path, monkeypatch, user, to
             f"{path}: total_plays differ from the users' summed fwd_counts")
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_total_plays_are_checked_in_every_block_of_users(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(index_module, "_CHECK_USERS", block)
+    sections = _empty_rows_sections(monkeypatch)
+    path = tmp_path / "blocks.idx"
+    _write(path, sections)
+    assert load_index(path).index.total_plays.tolist() == [2, 0, 12, 0]
+    for user in range(4):
+        wrong = dict(sections)
+        _put(wrong, "total_plays", "<i8", user, 1)
+        _write(path, wrong)
+        with pytest.raises(DataError, match="total_plays differ"):
+            load_index(path)
+
+
 def _file_bytes(arr):
     """The object at the end of arr's .base chain, past any memoryview."""
     while isinstance(arr, np.ndarray):
@@ -377,8 +430,9 @@ def test_loaded_index_arrays_are_read_only_views_of_the_file(tmp_path, t1_batch,
                path, idf=t1_idf)
     loaded = load_index(path)
     index = loaded.index
-    views = [index.fwd_offsets, index.fwd_tracks, index.inv_offsets,
-             index.inv_users, index.total_plays, loaded.idf.ln_values]
+    views = [index.fwd_offsets, index.fwd_tracks, index.fwd_counts,
+             index.inv_offsets, index.inv_users, index.total_plays,
+             loaded.idf.ln_values]
     owners = {id(_file_bytes(arr)) for arr in views}
     assert len(owners) == 1
     assert isinstance(_file_bytes(views[0]), bytes)
@@ -386,8 +440,7 @@ def test_loaded_index_arrays_are_read_only_views_of_the_file(tmp_path, t1_batch,
         assert not arr.flags.writeable
         assert arr.flags.aligned
         assert arr.dtype.isnative
-    assert index.fwd_counts.dtype == np.int64
-    assert not index.fwd_counts.flags.writeable
+    assert index.fwd_counts.dtype == np.uint32
     assert not index.df.flags.writeable
 
 
@@ -398,3 +451,143 @@ def test_loaded_dataset_id_arrays_are_views_of_the_file(tmp_path, t1_batch):
     assert _file_bytes(batch.users) is _file_bytes(batch.tracks)
     assert isinstance(_file_bytes(batch.users), bytes)
     assert batch.users.dtype == np.int32 and batch.counts.dtype == np.int64
+
+
+# --- generated faults: a small saved index, mutated ---------------------------
+
+_FUZZ_USERS = ["u000001", "u000004", "u000007"]
+
+
+@lru_cache(maxsize=None)
+def _fuzz_index():
+    """(file bytes, {section: (offset, size)}, recs bytes) of a small index
+    with an idf table, and of `recommend --k 6` for _FUZZ_USERS on it."""
+    batch = skewed_batch(12, 8, 3.0, seed=4)
+    index = build_index(batch)
+    captured = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "write_file", lambda path, chunks: captured.extend(chunks))
+        save_index(index, batch.user_vocab, batch.track_vocab, None,
+                   idf=compute_idf(index))
+    layout, offset = {}, 0
+    for name, chunk in zip(INDEX_SECTIONS, captured):
+        size = memoryview(chunk).nbytes
+        layout[name] = (offset, size)
+        offset += size + storage._padding(size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.idx"
+        storage.write_file(path, captured)
+        data = path.read_bytes()
+        code, _, recs = _recommend_bytes(Path(tmp), data)
+    assert code == 0 and layout["idf_values"][0] + layout["idf_values"][1] == len(data) - 4
+    return data, layout, recs
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _recommend_bytes(work: Path, data: bytes):
+    """(exit code, stderr, recs bytes or None) of recommend on an index
+    file holding `data`."""
+    path, users, recs = work / "fuzz.idx", work / "users.txt", work / "recs.txt"
+    path.write_bytes(data)
+    users.write_text("".join(u + "\n" for u in _FUZZ_USERS))
+    if recs.exists():
+        recs.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["recommend", "--input", str(path), "--users", str(users),
+                     "--out", str(recs), "--k", "6"])
+    return code, err.getvalue(), recs.read_bytes() if recs.exists() else None
+
+
+def _fails_naming(outcome, work: Path, *names) -> bool:
+    """Whether recommend exited 1, its last line a DataError naming one of
+    the files, and left no recs file."""
+    code, err, recs = outcome
+    last = err.rstrip("\n").split("\n")[-1]
+    return (code == 1 and recs is None and "Traceback" not in err
+            and any(last.startswith(f"error: recommend: {work / name}")
+                    or last.endswith(f" in {work / name}") for name in names))
+
+
+# the fields a rewrite puts a new value in: (section, format, entry, or
+# None for any entry), and the values each format holds
+_FIELDS = {"n_users": ("counts", "<Q", 0), "n_tracks": ("counts", "<Q", 1),
+           "nnz": ("counts", "<Q", 2),
+           "user_vocab_size": ("user_vocab_size", "<Q", 0),
+           "track_vocab_size": ("track_vocab_size", "<Q", 0),
+           "fwd_offsets": ("fwd_offsets", "<q", None),
+           "inv_offsets": ("inv_offsets", "<q", None),
+           "fwd_counts": ("fwd_counts", "<I", None),
+           "total_plays": ("total_plays", "<q", None)}
+_RANGES = {"<Q": (0, 2**64 - 1), "<I": (0, 2**32 - 1), "<q": (-2**63, 2**63 - 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_FIELDS)), st.data())
+def test_rewritten_lengths_and_counts_fail_naming_the_file(field, data):
+    file_bytes, layout, recs = _fuzz_index()
+    section, fmt, entry = _FIELDS[field]
+    offset, size = layout[section]
+    width = struct.calcsize(fmt)
+    if entry is None:
+        entry = data.draw(st.integers(0, size // width - 1), label="entry")
+    at = offset + entry * width
+    (old,) = struct.unpack_from(fmt, file_bytes, at)
+    lo, hi = _RANGES[fmt]
+    new = data.draw(st.one_of(st.integers(max(lo, old - 3), min(hi, old + 3)),
+                              st.integers(lo, hi)), label="value")
+    body = bytearray(file_bytes[:-4])
+    struct.pack_into(fmt, body, at, new)
+    expected = recs if new == old else None
+    if field.endswith("_vocab_size") and old < new <= old + storage._padding(old):
+        # the last id takes in zero padding, which an id may hold: the file
+        # is as valid as one written with that id
+        vocab_at = layout[field[:-len("_size")]][0]
+        last = file_bytes[vocab_at:vocab_at + old].rsplit(b"\n", 1)[-1]
+        expected = b"\n".join(
+            b" ".join(part + bytes(new - old) if part == last else part
+                      for part in line.split(b" ")) for line in recs.split(b"\n"))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        outcome = _recommend_bytes(work, _with_crc(bytes(body)))
+        assert (outcome == (0, outcome[1], expected) if expected is not None
+                else _fails_naming(outcome, work, "fuzz.idx")), (
+            field, entry, old, new, outcome[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_flipped_and_truncated_index_files_fail_cleanly(data, refresh_crc):
+    file_bytes = _fuzz_index()[0]
+    body = bytearray(file_bytes[:-4])
+    # a refreshed checksum is appended to the cut body
+    kept = len(body) if refresh_crc else len(file_bytes)
+    cut = data.draw(st.one_of(st.none(), st.integers(0, kept - 1)), label="cut")
+    if cut is None:
+        for at in data.draw(st.lists(st.integers(0, len(body) - 1), min_size=1,
+                                     max_size=4, unique=True), label="flips"):
+            body[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    if refresh_crc:
+        mutated = _with_crc(bytes(body if cut is None else body[:cut]))
+    else:
+        mutated = bytes(body) + file_bytes[-4:] if cut is None else file_bytes[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        outcome = _recommend_bytes(work, mutated)
+        code, err, got = outcome
+        path = work / "fuzz.idx"
+        if not refresh_crc:
+            assert code == 1 and got is None
+            assert err.endswith(f"error: recommend: {path}: "
+                                + ("file truncated\n" if len(mutated) < 4
+                                   else "checksum mismatch\n"))
+        elif cut is not None:
+            assert _fails_naming(outcome, work, "fuzz.idx"), (cut, err)
+        else:
+            # a flip that keeps the file valid may change the lists, but a
+            # flip in an id may also leave a query user unknown
+            assert (code == 0 and got is not None and got.count(b"\n") == len(_FUZZ_USERS)
+                    or _fails_naming(outcome, work, "fuzz.idx", "users.txt")), err
