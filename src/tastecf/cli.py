@@ -71,20 +71,6 @@ def _add_path(parser, flag: str, env: str, help_text: str, required=True):
                         help=f"{help_text} (env {env})")
 
 
-def _undecodable_line(path):
-    """The number of the first line of `path` that is not valid UTF-8, or
-    None. Lines are counted as the text reader counts them."""
-    # surrogateescape turns each bad byte into a lone surrogate, which no
-    # valid UTF-8 decodes to and which has no UTF-8 form of its own
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return line_no
-    return None
-
-
 @contextmanager
 def _located(path):
     """Raise a line error raised inside as DataError `FILE:LINE: ...`."""
@@ -94,21 +80,16 @@ def _located(path):
         raise DataError(f"{path}:{exc.line_no}: {exc.message}") from None
 
 
-@contextmanager
-def _open_text(path):
-    """Open a text input as UTF-8, for inputs read line by line. A line
-    error raised while it is open, or a byte that is not valid UTF-8,
-    raises DataError as `FILE:LINE: ...`, the latter in place of the
-    decoder's offset into its buffer."""
-    with _located(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                yield fh
-        except UnicodeDecodeError:
-            line_no = _undecodable_line(path)
-            if line_no is None:
-                raise
-            raise MalformedLineError(line_no, "not valid UTF-8") from None
+def _text_lines(path):
+    """(line number, line) for each line of the UTF-8 text file at `path`,
+    its line end stripped, read in blocks as read_triplets reads a file. A
+    byte that is not UTF-8 raises MalformedLineError at its line, after the
+    lines before it."""
+    with open(path, "rb") as fh:
+        for data, first_line, _, error in ingest._file_blocks(fh):
+            yield from enumerate(str(data, "utf-8").split("\n")[:-1], first_line)
+            if error is not None:
+                raise error
 
 
 def _read_triplets(path, delimiter: str):
@@ -156,10 +137,10 @@ def _read_user_ids(path) -> list[str]:
     twice is a MalformedLineError."""
     ids = []
     seen = set()
-    with _open_text(path) as fh:
-        for line_no, line in enumerate(fh, 1):
+    with _located(path):
+        for line_no, line in _text_lines(path):
             # only spaces are stripped: ids cannot hold one, but may hold a tab
-            ext_id = line.rstrip("\n").strip(" ")
+            ext_id = line.strip(" ")
             if not ext_id:
                 continue
             if ext_id in seen:
@@ -196,9 +177,8 @@ def _read_recommendation_lines(path):
     """{user: items} from lines of single-space-separated ids, so an empty
     id or one holding other whitespace reads back as written."""
     rankings = {}
-    with _open_text(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with _located(path):
+        for line_no, line in _text_lines(path):
             if not line:
                 continue
             parts = line.split(" ")

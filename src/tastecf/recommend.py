@@ -18,7 +18,8 @@ weights in input order starting from 0.0, so every track's sum is built in
 the same order as a neighbor-by-neighbor loop. Ranking compares those
 canonical sums, which makes output byte-identical for any worker count and
 for any idf log base. Only tracks scoring at least the k-th best score
-(ties included) are sorted, which cannot change the first k places.
+(ties included) are sorted, which cannot change the first k places; the
+same cut, keyed by df, picks popularity pads from the catalogue.
 """
 
 from dataclasses import dataclass
@@ -86,42 +87,41 @@ def score_tracks(index, neighbors: NeighborSet, exclude_seen: bool = True) -> Sc
     return ScoredTracks(scored, buf[scored])
 
 
+def _first(tracks: np.ndarray, key: np.ndarray, df: np.ndarray, m: int):
+    """The first m of `tracks` by (key desc, df desc, track asc), with their
+    keys. Every track tied with the m-th best key survives one partition,
+    so the lexsort of the survivors still sees every contender for the
+    first m places."""
+    n = tracks.size
+    if n > m:
+        survive = key >= np.partition(key, n - m)[n - m]
+        tracks, key = tracks[survive], key[survive]
+    order = np.lexsort((tracks, -df[tracks], -key))[:m]
+    return tracks[order], key[order]
+
+
 def rank_and_pad(user: int, scored: ScoredTracks, k: int, pad_strategy: str,
                  df: np.ndarray, seen: Optional[np.ndarray] = None) -> Recommendation:
     """Order scored tracks, truncate to k, pad when short.
 
     Ties break by document frequency descending (popularity prior), then by
-    track index ascending. Popularity padding never repeats a listed or
-    seen track and falls back to dummy ids when the pool runs dry.
+    track index ascending. Popularity padding takes the most-listened
+    tracks by the same cut, over the whole catalogue keyed by df, never
+    repeats a listed or seen track and falls back to dummy ids when the
+    pool runs dry.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = scored.tracks.size
-    if n > k:
-        # every track tied with the k-th best score survives, so the sort
-        # below still sees every contender for the first k places
-        kth = np.partition(scored.ln_scores, n - k)[n - k]
-        survive = scored.ln_scores >= kth
-        scored = ScoredTracks(scored.tracks[survive], scored.ln_scores[survive])
-    order = np.lexsort((scored.tracks, -df[scored.tracks], -scored.ln_scores))[:k]
-    items = scored.tracks[order].tolist()
-    scores = scored.ln_scores[order].tolist()
-
-    if len(items) < k and pad_strategy == PAD_POPULARITY:
-        available = np.ones(df.size, dtype=bool)
-        if items:
-            available[items] = False
-        if seen is not None:
-            available[seen] = False
-        pool = np.flatnonzero(available)
-        pool = pool[np.lexsort((pool, -df[pool]))]
-        items.extend(int(t) for t in pool[: k - len(items)])
-
-    pad = 1
-    while len(items) < k:
-        items.append(-pad)
-        pad += 1
-    return Recommendation(user, items, scores)
+    tracks, scores = _first(scored.tracks, scored.ln_scores, df, k)
+    items = tracks.tolist()
+    need = k - len(items)
+    if need and pad_strategy == PAD_POPULARITY:
+        used = tracks if seen is None else np.concatenate((tracks, seen))
+        # the first need + |used| by popularity hold the first need unused
+        pool, _ = _first(np.arange(df.size), df, df, need + used.size)
+        items += pool[np.isin(pool, used, invert=True)][:need].tolist()
+    items += range(-1, len(items) - k - 1, -1)
+    return Recommendation(user, items, scores.tolist())
 
 
 def recommend_one(index, idf, u: int, config: Config) -> Recommendation:

@@ -18,6 +18,7 @@ each section's padding is zero, so a truncated or inconsistent file is a
 DataError that names the path, never an exception from struct or numpy.
 """
 
+import codecs
 import struct
 import zlib
 
@@ -26,6 +27,10 @@ import numpy as np
 from .core import ChecksumError, DataError, FormatVersionError, Vocabulary
 
 _ALIGN = 8
+# a vocabulary is checked this many bytes at a time, so that no temporary
+# str is the size of the whole vocabulary; at least 4, the longest UTF-8
+# character, so that every block but the last decodes one
+_BLOCK_BYTES = 1 << 20
 
 
 def _padding(size: int) -> int:
@@ -70,13 +75,21 @@ def read_verified(path) -> memoryview:
 
 def decode_vocab(data, count: int, origin: str) -> Vocabulary:
     """A vocabulary over its UTF-8 bytes, once they are checked to be UTF-8
-    and to hold `count` ids; the ids are not split out."""
-    try:
-        text = str(data, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{origin}: invalid UTF-8 at byte {exc.start}") from None
+    and to hold `count` ids, a block of about _BLOCK_BYTES at a time; the
+    ids are not split out."""
+    newlines = 0
+    at = 0
+    while at < len(data):
+        # a block ends before a character it cuts, which starts the next
+        try:
+            text, used = codecs.utf_8_decode(data[at:at + _BLOCK_BYTES], "strict",
+                                             at + _BLOCK_BYTES >= len(data))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{origin}: invalid UTF-8 at byte {at + exc.start}") from None
+        newlines += text.count("\n")
+        at += used
     # "" holds one empty id, unless the header says none
-    found = text.count("\n") + 1 if text or count else 0
+    found = newlines + 1 if len(data) or count else 0
     if found != count:
         raise DataError(f"{origin}: {found} ids, header says {count}")
     return Vocabulary.from_utf8(data, count, origin)

@@ -3,8 +3,9 @@ global-popularity baseline used as a reference point in evaluations."""
 
 import numpy as np
 
-from .core import Vocabulary
+from .core import PAD_POPULARITY, Vocabulary
 from .ingest import TripletBatch
+from .recommend import ScoredTracks, rank_and_pad
 
 
 def _batch_from_pairs(users, tracks, counts, n_users, n_tracks,
@@ -93,20 +94,9 @@ def random_batch(rng, max_users=50, max_tracks=30,
                              counts, n_users, n_tracks)
 
 
-def popularity_order(df: np.ndarray) -> np.ndarray:
-    """All tracks ranked by document frequency descending, index ascending."""
-    track_ids = np.arange(df.size)
-    return track_ids[np.lexsort((track_ids, -df))]
-
-
-def popularity_recommend(index, ranked_tracks: np.ndarray, u: int, k: int) -> list[int]:
-    """Top-k most-listened tracks the user has not played yet."""
-    seen = set(index.forward_tracks(u).tolist())
-    out = []
-    for t in ranked_tracks.tolist():
-        if t in seen:
-            continue
-        out.append(int(t))
-        if len(out) == k:
-            break
-    return out
+def popularity_recommend(index, u: int, k: int) -> list[int]:
+    """Top-k most-listened tracks the user has not played yet: the
+    popularity pads of a list with nothing scored."""
+    nothing = ScoredTracks(np.empty(0, np.int64), np.empty(0))
+    return rank_and_pad(u, nothing, k, PAD_POPULARITY, index.df,
+                        seen=index.forward_tracks(u)).real_items

@@ -38,7 +38,6 @@ from tastecf.ingest import TripletBatch, write_triplets
 from tastecf.similarity import candidate_neighbors, prune
 from tastecf.synth import (
     planted_clusters,
-    popularity_order,
     popularity_recommend,
     random_batch,
     skewed_batch,
@@ -226,9 +225,7 @@ def test_planted_cluster_experiment():
                     recommend_all(index, idf, users, Config(k=k))}
         cf_map = mean_average_precision(rankings, hidden, k).map_score
 
-        ranked = popularity_order(index.df)
-        pop_rankings = {u: popularity_recommend(index, ranked, u, k)
-                        for u in users}
+        pop_rankings = {u: popularity_recommend(index, u, k) for u in users}
         pop_map = mean_average_precision(pop_rankings, hidden, k).map_score
 
         assert abs(cf_map - expected_cf) < 1e-9, (seed, cf_map)

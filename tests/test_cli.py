@@ -223,6 +223,20 @@ def test_repeated_user_id_exits_1_with_line(tmp_path, t1_file, capsys):
     assert f"{users}:4: duplicate user id 'u1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["recommend --users", "evaluate --recs"])
+def test_a_repeat_before_a_byte_not_utf8_decides(tmp_path, t1_file, capsys, case):
+    assert _pipeline(tmp_path, t1_file, capsys)[0] == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"u1 a\r\nu1 b\r\nu\xff c\r\n" if case == "evaluate --recs"
+                    else b"u1\ru1\ru\xff\r")
+    argv = (["evaluate", "--recs", str(bad), "--hidden", str(t1_file)]
+            if case == "evaluate --recs" else
+            ["recommend", "--input", str(tmp_path / "t1.idx"), "--users", str(bad),
+             "--out", str(tmp_path / "r.txt")])
+    assert main(argv) == 1
+    assert f"{bad}:2: duplicate" in capsys.readouterr().err
+
+
 # ids shaped like pad labels, and non-ASCII ones
 _CLI_USERS = ["u1", "u2", "1", "é", "u3"]
 _CLI_TRACKS = ["1", "2", "#1", "##2", "01", "١", "a", "b", "c"]

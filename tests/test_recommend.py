@@ -24,6 +24,7 @@ from tastecf import (
 from tastecf.recommend import ScoredTracks, pad_labels, write_recommendations
 from tastecf.synth import random_batch
 from conftest import SCORE_U1_C, SCORE_U3_A, SCORE_U3_B, as_dict
+import oracle
 
 
 def _neighbors(index, idf, u, ratio=0.4):
@@ -122,6 +123,31 @@ def test_popularity_padding_skips_seen_and_falls_back_to_dummies():
     df = np.array([5, 9, 9, 2])
     rec = rank_and_pad(0, scored, 6, "popularity", df, seen=np.array([1]))
     assert rec.items == [3, 2, 0, -1, -2, -3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_popularity_pads_equal_the_oracle_at_the_cut(k, data):
+    # a catalogue larger than k + |seen|, with df and scores on a few levels
+    # each, so that the m-th df of the pad cut and, when more than k tracks
+    # score, the k-th score are tied across many tracks
+    n_seen = data.draw(st.integers(0, 2 * k), label="seen")
+    n_tracks = data.draw(st.integers(k + n_seen + 1, 3 * k + n_seen + 20),
+                         label="tracks")
+    df = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_tracks,
+                                     max_size=n_tracks), label="df"))
+    order = data.draw(st.permutations(range(n_tracks)), label="order")
+    seen = np.array(order[:n_seen], dtype=np.int32)
+    # scored tracks may be seen ones, as when seen tracks are not excluded
+    scored = sorted(data.draw(st.lists(st.sampled_from(order), unique=True,
+                                       max_size=2 * k), label="scored"))
+    scores = [data.draw(st.integers(1, 4), label="score") / 4.0 for _ in scored]
+    rec = rank_and_pad(0, ScoredTracks(np.array(scored, dtype=np.int64),
+                                       np.array(scores)),
+                       k, "popularity", df, seen=seen)
+    assert rec.items == oracle.ranked_items(dict(zip(scored, scores)),
+                                            dict(enumerate(df.tolist())), k,
+                                            "popularity", seen.tolist(), n_tracks)
 
 
 def test_recommend_all_empty_user_list(t1_index, t1_idf):

@@ -246,6 +246,20 @@ def test_loaded_vocabulary_behaves_like_an_interned_one(tmp_path, t1_batch):
     assert loaded == interned and len(loaded) == 5
 
 
+def test_vocabulary_is_decoded_a_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(storage, "_BLOCK_BYTES", 4)
+    # "é" is bytes 3-4 and "😀" bytes 7-10: each crosses a block boundary
+    data = "ab\né\nc😀\nd".encode()
+    assert storage.decode_vocab(memoryview(data), 4, "v").ids == ["ab", "é", "c😀", "d"]
+    # offsets count from the start of the vocabulary, as one decode counts
+    # them: a cut character fails at its first byte
+    for bad, at in ((data[:12] + b"\xff", 12), (data[:9] + b"\xff" + data[10:], 7)):
+        with pytest.raises(DataError, match=f"^v: invalid UTF-8 at byte {at}$"):
+            storage.decode_vocab(memoryview(bad), 4, "v")
+    with pytest.raises(DataError, match="^v: 4 ids, header says 5$"):
+        storage.decode_vocab(memoryview(data), 5, "v")
+
+
 def test_a_loaded_vocabulary_is_saved_as_its_loaded_bytes(tmp_path, t1_batch):
     path = tmp_path / "t1.ds"
     save_dataset(t1_batch, path)
