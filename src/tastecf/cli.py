@@ -233,7 +233,7 @@ def _cmd_stats(args) -> int:
     print(f"n_users={len(batch.user_vocab)}")
     print(f"n_tracks={len(batch.track_vocab)}")
     print(f"triplets={len(batch)}")
-    print(f"total_plays={int(batch.counts.sum()) if len(batch) else 0}")
+    print(f"total_plays={int(batch.counts.sum(dtype='int64'))}")
     return 0
 
 

@@ -276,12 +276,17 @@ class Vocabulary:
     def _shared_entries(table: np.ndarray) -> np.ndarray:
         """The positions in the sorted table of the entries whose high bits
         equal a neighbour's, compared one block at a time."""
-        runs = []
+        runs = [np.empty(0, np.intp)]
         for at in range(0, table.size - 1, _BLOCK_IDS):
             block = table[at:at + _BLOCK_IDS + 1]
             runs.append(np.flatnonzero((block[1:] ^ block[:-1]) <= _LOW) + at)
-        runs = np.concatenate(runs) if runs else np.empty(0, np.intp)
-        return np.union1d(runs, runs + 1)
+        runs = np.concatenate(runs)
+        # each entry that opens a run and each that follows one, once;
+        # np.union1d would import numpy.ma
+        shared = np.sort(np.concatenate((runs, runs + 1)))
+        first = np.ones(shared.size, bool)
+        np.not_equal(shared[1:], shared[:-1], out=first[1:])
+        return shared[first]
 
     def _find(self, words, starts, lens, hashes):
         """(index, position) of each id of `lens` bytes from `starts` over

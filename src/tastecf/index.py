@@ -21,7 +21,7 @@ from .ingest import TripletBatch
 
 _MAGIC = b"TCFIDX1\x00"
 _VERSION = 2
-# load_index sums the play counts of this many users' rows at a time
+# _play_totals sums the play counts of this many users' rows at a time
 _CHECK_USERS = 1 << 14
 
 
@@ -32,16 +32,16 @@ class InteractionIndex:
     df[t] is the number of distinct listeners of track t (the length of its
     posting list); total_plays[u] is the sum of u's play counts. All arrays
     are frozen after construction and safe to share across workers.
-    fwd_counts is int64 from build_index and the file's u32 from
-    load_index; the engine never reads it, and a sum of it must ask for
-    dtype=np.int64.
+    fwd_counts keeps the batch's dtype (u32 for a parsed or loaded batch,
+    and the file's u32 from load_index); the engine never reads it, and a
+    sum of it must ask for dtype=np.int64.
     """
 
     n_users: int
     n_tracks: int
     fwd_offsets: np.ndarray   # int64, n_users + 1
     fwd_tracks: np.ndarray    # int32, ascending within each user run
-    fwd_counts: np.ndarray    # int64 built, u32 loaded; parallel to fwd_tracks
+    fwd_counts: np.ndarray    # the batch's dtype; parallel to fwd_tracks
     inv_offsets: np.ndarray   # int64, n_tracks + 1
     inv_users: np.ndarray     # int32, ascending within each track run
     df: np.ndarray            # int64 per track
@@ -101,10 +101,14 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     """Build the index; insensitive to the batch's triplet order.
 
     Each per-triplet array is made once, at its narrowest width, and freed
-    once used. Beyond the batch, tracemalloc puts the peak at about 30
-    bytes per triplet plus 16 per user and 8 per track (the lexsort build
-    this replaced took 71-80 bytes per triplet); numpy's sort buffers,
-    which tracemalloc does not see, add up to 8 bytes per triplet.
+    once used; fwd_counts is gathered in the batch's own dtype, so the u32
+    counts of a parsed or loaded batch are never widened. total_plays is
+    summed by _play_totals once the inverse lists are built, so its 8 bytes
+    per user are not held during their sorts. Beyond the batch, tracemalloc
+    puts the peak at about 25 bytes per triplet with u32 counts (29 with
+    int64) plus 16 per user and 8 per track (the lexsort build this
+    replaced took 71-80 bytes per triplet); numpy's sort buffers, which
+    tracemalloc does not see, add up to 8 bytes per triplet.
     """
     n_users = len(batch.user_vocab)
     n_tracks = len(batch.track_vocab)
@@ -113,7 +117,7 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
 
     users = np.asarray(batch.users)
     tracks = np.asarray(batch.tracks)
-    counts = np.asarray(batch.counts, dtype=np.int64)
+    counts = np.asarray(batch.counts)
     if users.size:
         if users.min() < 0 or users.max() >= n_users:
             raise DataError("user index outside vocabulary range")
@@ -124,12 +128,9 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     users = users.astype(np.int32, copy=False)
     tracks = tracks.astype(np.int32, copy=False)
 
-    # run lengths and sums do not depend on the order; the sums are
-    # integer-exact while totals stay below 2**53
+    # run lengths do not depend on the order
     fwd_offsets = _offsets(np.bincount(users, minlength=n_users))
     inv_offsets = _offsets(np.bincount(tracks, minlength=n_tracks))
-    total_plays = np.bincount(users, weights=counts,
-                              minlength=n_users).astype(np.int64)
 
     # the order np.lexsort((tracks, users)) gives, from one stable sort of a
     # single key below 2**62; fast because rows mostly arrive grouped by user
@@ -144,7 +145,7 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     # tracks rise within a user's run, so a repeated pair sits next to its
     # twin, and equal neighbours are a repeat unless a new run starts there
     repeats = np.flatnonzero(fwd_tracks[1:] == fwd_tracks[:-1]) + 1
-    if not np.isin(repeats, fwd_offsets).all():
+    if not (fwd_offsets[np.searchsorted(fwd_offsets, repeats)] == repeats).all():
         raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
 
     # the order np.lexsort((users, tracks)) gives: forward entries are in
@@ -160,12 +161,29 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     order = np.argsort(high.astype(np.uint16), kind="stable")
     del high
     inv_users = inv_users[order]
+    del order
 
+    total_plays = np.empty(n_users, np.int64)
+    for at, totals in _play_totals(fwd_offsets, fwd_counts):
+        total_plays[at:at + totals.size] = totals
     df = np.diff(inv_offsets)
     _freeze(fwd_offsets, fwd_tracks, fwd_counts, inv_offsets, inv_users,
             df, total_plays)
     return InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                             fwd_counts, inv_offsets, inv_users, df, total_plays)
+
+
+def _play_totals(fwd_offsets: np.ndarray, fwd_counts: np.ndarray):
+    """(first user, int64 play totals) for each block of _CHECK_USERS
+    users: the running sum of the block's rows, differenced at their
+    offsets. The sum is integer-exact for any u32 counts, and no temporary
+    is larger than one block's rows."""
+    for at in range(0, fwd_offsets.size - 1, _CHECK_USERS):
+        rows = fwd_offsets[at:at + _CHECK_USERS + 1]
+        first = int(rows[0])
+        sums = np.zeros(int(rows[-1]) - first + 1, np.int64)
+        np.cumsum(fwd_counts[first:int(rows[-1])], dtype=np.int64, out=sums[1:])
+        yield at, np.diff(sums[rows - first])
 
 
 def _offsets(run_lengths: np.ndarray) -> np.ndarray:
@@ -187,8 +205,9 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
     """Persist the index (plus vocabularies and, optionally, an idf table).
 
     Arrays are written in their in-memory dtypes, except play counts, which
-    are stored as u32. A larger count or an id that contains "\\n" raises
-    ValueError before anything is written.
+    are stored as u32 (with no copy when they are u32 already). A larger
+    count or an id that contains "\\n" raises ValueError before anything is
+    written.
     """
     if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
@@ -221,7 +240,7 @@ def load_index(path) -> LoadedIndex:
     with array operations, none of which makes an nnz-size temporary:
     offsets that do not rise from 0 to nnz, an index outside its
     vocabulary, a play count of 0, total_plays that differ from the users'
-    summed play counts (summed one block of users' rows at a time), an idf
+    summed play counts (by _play_totals, as build_index sums them), an idf
     flag other than 0 or 1, an idf log base that is not positive or equals
     1, an idf value that is not finite and >= 0, or a length that does not
     match the body raise DataError. Each of the value checks guards output
@@ -238,15 +257,8 @@ def load_index(path) -> LoadedIndex:
     inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
     inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
     total_plays = r.array("<i8", n_users)
-    # each user's play total is the running sum differenced at the offsets,
-    # summed over one block of users' rows at a time
-    for at in range(0, n_users, _CHECK_USERS):
-        rows = fwd_offsets[at:at + _CHECK_USERS + 1]
-        first = int(rows[0])
-        sums = np.zeros(int(rows[-1]) - first + 1, np.int64)
-        np.cumsum(fwd_counts[first:int(rows[-1])], dtype=np.int64, out=sums[1:])
-        if not np.array_equal(np.diff(sums[rows - first]),
-                              total_plays[at:at + _CHECK_USERS]):
+    for at, totals in _play_totals(fwd_offsets, fwd_counts):
+        if not np.array_equal(totals, total_plays[at:at + totals.size]):
             raise r.fail("total_plays differ from the users' summed fwd_counts")
     (has_idf,) = r.unpack("<B")
     idf = None

@@ -36,7 +36,8 @@ _VERSION = 2
 class TripletBatch:
     """Interaction records over dense ids, plus the two vocabularies.
 
-    users/tracks/counts are parallel arrays, one entry per triplet.
+    users/tracks/counts are parallel arrays, one entry per triplet. A parsed
+    or loaded batch holds int32 ids and u32 counts.
     """
 
     users: np.ndarray
@@ -68,7 +69,7 @@ _BLOCK_BYTES = 1 << 20
 _CHUNK_LINES = 1 << 16
 # what _columns gives for a block of empty lines
 _NO_ROWS = (np.empty(0, np.uint8), (np.empty(0, np.intp),) * 2,
-            (np.empty(0, np.intp),) * 2, np.empty(0, np.int64), None)
+            (np.empty(0, np.intp),) * 2, np.empty(0, np.uint32), None)
 
 
 def _check_line(line: str, line_no: int, delimiter: str) -> None:
@@ -152,8 +153,9 @@ def _columns(data: bytes, delimiter: bytes):
 
 
 def _play_counts(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
-    """The value of each byte string buf[start:start + len], or None unless
-    each is ASCII digits (leading zeros allowed) worth 1 to MAX_PLAY_COUNT."""
+    """The value of each byte string buf[start:start + len] as u32, or None
+    unless each is ASCII digits (leading zeros allowed) worth 1 to
+    MAX_PLAY_COUNT."""
     if not lens.all():
         return None
     # all the counts' digits, one field after another, and the power of ten
@@ -171,7 +173,7 @@ def _play_counts(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
                              ends - lens)
     if counts.min() < 1 or counts.max() > MAX_PLAY_COUNT:
         return None
-    return counts
+    return counts.astype(np.uint32)
 
 
 def _first_bad_line(lines: list[str], first_line: int, delimiter: str):
@@ -229,7 +231,7 @@ def _parse(blocks, delimiter: str) -> TripletBatch:
     track_vocab = Vocabulary()
     users = [np.empty(0, np.int32)]
     tracks = [np.empty(0, np.int32)]
-    counts = [np.empty(0, np.int64)]
+    counts = [np.empty(0, np.uint32)]
     line_nos = []    # per block, the line number of each row kept
     error = None
     for data, first_line, lines, error in blocks:
@@ -387,9 +389,9 @@ def save_dataset(batch: TripletBatch, path) -> None:
 def load_dataset(path) -> TripletBatch:
     """Inverse of save_dataset; load(save(b)) == b including vocab order.
 
-    users and tracks are read-only views of the file bytes. Any id outside
-    its vocabulary, a play count of 0 or a length that does not match the
-    body raises DataError.
+    users, tracks and the u32 counts are read-only views of the file bytes.
+    Any id outside its vocabulary, a play count of 0 or a length that does
+    not match the body raises DataError.
     """
     r = storage.Reader(path, _MAGIC, _VERSION)
     n_users, n_tracks, n_triplets = r.unpack("<QQQ")
@@ -399,5 +401,4 @@ def load_dataset(path) -> TripletBatch:
     tracks = r.bounded("<i4", n_triplets, 0, n_tracks, "track ids")
     counts = r.bounded("<u4", n_triplets, 1, MAX_PLAY_COUNT + 1, "play counts")
     r.finish()
-    return TripletBatch(users, tracks, counts.astype(np.int64), user_vocab,
-                        track_vocab)
+    return TripletBatch(users, tracks, counts, user_vocab, track_vocab)

@@ -19,7 +19,7 @@ the same order as a neighbor-by-neighbor loop. Ranking compares those
 canonical sums, which makes output byte-identical for any worker count and
 for any idf log base. Only tracks scoring at least the k-th best score
 (ties included) are sorted, which cannot change the first k places; the
-same cut, keyed by df, picks popularity pads from the catalogue.
+same cut, keyed by popularity, picks popularity pads from the catalogue.
 """
 
 from dataclasses import dataclass
@@ -117,9 +117,17 @@ def rank_and_pad(user: int, scored: ScoredTracks, k: int, pad_strategy: str,
     need = k - len(items)
     if need and pad_strategy == PAD_POPULARITY:
         used = tracks if seen is None else np.concatenate((tracks, seen))
-        # the first need + |used| by popularity hold the first need unused
-        pool, _ = _first(np.arange(df.size), df, df, need + used.size)
-        items += pool[np.isin(pool, used, invert=True)][:need].tolist()
+        # the first need + |used| by popularity hold the first need unused.
+        # The key df * n - track is distinct, below 2**62 in magnitude, and
+        # orders tracks as (df desc, track asc), so exactly that many
+        # survive the cut, however many tracks share a df
+        pool = np.arange(df.size)
+        key = np.multiply(df, df.size, dtype=np.int64)
+        key -= pool
+        pool, _ = _first(pool, key, df, need + used.size)
+        free = np.ones(df.size, bool)
+        free[used] = False
+        items += pool[free[pool]][:need].tolist()
     items += range(-1, len(items) - k - 1, -1)
     return Recommendation(user, items, scores.tolist())
 

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 import subprocess
 import sys
@@ -488,3 +489,54 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "recommend" in proc.stdout
+
+
+# runs one command through cli.main and fails if numpy.ma was imported
+_WITHOUT_NUMPY_MA = """\
+import sys
+from tastecf.cli import main
+code = main(sys.argv[1:])
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+sys.exit(code)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # importing numpy.ma costs a process about 15 ms; on numpy 2.x np.unique
+    # with no return_* flag imports it, and so np.union1d and the sorting
+    # path of np.isin, taken for a few values looked up among many spread
+    # over a wide range. Here that would be build's check for repeated pairs
+    # (u2 starts with u9's last track) and u9's popularity pads (its 20
+    # tracks are spread over 3,000 track ids)
+    rows = [(1, f"t{t:04d}") for t in range(1500)]
+    rows += [(9, f"s{i:02d}") for i in range(10)]
+    rows += [(1, f"t{t:04d}") for t in range(1500, 3000)]
+    rows += [(9, f"s{i:02d}") for i in range(10, 20)]
+    rows += [(2, "s19"), (2, "t3000")]
+    rows += [(u, f"f{u}.{i}") for u in (3, 4, 5, 6, 7, 8, 10, 11, 12) for i in (0, 1)]
+    source = tmp_path / "t.txt"
+    source.write_text("".join(f"u{u}\t{t}\t1\n" for u, t in rows))
+    users = tmp_path / "users.txt"
+    users.write_text("".join(f"u{u}\n" for u in range(1, 13)))
+    path = {name: str(tmp_path / name)
+            for name in ("vis.txt", "hid.txt", "d.ds", "d.idx", "recs.txt")}
+    recommend = ["recommend", "--input", path["d.idx"], "--users", str(users),
+                 "--out", path["recs.txt"], "--k", "5"]
+    commands = [
+        ["split", "--input", str(source), "--visible-out", path["vis.txt"],
+         "--hidden-out", path["hid.txt"], "--fraction", "0.5", "--seed", "7"],
+        ["ingest", "--input", str(source), "--out", path["d.ds"]],
+        ["build", "--input", path["d.ds"], "--out", path["d.idx"]],
+        recommend,
+        [*recommend, "--workers", "2"],
+        [*recommend, "--pad", "popularity"],
+        ["evaluate", "--recs", path["recs.txt"], "--hidden", path["hid.txt"],
+         "--k", "5"],
+        ["stats", "--input", str(source)],
+        ["stats", "--input", path["d.ds"]],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY_MA, *args],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (args, proc.stderr)

@@ -15,9 +15,11 @@ from tastecf import (
     Vocabulary,
     build_index,
     compute_idf,
+    load_dataset,
     load_index,
     parse_triplets,
     recommend_all,
+    save_dataset,
     save_index,
     write_recommendations,
 )
@@ -112,7 +114,7 @@ def test_build_index_equals_the_lexsort_reference(drawn):
 
 
 # the tracemalloc peak of build_index per triplet, beyond the batch; it was
-# 71-80 bytes with the lexsort construction and is 32-38 bytes now
+# 71-80 bytes with the lexsort construction and is 31-36 bytes now
 _BUILD_BYTES_PER_TRIPLET = 42
 
 
@@ -132,6 +134,33 @@ def test_build_index_peak_memory_per_triplet(shape):
     finally:
         tracemalloc.stop()
     assert peak / len(batch) <= _BUILD_BYTES_PER_TRIPLET
+
+
+# the tracemalloc peak of load_dataset and build_index beyond the dataset
+# file, per triplet; it was 40-46 bytes while load_dataset widened the
+# counts to int64 and build_index summed total_plays as float64, and is
+# 27-32 with the counts kept u32
+_LOAD_BUILD_BYTES_PER_TRIPLET = 36
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_users=20_000, n_tracks=5_000, mean_tracks_per_user=10.0),
+    dict(n_users=40_000, n_tracks=100_000, mean_tracks_per_user=4.0, skew=0.3),
+])
+def test_build_from_a_dataset_file_peak_memory_per_triplet(tmp_path, shape):
+    batch = skewed_batch(**shape)
+    n_triplets = len(batch)
+    path = tmp_path / "batch.ds"
+    save_dataset(batch, path)
+    del batch
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_index(load_dataset(path))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (peak - path.stat().st_size) / n_triplets <= _LOAD_BUILD_BYTES_PER_TRIPLET
 
 
 # the tracemalloc peak of serving recommend from an index file (load_index,
@@ -272,6 +301,20 @@ def test_out_of_range_index_is_rejected():
 def test_index_arrays_are_frozen(t1_index):
     with pytest.raises(ValueError):
         t1_index.df[0] = 99
+
+
+@pytest.mark.parametrize("counts", [np.int64, np.uint32])
+def test_total_plays_are_int64_sums(counts):
+    # user 1 has no rows, and user 2's two counts sum past 2**32
+    top = 2**32 - 1
+    batch = TripletBatch(np.array([2, 0, 2, 3], np.int32),
+                         np.array([0, 1, 1, 0], np.int32),
+                         np.array([top, 7, top, 1], counts),
+                         Vocabulary(["u0", "u1", "u2", "u3"]), Vocabulary(["a", "b"]))
+    index = build_index(batch)
+    assert index.fwd_counts.dtype == counts
+    assert index.total_plays.dtype == np.int64
+    assert index.total_plays.tolist() == [7, 0, 2 * top, 1]
 
 
 def test_save_index_rejects_play_count_above_u32(tmp_path):

@@ -76,7 +76,7 @@ def _reference_parse(stream, delimiter="\t"):
     return TripletBatch(
         np.array(users, dtype=np.int32),
         np.array(tracks, dtype=np.int32),
-        np.array(counts, dtype=np.int64),
+        np.array(counts, dtype=np.uint32),
         *(Vocabulary.from_utf8("\n".join(index).encode(), len(index))
           for index in (user_index, track_index)),
     )
@@ -88,6 +88,15 @@ def test_parse_two_lines():
     assert len(batch.user_vocab) == 1
     assert len(batch.track_vocab) == 2
     assert batch.counts.tolist() == [2, 1]
+
+
+def test_parsed_counts_are_u32(tmp_path):
+    text = f"u1\ta\t{MAX_PLAY_COUNT}\nu1\tb\t1\n"
+    path = tmp_path / "counts.txt"
+    path.write_text(text)
+    for batch in (parse_triplets(io.StringIO(text)), read_triplets(path)):
+        assert batch.counts.dtype == np.uint32
+        assert batch.counts.tolist() == [MAX_PLAY_COUNT, 1]
 
 
 def test_parse_t1_shapes_and_first_seen_order(t1_batch):

@@ -129,13 +129,20 @@ def test_popularity_padding_skips_seen_and_falls_back_to_dummies():
 @given(st.integers(1, 40), st.data())
 def test_popularity_pads_equal_the_oracle_at_the_cut(k, data):
     # a catalogue larger than k + |seen|, with df and scores on a few levels
-    # each, so that the m-th df of the pad cut and, when more than k tracks
-    # score, the k-th score are tied across many tracks
+    # each, or df mostly at one level, so that the m-th df of the pad cut
+    # and, when more than k tracks score, the k-th score are tied across
+    # many tracks
     n_seen = data.draw(st.integers(0, 2 * k), label="seen")
     n_tracks = data.draw(st.integers(k + n_seen + 1, 3 * k + n_seen + 20),
                          label="tracks")
-    df = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_tracks,
-                                     max_size=n_tracks), label="df"))
+    if data.draw(st.booleans(), label="flat"):
+        df = np.full(n_tracks, data.draw(st.integers(0, 3), label="level"))
+        others = data.draw(st.lists(st.integers(0, n_tracks - 1), max_size=k),
+                           label="others")
+        df[others] = data.draw(st.integers(0, 5), label="other level")
+    else:
+        df = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_tracks,
+                                         max_size=n_tracks), label="df"))
     order = data.draw(st.permutations(range(n_tracks)), label="order")
     seen = np.array(order[:n_seen], dtype=np.int32)
     # scored tracks may be seen ones, as when seen tracks are not excluded

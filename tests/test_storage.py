@@ -464,7 +464,17 @@ def test_loaded_dataset_id_arrays_are_views_of_the_file(tmp_path, t1_batch):
     batch = load_dataset(path)
     assert _file_bytes(batch.users) is _file_bytes(batch.tracks)
     assert isinstance(_file_bytes(batch.users), bytes)
-    assert batch.users.dtype == np.int32 and batch.counts.dtype == np.int64
+    assert batch.users.dtype == np.int32 and batch.counts.dtype == np.uint32
+
+
+def test_loaded_dataset_counts_are_a_read_only_u32_view_of_the_file(tmp_path, t1_batch):
+    path = tmp_path / "t1.ds"
+    save_dataset(t1_batch, path)
+    batch = load_dataset(path)
+    assert batch.counts.dtype == np.uint32
+    assert _file_bytes(batch.counts) is _file_bytes(batch.users)
+    assert not batch.counts.flags.writeable
+    assert batch.counts.tolist() == t1_batch.counts.tolist()
 
 
 # --- generated faults: a small saved index, mutated ---------------------------
