@@ -29,7 +29,7 @@ from .evaluate import (
 from .idf import IdfTable, compute_idf
 from .index import InteractionIndex, LoadedIndex, build_index, load_index, save_index
 from .ingest import (TripletBatch, load_dataset, parse_triplets, read_triplets,
-                     save_dataset, write_triplets)
+                     save_dataset, sort_by_pair, write_triplets)
 from .recommend import (
     Recommendation,
     ScoredTracks,
@@ -87,6 +87,7 @@ __all__ = [
     "save_dataset",
     "save_index",
     "score_tracks",
+    "sort_by_pair",
     "split_history",
     "write_recommendations",
     "write_triplets",

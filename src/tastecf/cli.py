@@ -21,7 +21,8 @@ from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
 from .evaluate import mean_average_precision, split_history, tracks_by_user
 from .idf import compute_idf, valid_log_base
 from .index import build_index, load_index, save_index
-from .ingest import load_dataset, read_triplets, save_dataset, write_triplets
+from .ingest import (load_dataset, read_triplets, save_dataset, sort_by_pair,
+                     write_triplets)
 from .recommend import recommend_all, write_recommendations
 
 _MODE_NAMES = {"challenge": AP_CHALLENGE, "paper": AP_LIST_LENGTH}
@@ -111,6 +112,7 @@ def _log_config(command: str, args, keys) -> None:
 def _cmd_ingest(args) -> int:
     _log_config("ingest", args, ["input", "out", "delimiter"])
     batch = _read_triplets(args.input, args.delimiter)
+    sort_by_pair(batch)
     save_dataset(batch, args.out)
     print(f"ingested {len(batch)} triplets "
           f"({len(batch.user_vocab)} users, {len(batch.track_vocab)} tracks) "

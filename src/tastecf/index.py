@@ -23,6 +23,9 @@ _MAGIC = b"TCFIDX1\x00"
 _VERSION = 2
 # _play_totals sums the play counts of this many users' rows at a time
 _CHECK_USERS = 1 << 14
+# _ordered and load_index's posting-length check read this many rows at a
+# time
+_CHECK_ROWS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -34,7 +37,9 @@ class InteractionIndex:
     are frozen after construction and safe to share across workers.
     fwd_counts keeps the batch's dtype (u32 for a parsed or loaded batch,
     and the file's u32 from load_index); the engine never reads it, and a
-    sum of it must ask for dtype=np.int64.
+    sum of it must ask for dtype=np.int64. The forward arrays may be
+    read-only views of a file: of the index file from load_index, and of
+    the dataset file when build_index is given an ordered loaded batch.
     """
 
     n_users: int
@@ -100,15 +105,24 @@ def _freeze(*arrays):
 def build_index(batch: TripletBatch) -> InteractionIndex:
     """Build the index; insensitive to the batch's triplet order.
 
+    Rows already in ascending (user, track) order, tracks rising strictly
+    within a user (as `tastecf ingest` saves them), are the forward lists
+    as they are: fwd_tracks and fwd_counts are then the batch's own
+    columns, with no sort, when they are read-only (a loaded dataset
+    file's views), and copies of them when they are writable. Any other
+    batch is put in that order by one stable argsort, and a repeated pair
+    raises DuplicatePairError.
+
     Each per-triplet array is made once, at its narrowest width, and freed
-    once used; fwd_counts is gathered in the batch's own dtype, so the u32
-    counts of a parsed or loaded batch are never widened. total_plays is
-    summed by _play_totals once the inverse lists are built, so its 8 bytes
-    per user are not held during their sorts. Beyond the batch, tracemalloc
-    puts the peak at about 25 bytes per triplet with u32 counts (29 with
-    int64) plus 16 per user and 8 per track (the lexsort build this
-    replaced took 71-80 bytes per triplet); numpy's sort buffers, which
-    tracemalloc does not see, add up to 8 bytes per triplet.
+    once used; fwd_counts keeps the batch's own dtype, so the u32 counts of
+    a parsed or loaded batch are never widened. total_plays is summed by
+    _play_totals once the inverse lists are built, so its 8 bytes per user
+    are not held during their sorts. Beyond the batch, tracemalloc puts the
+    peak at about 25 bytes per triplet with u32 counts (29 with int64) plus
+    16 per user and 8 per track when the rows need sorting, and about 17
+    with u32 counts when they are ordered and read-only (the lexsort build
+    this replaced took 71-80 bytes per triplet); numpy's sort buffers,
+    which tracemalloc does not see, add up to 8 bytes per triplet.
     """
     n_users = len(batch.user_vocab)
     n_tracks = len(batch.track_vocab)
@@ -132,21 +146,14 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     fwd_offsets = _offsets(np.bincount(users, minlength=n_users))
     inv_offsets = _offsets(np.bincount(tracks, minlength=n_tracks))
 
-    # the order np.lexsort((tracks, users)) gives, from one stable sort of a
-    # single key below 2**62; fast because rows mostly arrive grouped by user
-    key = users.astype(np.int64)
-    key *= n_tracks
-    key += tracks
-    fwd_order = np.argsort(key, kind="stable")
-    del key
-    fwd_tracks = tracks[fwd_order]
-    fwd_counts = counts[fwd_order]
-    del fwd_order
-    # tracks rise within a user's run, so a repeated pair sits next to its
-    # twin, and equal neighbours are a repeat unless a new run starts there
-    repeats = np.flatnonzero(fwd_tracks[1:] == fwd_tracks[:-1]) + 1
-    if not (fwd_offsets[np.searchsorted(fwd_offsets, repeats)] == repeats).all():
-        raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+    if _ordered(users, tracks):
+        # the rows are the forward lists; the index shares what it is given
+        # only when nothing can write to it
+        fwd_tracks = tracks.copy() if tracks.flags.writeable else tracks
+        fwd_counts = counts.copy() if counts.flags.writeable else counts
+    else:
+        fwd_tracks, fwd_counts = _sorted_forward(users, tracks, counts,
+                                                 n_tracks, fwd_offsets)
 
     # the order np.lexsort((users, tracks)) gives: forward entries are in
     # user order, so two stable sorts, by the tracks' low 16 bits and then
@@ -171,6 +178,39 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
             df, total_plays)
     return InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                             fwd_counts, inv_offsets, inv_users, df, total_plays)
+
+
+def _ordered(users: np.ndarray, tracks: np.ndarray) -> bool:
+    """Whether users never fall and tracks rise strictly within a user,
+    so that no pair repeats; read _CHECK_ROWS rows at a time."""
+    for at in range(1, users.size, _CHECK_ROWS):
+        u = users[at - 1:at + _CHECK_ROWS]
+        t = tracks[at - 1:at + _CHECK_ROWS]
+        if ((u[1:] < u[:-1]).any()
+                or ((u[1:] == u[:-1]) & (t[1:] <= t[:-1])).any()):
+            return False
+    return True
+
+
+def _sorted_forward(users, tracks, counts, n_tracks: int, fwd_offsets):
+    """fwd_tracks and fwd_counts of rows in any order; DuplicatePairError
+    if a pair repeats."""
+    # the order np.lexsort((tracks, users)) gives, from one stable sort of a
+    # single key below 2**62; fast because rows mostly arrive grouped by user
+    key = users.astype(np.int64)
+    key *= n_tracks
+    key += tracks
+    fwd_order = np.argsort(key, kind="stable")
+    del key
+    fwd_tracks = tracks[fwd_order]
+    fwd_counts = counts[fwd_order]
+    del fwd_order
+    # tracks rise within a user's run, so a repeated pair sits next to its
+    # twin, and equal neighbours are a repeat unless a new run starts there
+    repeats = np.flatnonzero(fwd_tracks[1:] == fwd_tracks[:-1]) + 1
+    if not (fwd_offsets[np.searchsorted(fwd_offsets, repeats)] == repeats).all():
+        raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+    return fwd_tracks, fwd_counts
 
 
 def _play_totals(fwd_offsets: np.ndarray, fwd_counts: np.ndarray):
@@ -240,10 +280,12 @@ def load_index(path) -> LoadedIndex:
     with array operations, none of which makes an nnz-size temporary:
     offsets that do not rise from 0 to nnz, an index outside its
     vocabulary, a play count of 0, total_plays that differ from the users'
-    summed play counts (by _play_totals, as build_index sums them), an idf
-    flag other than 0 or 1, an idf log base that is not positive or equals
-    1, an idf value that is not finite and >= 0, or a length that does not
-    match the body raise DataError. Each of the value checks guards output
+    summed play counts (by _play_totals, as build_index sums them),
+    posting lengths that differ from the tracks' counts in fwd_tracks
+    (counted a block of rows at a time), an idf flag other than 0 or 1, an
+    idf log base that is not positive or equals 1, an idf value that is not
+    finite and >= 0, or a length that does not match the body raise
+    DataError. Each of the value checks guards output
     that would otherwise change without an error. A vocabulary that holds
     an id twice raises DataError at its first lookup or check_distinct.
     """
@@ -274,9 +316,15 @@ def load_index(path) -> LoadedIndex:
         raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
     r.finish()
 
-    # the posting lengths must be the tracks' counts in the forward lists
+    # the posting lengths must be the tracks' counts in the forward lists,
+    # counted a block of rows at a time; a block is at least four times as
+    # long as the counts it adds, so they cost at most a quarter more
     df = np.diff(inv_offsets)
-    if not np.array_equal(np.bincount(fwd_tracks, minlength=n_tracks), df):
+    uncounted = df.copy()
+    step = max(_CHECK_ROWS, 4 * n_tracks)
+    for at in range(0, nnz, step):
+        uncounted -= np.bincount(fwd_tracks[at:at + step], minlength=n_tracks)
+    if uncounted.any():
         raise r.fail("inv_offsets differ from the tracks' counts in fwd_tracks")
     _freeze(df)
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,

@@ -16,6 +16,11 @@ them as they are. Interning goes through the vocabulary's hash table of 8
 bytes per id; no id dictionary or per-id str is made. Only a block the core
 refuses is walked line by line, by _check_line, the definition of a bad
 line.
+
+A parse gives its rows in line order. `tastecf ingest` reorders them to
+ascending (user, track) with sort_by_pair before it saves them, so an
+ingested dataset file holds the forward lists that build_index would
+otherwise sort for.
 """
 
 from dataclasses import dataclass
@@ -26,7 +31,7 @@ import numpy as np
 
 from . import storage
 from .core import (DuplicatePairError, MAX_PLAY_COUNT, MalformedLineError,
-                   Vocabulary)
+                   Vocabulary, _with_room)
 
 _MAGIC = b"TCFDAT1\x00"
 _VERSION = 2
@@ -67,6 +72,8 @@ _POWERS_OF_TEN = 10 ** np.arange(10, dtype=np.int64)
 _BLOCK_BYTES = 1 << 20
 # lines of a stream encoded per block
 _CHUNK_LINES = 1 << 16
+# rows sort_by_pair unpacks and write_triplets formats at a time
+_BLOCK_ROWS = 1 << 16
 # what _columns gives for a block of empty lines
 _NO_ROWS = (np.empty(0, np.uint8), (np.empty(0, np.intp),) * 2,
             (np.empty(0, np.intp),) * 2, np.empty(0, np.uint32), None)
@@ -229,9 +236,12 @@ def _parse(blocks, delimiter: str) -> TripletBatch:
     delimiter_bytes = delimiter.encode("utf-8", "surrogatepass")
     user_vocab = Vocabulary()
     track_vocab = Vocabulary()
-    users = [np.empty(0, np.int32)]
-    tracks = [np.empty(0, np.int32)]
-    counts = [np.empty(0, np.uint32)]
+    # one array per column, doubled when full as the vocabulary store is,
+    # and cut to its rows in place at the end; no list of blocks is kept
+    users = np.zeros(0, np.int32)
+    tracks = np.zeros(0, np.int32)
+    counts = np.zeros(0, np.uint32)
+    rows = 0
     line_nos = []    # per block, the line number of each row kept
     error = None
     for data, first_line, lines, error in blocks:
@@ -249,18 +259,21 @@ def _parse(blocks, delimiter: str) -> TripletBatch:
             if columns is None:
                 raise RuntimeError("block checks reject a line _check_line accepts")
         buf, user_spans, track_spans, block_counts, kept = columns
-        users.append(user_vocab.intern_utf8(buf, *user_spans))
-        tracks.append(track_vocab.intern_utf8(buf, *track_spans))
-        counts.append(block_counts)
+        end = rows + block_counts.size
+        users = _with_room(users, rows, end)
+        tracks = _with_room(tracks, rows, end)
+        counts = _with_room(counts, rows, end)
+        users[rows:end] = user_vocab.intern_utf8(buf, *user_spans)
+        tracks[rows:end] = track_vocab.intern_utf8(buf, *track_spans)
+        counts[rows:end] = block_counts
         line_nos.append(range(first_line, first_line + block_counts.size)
                         if kept is None else kept + first_line)
+        rows = end
         if error is not None:
             break
 
-    # each column's blocks go as soon as they are joined
-    users = np.concatenate(users)
-    tracks = np.concatenate(tracks)
-    counts = np.concatenate(counts)
+    for column in (users, tracks, counts):
+        column.resize(rows, refcheck=False)    # nothing else refers to it
     batch = TripletBatch(users, tracks, counts, user_vocab, track_vocab)
     _check_unique_pairs(batch, chain.from_iterable(line_nos))
     if error is not None:
@@ -327,10 +340,11 @@ def _file_blocks(fh):
 def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
     """Parse line-oriented triplet text into a batch.
 
-    Empty lines are skipped. Vocabularies are populated in first-seen
-    order. Raises MalformedLineError for a wrong field count, an id that
-    contains a space (recommendation lines are space-separated) or a
-    newline, or a play count that is not an integer in [1, 2**32 - 1];
+    Empty lines are skipped. Rows are in line order, and vocabularies are
+    populated in first-seen order. Raises MalformedLineError for a wrong
+    field count, an id that contains a space (recommendation lines are
+    space-separated) or a newline, or a play count that is not an integer
+    in [1, 2**32 - 1];
     DuplicatePairError when a (user, track) pair repeats. Both carry the
     1-based line number, and the first bad line decides which is raised.
 
@@ -348,7 +362,9 @@ def read_triplets(path, delimiter: str = "\t") -> TripletBatch:
     The file is read as bytes, _BLOCK_BYTES at a time, and each block is
     checked to be UTF-8 by one decode, then checked, split and interned in
     numpy. A byte that is not UTF-8 raises MalformedLineError "not valid
-    UTF-8" at its line, unless an earlier line is bad.
+    UTF-8" at its line, unless an earlier line is bad. Rows are in line
+    order; `tastecf ingest` reorders them by sort_by_pair before it saves
+    them.
     """
     with open(path, "rb") as fh:
         return _parse(_file_blocks(fh), delimiter)
@@ -360,14 +376,57 @@ def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:
     # braces in the delimiter stand for themselves in the format string
     field = delimiter.replace("{", "{{").replace("}", "}}")
     line = f"{{}}{field}{{}}{field}{{}}\n".format
-    users = map(batch.user_vocab.ids.__getitem__, batch.users.tolist())
-    tracks = map(batch.track_vocab.ids.__getitem__, batch.tracks.tolist())
+    user_ids, track_ids = batch.user_vocab.ids, batch.track_vocab.ids
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(map(line, users, tracks, batch.counts.tolist()))
+        # a block of rows at a time, so that no list is as long as the batch
+        for at in range(0, len(batch), _BLOCK_ROWS):
+            rows = slice(at, at + _BLOCK_ROWS)
+            fh.writelines(map(line,
+                              map(user_ids.__getitem__, batch.users[rows].tolist()),
+                              map(track_ids.__getitem__, batch.tracks[rows].tolist()),
+                              batch.counts[rows].tolist()))
+
+
+def sort_by_pair(batch: TripletBatch) -> None:
+    """Reorder the batch's rows in place to ascending (user, track), the
+    order in which build_index takes them without a sort of its own. The
+    columns must be writable and the ids lie in their vocabularies.
+
+    When the bit widths of the two vocabularies' indexes and of the largest
+    play count fit in 63 bits, each row is packed into one int64 key, the
+    keys are sorted in place and unpacked into the columns _BLOCK_ROWS
+    rows at a time: 8 bytes per row beyond the batch. Otherwise the rows
+    are permuted by a stable argsort of user << 32 | track.
+    """
+    if not len(batch):
+        return
+    track_bits = (len(batch.track_vocab) - 1).bit_length()
+    count_bits = int(batch.counts.max()).bit_length()
+    if (len(batch.user_vocab) - 1).bit_length() + track_bits + count_bits > 63:
+        order = np.argsort(_pair_keys(batch), kind="stable")
+        for column in (batch.users, batch.tracks, batch.counts):
+            column[:] = column[order]
+        return
+    # int64 throughout: numpy 1.x turns uint64 mixed with int64 into float64
+    key = batch.users.astype(np.int64)
+    key <<= track_bits
+    key |= batch.tracks
+    key <<= count_bits
+    key |= batch.counts
+    key.sort()
+    for at in range(0, key.size, _BLOCK_ROWS):
+        part = key[at:at + _BLOCK_ROWS]
+        rows = slice(at, at + part.size)
+        batch.counts[rows] = part & ((1 << count_bits) - 1)
+        part >>= count_bits
+        batch.tracks[rows] = part & ((1 << track_bits) - 1)
+        part >>= track_bits
+        batch.users[rows] = part
 
 
 def save_dataset(batch: TripletBatch, path) -> None:
-    """Write the versioned, checksummed binary dataset file.
+    """Write the versioned, checksummed binary dataset file, its rows in
+    the batch's order.
 
     Raises ValueError before anything is written for a play count above
     2**32 - 1 or an id that contains "\\n".

@@ -75,6 +75,29 @@ def skewed_batch(n_users, n_tracks, mean_tracks_per_user=10.0, seed=0,
     return _batch_from_pairs(users, tracks, counts, n_users, n_tracks)
 
 
+def msd_shaped_batch(fraction: float, seed: int = 3) -> TripletBatch:
+    """skewed_batch at `fraction` of the Million Song Dataset challenge's
+    shape: 1.02M users, 385k tracks and 47 tracks per user, so about 48M
+    triplets at fraction 1. Ids are shaped like the real ones, 40 hex
+    digits for a user and "SO" plus 16 capitals or digits for a track, and
+    the rows come in a seeded random order, as a text file would hold them.
+    """
+    batch = skewed_batch(round(1_020_000 * fraction), round(385_000 * fraction),
+                         47.0, seed=seed)
+    rng = np.random.default_rng([seed, 0x4D5344])
+    n_users, n_tracks = len(batch.user_vocab), len(batch.track_vocab)
+    # random digits, then the index, so that every id is distinct
+    digits = rng.bytes(16 * n_users).hex()
+    user_ids = [f"{digits[32 * u:32 * u + 32]}{u:08x}" for u in range(n_users)]
+    letters = rng.integers(ord("A"), ord("Z") + 1, 10 * n_tracks,
+                           dtype=np.uint8).tobytes().decode("ascii")
+    track_ids = [f"SO{letters[10 * t:10 * t + 10]}{t:06X}" for t in range(n_tracks)]
+    order = rng.permutation(len(batch))
+    return TripletBatch(batch.users[order], batch.tracks[order],
+                        batch.counts[order], Vocabulary(user_ids),
+                        Vocabulary(track_ids))
+
+
 def random_batch(rng, max_users=50, max_tracks=30,
                  density_range=(0.05, 0.5), max_count=5) -> TripletBatch:
     """Small random instance: every (user, track) cell is filled i.i.d.

@@ -304,7 +304,12 @@ def test_every_file_split_and_ingest_write_is_accepted_by_its_reader(
             assert main(["ingest", "--input", str(text), "--out", str(dataset),
                          *option]) == 0
             with open(text, encoding="utf-8") as fh:
-                batch = parse_triplets(fh, delimiter)
+                parsed = parse_triplets(fh, delimiter)
+            # ingest saves the parsed rows ordered by (user, track)
+            order = np.lexsort((parsed.tracks, parsed.users))
+            batch = TripletBatch(parsed.users[order], parsed.tracks[order],
+                                 parsed.counts[order], parsed.user_vocab,
+                                 parsed.track_vocab)
             assert load_dataset(dataset) == batch
             # the same bytes as a save from the ids as a list of str
             listed = TripletBatch(batch.users, batch.tracks, batch.counts,
@@ -325,6 +330,37 @@ def test_ingest_id_with_space_exits_1_with_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{text}:2: id contains a space: 'u 1'" in err
     assert not out.exists()
+
+
+def test_ingest_repeated_pair_exits_1_at_the_first_repeat(tmp_path, capsys):
+    text = tmp_path / "repeated.txt"
+    # (u2, b) repeats at line 4 and (u1, a) at line 5; the sort that orders
+    # the rows for the dataset file must not decide which is named
+    text.write_text("u1\ta\t1\nu2\tb\t1\nu1\tb\t1\nu2\tb\t2\nu1\ta\t3\n")
+    out = tmp_path / "repeated.ds"
+    assert main(["ingest", "--input", str(text), "--out", str(out)]) == 1
+    assert (f"error: ingest: {text}:4: duplicate (user, track) pair: 'u2', 'b'\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_ingested_dataset_holds_rows_in_user_track_order(tmp_path):
+    text = tmp_path / "plays.txt"
+    text.write_text("u2\tc\t1\nu1\tb\t4\nu2\ta\t2\nu1\tc\t3\nu3\ta\t5\n")
+    dataset = tmp_path / "plays.ds"
+    assert main(["ingest", "--input", str(text), "--out", str(dataset)]) == 0
+    loaded = load_dataset(dataset)
+    with open(text, encoding="utf-8") as fh:
+        parsed = parse_triplets(fh)
+    # the vocabularies keep their first-seen order; only the rows move
+    assert loaded.user_vocab == parsed.user_vocab
+    assert loaded.track_vocab == parsed.track_vocab
+    assert not np.array_equal(loaded.users, parsed.users)
+    rows = list(zip(loaded.users.tolist(), loaded.tracks.tolist()))
+    assert rows == sorted(rows) and len(set(rows)) == len(rows)
+    assert sorted(zip(rows, loaded.counts.tolist())) == sorted(
+        zip(zip(parsed.users.tolist(), parsed.tracks.tolist()),
+            parsed.counts.tolist()))
 
 
 @pytest.mark.parametrize("case", ["split", "stats", "evaluate --hidden"])

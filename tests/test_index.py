@@ -18,12 +18,15 @@ from tastecf import (
     load_dataset,
     load_index,
     parse_triplets,
+    read_triplets,
     recommend_all,
     save_dataset,
     save_index,
     write_recommendations,
+    write_triplets,
 )
 from tastecf import core, index as index_module
+from tastecf.cli import main
 from tastecf.index import InteractionIndex
 from tastecf.synth import random_batch, skewed_batch
 
@@ -68,9 +71,10 @@ def _vocab(n: int) -> Vocabulary:
 
 @st.composite
 def _batches(draw):
-    """A batch in any row order over at most 8 users, some of whom hold no
-    pair, and a track vocabulary of at most 8 or of 131,074 ids; and
-    whether some pair in it is repeated."""
+    """A batch in any row order or in (user, track) order, with writable
+    or read-only columns, over at most 8 users, some of whom hold no pair,
+    and a track vocabulary of at most 8 or of 131,074 ids; and whether some
+    pair in it is repeated."""
     n_users = draw(st.integers(1, 8))
     if draw(st.booleans()):
         track_ids = st.sampled_from(_WIDE_TRACK_IDS)
@@ -87,23 +91,30 @@ def _batches(draw):
         u, t, _ = draw(st.sampled_from(rows))
         rows.append((u, t, draw(counts)))
     rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[:2])
     columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    batch = TripletBatch(columns[0].astype(np.int32), columns[1].astype(np.int32),
-                         columns[2], _vocab(n_users), _vocab(n_tracks))
-    return batch, repeated
+    columns = (columns[0].astype(np.int32), columns[1].astype(np.int32), columns[2])
+    if draw(st.booleans()):
+        for column in columns:
+            column.flags.writeable = False
+    return TripletBatch(*columns, _vocab(n_users), _vocab(n_tracks)), repeated
 
 
 @settings(max_examples=300, deadline=None)
-@given(_batches())
-def test_build_index_equals_the_lexsort_reference(drawn):
+@given(_batches(), st.sampled_from([1, 2, 3, 1 << 16]))
+def test_build_index_equals_the_lexsort_reference(drawn, check_rows):
     batch, repeated = drawn
-    if repeated:
-        with pytest.raises(DuplicatePairError):
-            _reference_build(batch)
-        with pytest.raises(DuplicatePairError):
-            build_index(batch)
-        return
-    index = build_index(batch)
+    with pytest.MonkeyPatch.context() as patch:
+        # blocks this short put block edges between the rows of a user
+        patch.setattr(index_module, "_CHECK_ROWS", check_rows)
+        if repeated:
+            with pytest.raises(DuplicatePairError):
+                _reference_build(batch)
+            with pytest.raises(DuplicatePairError):
+                build_index(batch)
+            return
+        index = build_index(batch)
     reference = _reference_build(batch)
     assert (index.n_users, index.n_tracks) == (reference.n_users, reference.n_tracks)
     for name in ("fwd_offsets", "fwd_tracks", "fwd_counts", "inv_offsets",
@@ -137,10 +148,12 @@ def test_build_index_peak_memory_per_triplet(shape):
 
 
 # the tracemalloc peak of load_dataset and build_index beyond the dataset
-# file, per triplet; it was 40-46 bytes while load_dataset widened the
-# counts to int64 and build_index summed total_plays as float64, and is
-# 27-32 with the counts kept u32
-_LOAD_BUILD_BYTES_PER_TRIPLET = 36
+# file, per triplet, for a file whose rows are in (user, track) order as
+# save_dataset writes a skewed_batch; it was 40-46 bytes while load_dataset
+# widened the counts to int64 and build_index summed total_plays as
+# float64, 27-32 with the counts kept u32 and a forward sort, and is 19-24
+# with the file's columns taken as the forward lists
+_LOAD_BUILD_BYTES_PER_TRIPLET = 26
 
 
 @pytest.mark.parametrize("shape", [
@@ -279,6 +292,70 @@ def test_lists_are_sorted_and_duplicate_free():
     for t in range(index.n_tracks):
         users = index.posting(t)
         assert np.all(np.diff(users) > 0)
+
+
+def test_ordered_unordered_and_permuted_rows_give_the_same_index_file(tmp_path):
+    batch = skewed_batch(10_000, 150_000, 10.0, seed=4, skew=0.0)
+    assert len(batch.track_vocab) > 2**16
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(len(batch))
+    text = tmp_path / "plays.txt"
+    write_triplets(TripletBatch(batch.users[perm], batch.tracks[perm],
+                                batch.counts[perm], batch.user_vocab,
+                                batch.track_vocab), text)
+    # a dataset file in line order, as ingest saved it before it sorted
+    save_dataset(read_triplets(text), tmp_path / "unordered.ds")
+    assert main(["ingest", "--input", str(text),
+                 "--out", str(tmp_path / "ordered.ds")]) == 0
+    ordered = load_dataset(tmp_path / "ordered.ds")
+    unordered = load_dataset(tmp_path / "unordered.ds")
+    parsed = read_triplets(text)
+    perm = rng.permutation(len(parsed))
+    permuted = TripletBatch(parsed.users[perm], parsed.tracks[perm],
+                            parsed.counts[perm], parsed.user_vocab,
+                            parsed.track_vocab)
+    files = []
+    for name, rows in (("ordered", ordered), ("unordered", unordered),
+                       ("permuted", permuted)):
+        index = build_index(rows)
+        # only the ordered file's columns are the forward lists themselves
+        assert np.shares_memory(index.fwd_tracks, rows.tracks) == (name == "ordered")
+        assert np.shares_memory(index.fwd_counts, rows.counts) == (name == "ordered")
+        path = tmp_path / f"{name}.idx"
+        save_index(index, rows.user_vocab, rows.track_vocab, path,
+                   idf=compute_idf(index))
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == files[2]
+
+
+def test_ordered_writable_rows_are_copied_into_the_index(t1_batch):
+    order = np.lexsort((t1_batch.tracks, t1_batch.users))
+    batch = TripletBatch(t1_batch.users[order], t1_batch.tracks[order],
+                         t1_batch.counts[order].astype(np.uint32),
+                         t1_batch.user_vocab, t1_batch.track_vocab)
+    index = build_index(batch)
+    want = build_index(t1_batch)
+    batch.tracks[:] = 0
+    batch.counts[:] = 9
+    assert index == want
+    assert not index.fwd_tracks.flags.writeable
+    assert not index.fwd_counts.flags.writeable
+
+
+@pytest.mark.parametrize("source", ["library", "file"])
+def test_repeated_pair_in_ordered_rows_is_rejected(tmp_path, source):
+    # users never fall and tracks never fall within a user: ordered, but
+    # for the repeat of (u1, b)
+    batch = TripletBatch(np.array([0, 0, 0, 1], np.int32),
+                         np.array([0, 1, 1, 0], np.int32),
+                         np.array([1, 2, 3, 4], np.uint32),
+                         Vocabulary(["u0", "u1"]), Vocabulary(["a", "b"]))
+    if source == "file":
+        save_dataset(batch, tmp_path / "repeat.ds")
+        batch = load_dataset(tmp_path / "repeat.ds")
+    with pytest.raises(DuplicatePairError) as err:
+        build_index(batch)
+    assert str(err.value) == "duplicate (user, track) pair in batch"
 
 
 def test_duplicate_pair_in_programmatic_batch_is_rejected():

@@ -1,4 +1,5 @@
 from array import array
+from functools import lru_cache
 import io
 
 import numpy as np
@@ -16,6 +17,7 @@ from tastecf import (
     parse_triplets,
     read_triplets,
     save_dataset,
+    sort_by_pair,
     write_triplets,
 )
 from tastecf import core, ingest
@@ -483,3 +485,60 @@ def test_a_bad_line_before_a_byte_not_utf8_decides(tmp_path, line_2, error):
     with pytest.raises(error) as err:
         read_triplets(path)
     assert err.value.line_no == 2
+
+
+@lru_cache(maxsize=None)
+def _ids(n: int) -> Vocabulary:
+    return Vocabulary(f"i{i}" for i in range(n))
+
+
+def _sorted_by_pair(batch):
+    """The batch with its rows ordered by np.lexsort((tracks, users))."""
+    order = np.lexsort((batch.tracks, batch.users))
+    return TripletBatch(batch.users[order], batch.tracks[order],
+                        batch.counts[order], batch.user_vocab, batch.track_vocab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 9, 2**16 + 1]), st.sampled_from([1, 3, 2**16 + 1]),
+       st.data())
+def test_sort_by_pair_orders_rows_by_user_then_track(n_users, n_tracks, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                         st.integers(0, n_tracks - 1)),
+                               unique=True, max_size=40))
+    counts = data.draw(st.lists(st.sampled_from([1, 2, 7, 2**20, 2**32 - 1]),
+                                min_size=len(pairs), max_size=len(pairs)))
+    columns = np.array([(u, t, c) for (u, t), c in zip(pairs, counts)],
+                       np.int64).reshape(-1, 3).T
+    batch = TripletBatch(columns[0].astype(np.int32), columns[1].astype(np.int32),
+                         columns[2].astype(np.uint32), _ids(n_users), _ids(n_tracks))
+    want = _sorted_by_pair(batch)
+    sort_by_pair(batch)
+    assert batch == want
+    assert (batch.users.dtype, batch.tracks.dtype, batch.counts.dtype) == (
+        np.int32, np.int32, np.uint32)
+
+
+@pytest.mark.parametrize("top_count, wide", [
+    (2**32 - 1, True), (2**29, True), (2**29 - 1, False)])
+def test_sort_by_pair_packs_one_key_unless_it_is_wider_than_63_bits(
+        monkeypatch, top_count, wide):
+    # 2**16 + 1 users and tracks take 17 bits each, so a count of 30 bits
+    # or more leaves no room in an int64 key and a 29-bit one fills it
+    n = 2**16 + 1
+    rng = np.random.default_rng(5)
+    users = rng.permutation(n).astype(np.int32)
+    tracks = rng.permutation(n).astype(np.int32)
+    counts = rng.integers(1, top_count, n, endpoint=True).astype(np.uint32)
+    counts[7] = top_count
+    batch = TripletBatch(users, tracks, counts, _ids(n), _ids(n))
+    want = _sorted_by_pair(batch)
+    argsorts = []
+    pair_keys = ingest._pair_keys
+    monkeypatch.setattr(ingest, "_pair_keys",
+                        lambda b: argsorts.append(b) or pair_keys(b))
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 1000)
+    sort_by_pair(batch)
+    assert batch == want
+    assert bool(argsorts) == wide
+
