@@ -7,12 +7,12 @@ CLI at fractions of the Million Song Dataset challenge's shape.
 
 For each fraction f, the text of synth.msd_shaped_batch(f, seed) is written
 once to --cache and reused by later runs with the same seed, together with
-a file of --users query users drawn by the seed. Each stage then runs as
-`python -m tastecf` in a fresh process started by this script, so the
+a file of QUERY_USERS query users drawn by the seed. Each stage then runs
+as `python -m tastecf` in a fresh process started by this script, so the
 `ru_maxrss` that os.wait4 reports is that stage's own peak. --out gets one
-JSON object: per fraction and stage the wall times and peak RSS of each
-repeat, the sha256 of the index and recs files (equal for changes that keep
-output), and the git SHA, nproc and src/ line count of the measured code.
+JSON object: per fraction and stage the wall time and peak RSS, the sha256
+of the index and recs files (equal for changes that keep output), and the
+git SHA, nproc and src/ line count of the measured code.
 --src runs the stages from another checkout's src directory, so two
 checkouts can be measured on the same cached text. The text is made in a
 child process, and this process never imports numpy: a stage starts as a
@@ -30,6 +30,8 @@ import sys
 import time
 
 ROOT = Path(__file__).resolve().parent.parent
+# the users recommend is asked for, as in the table of ROADMAP item 1
+QUERY_USERS = 300
 
 
 def write_inputs(fraction: str, seed: str, n_query: str, stem: str) -> None:
@@ -101,10 +103,8 @@ def main() -> int:
     parser.add_argument("--fractions", default="1/16,1/4",
                         help="comma-separated fractions of the full shape")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--users", type=int, default=300, help="query users")
     parser.add_argument("--workers", default="1",
                         help="comma-separated recommend worker counts")
-    parser.add_argument("--repeat", type=int, default=1, help="runs of each stage")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose CLI is measured")
     parser.add_argument("--cache", type=Path, default=ROOT / ".msd_shape",
@@ -120,14 +120,13 @@ def main() -> int:
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
                          for p in sorted(src.rglob("*.py"))),
         "seed": args.seed,
-        "query_users": args.users,
-        "repeat": args.repeat,
+        "query_users": QUERY_USERS,
         "fractions": {},
     }
     for name in args.fractions.split(","):
         fraction = Fraction(name)
         text, users, n_triplets, n_users, n_tracks = cached_inputs(
-            fraction, args.seed, args.users, args.cache)
+            fraction, args.seed, QUERY_USERS, args.cache)
         work = args.cache / f"run-{os.getpid()}"
         work.mkdir(parents=True, exist_ok=True)
         dataset, index = work / "plays.tcfd", work / "plays.tcfi"
@@ -137,17 +136,14 @@ def main() -> int:
             stages[f"recommend_w{w}"] = [
                 "recommend", "--input", str(index), "--users", str(users),
                 "--out", str(work / f"recs_w{w}.txt"), "--workers", str(w)]
-        runs = {stage: [] for stage in stages}
-        for _ in range(args.repeat):
-            for stage, stage_args in stages.items():
-                runs[stage].append(run_stage(src, stage_args))
-                print(f"f={name} {stage}: {runs[stage][-1]}", file=sys.stderr)
+        runs = {}
+        for stage, stage_args in stages.items():
+            runs[stage] = run_stage(src, stage_args)
+            print(f"f={name} {stage}: {runs[stage]}", file=sys.stderr)
         result["fractions"][name] = {
             "triplets": n_triplets, "users": n_users, "tracks": n_tracks,
             "text_bytes": text.stat().st_size,
-            "stages": {stage: {key: [run[key] for run in stage_runs]
-                               for key in ("wall_s", "ru_maxrss_mib")}
-                       for stage, stage_runs in runs.items()},
+            "stages": runs,
             "index_sha256": sha256(index),
             "recs_sha256": {f"w{w}": sha256(work / f"recs_w{w}.txt") for w in workers},
         }
