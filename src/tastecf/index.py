@@ -119,10 +119,11 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     _play_totals once the inverse lists are built, so its 8 bytes per user
     are not held during their sorts. Beyond the batch, tracemalloc puts the
     peak at about 25 bytes per triplet with u32 counts (29 with int64) plus
-    16 per user and 8 per track when the rows need sorting, and about 17
-    with u32 counts when they are ordered and read-only (the lexsort build
-    this replaced took 71-80 bytes per triplet); numpy's sort buffers,
-    which tracemalloc does not see, add up to 8 bytes per triplet.
+    16 per user and 8 per track when the rows need sorting, and at about 17
+    per triplet plus the same per user and track when they are ordered and
+    read-only (the lexsort build this replaced took 71-80 bytes per
+    triplet); numpy's sort buffers, which tracemalloc does not see, add up
+    to 8 bytes per triplet.
     """
     n_users = len(batch.user_vocab)
     n_tracks = len(batch.track_vocab)
