@@ -3,16 +3,17 @@
 CLI at fractions of the Million Song Dataset challenge's shape.
 
     python3 scripts/msd_shape_bench.py
-    python3 scripts/msd_shape_bench.py --fractions 1/16 --workers 1,2
+    python3 scripts/msd_shape_bench.py --fractions 1/16
 
-For each fraction f, the text of synth.msd_shaped_batch(f, seed) is written
-once to --cache and reused by later runs with the same seed, together with
-a file of QUERY_USERS query users drawn by the seed. Each stage then runs
+For each fraction f, the text of synth.msd_shaped_batch(f) is written once
+to --cache and reused by later runs, together with a file of QUERY_USERS
+query users drawn with SEED. Each stage then runs
 as `python -m tastecf` in a fresh process started by this script, so the
 `ru_maxrss` that os.wait4 reports is that stage's own peak. --out gets one
-JSON object: per fraction and stage the wall time and peak RSS, the sha256
-of the index and recs files (equal for changes that keep output), and the
-git SHA, nproc and src/ line count of the measured code.
+JSON object: per fraction and stage the wall time and peak RSS, with
+recommend run at each of WORKERS, the sha256 of the index and recs files
+(equal for changes that keep output), and the git SHA, nproc and src/ line
+count of the measured code.
 --src runs the stages from another checkout's src directory, so two
 checkouts can be measured on the same cached text. The text is made in a
 child process, and this process never imports numpy: a stage starts as a
@@ -32,19 +33,23 @@ import time
 ROOT = Path(__file__).resolve().parent.parent
 # the users recommend is asked for, as in the table of ROADMAP item 1
 QUERY_USERS = 300
+# draws the query users
+SEED = 3
+# the worker counts recommend runs with
+WORKERS = (1, 2)
 
 
-def write_inputs(fraction: str, seed: str, n_query: str, stem: str) -> None:
+def write_inputs(fraction: str, stem: str) -> None:
     """Write the text, the users file and the shape of one fraction; run
-    as `msd_shape_bench.py generate FRACTION SEED USERS STEM`."""
+    as `msd_shape_bench.py generate FRACTION STEM`."""
     import numpy as np
     from tastecf.ingest import write_triplets
     from tastecf.synth import msd_shaped_batch
 
-    batch = msd_shaped_batch(float(Fraction(fraction)), int(seed))
+    batch = msd_shaped_batch(float(Fraction(fraction)))
     write_triplets(batch, stem + ".txt")
-    rng = np.random.default_rng([int(seed), 2])
-    query = np.sort(rng.choice(len(batch.user_vocab), int(n_query), replace=False))
+    rng = np.random.default_rng([SEED, 2])
+    query = np.sort(rng.choice(len(batch.user_vocab), QUERY_USERS, replace=False))
     Path(stem + ".users.txt").write_text(
         "".join(batch.user_vocab.lookup(int(u)) + "\n" for u in query),
         encoding="utf-8")
@@ -52,16 +57,16 @@ def write_inputs(fraction: str, seed: str, n_query: str, stem: str) -> None:
         [len(batch), len(batch.user_vocab), len(batch.track_vocab)]))
 
 
-def cached_inputs(fraction: Fraction, seed: int, n_query: int, cache: Path):
+def cached_inputs(fraction: Fraction, cache: Path):
     """(text, users file, triplets, users, tracks) of a fraction, made by
     a child process the first time."""
-    stem = cache / f"msd-{fraction.numerator}-{fraction.denominator}-seed{seed}"
+    stem = cache / f"msd-{fraction.numerator}-{fraction.denominator}"
     shape = Path(f"{stem}.shape.json")
     if not shape.exists():
         cache.mkdir(parents=True, exist_ok=True)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         subprocess.run([sys.executable, __file__, "generate", str(fraction),
-                        str(seed), str(n_query), str(stem)], env=env, check=True)
+                        str(stem)], env=env, check=True)
     return (Path(f"{stem}.txt"), Path(f"{stem}.users.txt"),
             *json.loads(shape.read_text()))
 
@@ -102,9 +107,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--fractions", default="1/16,1/4",
                         help="comma-separated fractions of the full shape")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--workers", default="1",
-                        help="comma-separated recommend worker counts")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose CLI is measured")
     parser.add_argument("--cache", type=Path, default=ROOT / ".msd_shape",
@@ -112,27 +114,26 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_msd-shape.json")
     args = parser.parse_args()
     src = args.src.resolve()
-    workers = [int(w) for w in args.workers.split(",")]
 
     result = {
         "git_sha": git_sha(src),
         "nproc": os.cpu_count(),
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
                          for p in sorted(src.rglob("*.py"))),
-        "seed": args.seed,
+        "seed": SEED,
         "query_users": QUERY_USERS,
         "fractions": {},
     }
     for name in args.fractions.split(","):
         fraction = Fraction(name)
         text, users, n_triplets, n_users, n_tracks = cached_inputs(
-            fraction, args.seed, QUERY_USERS, args.cache)
+            fraction, args.cache)
         work = args.cache / f"run-{os.getpid()}"
         work.mkdir(parents=True, exist_ok=True)
         dataset, index = work / "plays.tcfd", work / "plays.tcfi"
         stages = {"ingest": ["ingest", "--input", str(text), "--out", str(dataset)],
                   "build": ["build", "--input", str(dataset), "--out", str(index)]}
-        for w in workers:
+        for w in WORKERS:
             stages[f"recommend_w{w}"] = [
                 "recommend", "--input", str(index), "--users", str(users),
                 "--out", str(work / f"recs_w{w}.txt"), "--workers", str(w)]
@@ -145,7 +146,7 @@ def main() -> int:
             "text_bytes": text.stat().st_size,
             "stages": runs,
             "index_sha256": sha256(index),
-            "recs_sha256": {f"w{w}": sha256(work / f"recs_w{w}.txt") for w in workers},
+            "recs_sha256": {f"w{w}": sha256(work / f"recs_w{w}.txt") for w in WORKERS},
         }
         for path in work.iterdir():
             path.unlink()

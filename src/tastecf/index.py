@@ -17,7 +17,7 @@ from . import storage
 from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
                    MAX_PLAY_COUNT, Vocabulary, _gather)
 from .idf import IdfTable, valid_log_base
-from .ingest import TripletBatch
+from .ingest import TripletBatch, sort_by_pair
 
 _MAGIC = b"TCFIDX1\x00"
 _VERSION = 2
@@ -110,8 +110,8 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     as they are: fwd_tracks and fwd_counts are then the batch's own
     columns, with no sort, when they are read-only (a loaded dataset
     file's views), and copies of them when they are writable. Any other
-    batch is put in that order by one stable argsort, and a repeated pair
-    raises DuplicatePairError.
+    batch is put in that order by sort_by_pair on copies of its columns,
+    and a repeated pair raises DuplicatePairError.
 
     Each per-triplet array is made once, at its narrowest width, and freed
     once used; fwd_counts keeps the batch's own dtype, so the u32 counts of
@@ -153,8 +153,15 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
         fwd_tracks = tracks.copy() if tracks.flags.writeable else tracks
         fwd_counts = counts.copy() if counts.flags.writeable else counts
     else:
-        fwd_tracks, fwd_counts = _sorted_forward(users, tracks, counts,
-                                                 n_tracks, fwd_offsets)
+        # sorted copies of the rows, in which only a repeated pair can leave
+        # two neighbours out of order
+        rows = TripletBatch(users.copy(), tracks.copy(), counts.copy(),
+                            batch.user_vocab, batch.track_vocab)
+        sort_by_pair(rows)
+        if not _ordered(rows.users, rows.tracks):
+            raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+        fwd_tracks, fwd_counts = rows.tracks, rows.counts
+        del rows
 
     # the order np.lexsort((users, tracks)) gives: forward entries are in
     # user order, so two stable sorts, by the tracks' low 16 bits and then
@@ -191,27 +198,6 @@ def _ordered(users: np.ndarray, tracks: np.ndarray) -> bool:
                 or ((u[1:] == u[:-1]) & (t[1:] <= t[:-1])).any()):
             return False
     return True
-
-
-def _sorted_forward(users, tracks, counts, n_tracks: int, fwd_offsets):
-    """fwd_tracks and fwd_counts of rows in any order; DuplicatePairError
-    if a pair repeats."""
-    # the order np.lexsort((tracks, users)) gives, from one stable sort of a
-    # single key below 2**62; fast because rows mostly arrive grouped by user
-    key = users.astype(np.int64)
-    key *= n_tracks
-    key += tracks
-    fwd_order = np.argsort(key, kind="stable")
-    del key
-    fwd_tracks = tracks[fwd_order]
-    fwd_counts = counts[fwd_order]
-    del fwd_order
-    # tracks rise within a user's run, so a repeated pair sits next to its
-    # twin, and equal neighbours are a repeat unless a new run starts there
-    repeats = np.flatnonzero(fwd_tracks[1:] == fwd_tracks[:-1]) + 1
-    if not (fwd_offsets[np.searchsorted(fwd_offsets, repeats)] == repeats).all():
-        raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
-    return fwd_tracks, fwd_counts
 
 
 def _play_totals(fwd_offsets: np.ndarray, fwd_counts: np.ndarray):

@@ -389,8 +389,9 @@ def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:
 
 def sort_by_pair(batch: TripletBatch) -> None:
     """Reorder the batch's rows in place to ascending (user, track), the
-    order in which build_index takes them without a sort of its own. The
-    columns must be writable and the ids lie in their vocabularies.
+    order in which build_index takes them as its forward lists (it sorts
+    copies of any other batch's columns by this function). The columns
+    must be writable and the ids lie in their vocabularies.
 
     When the bit widths of the two vocabularies' indexes and of the largest
     play count fit in 63 bits, each row is packed into one int64 key, the

@@ -75,7 +75,7 @@ def skewed_batch(n_users, n_tracks, mean_tracks_per_user=10.0, seed=0,
     return _batch_from_pairs(users, tracks, counts, n_users, n_tracks)
 
 
-def msd_shaped_batch(fraction: float, seed: int = 3) -> TripletBatch:
+def msd_shaped_batch(fraction: float) -> TripletBatch:
     """skewed_batch at `fraction` of the Million Song Dataset challenge's
     shape: 1.02M users, 385k tracks and 47 tracks per user, so about 48M
     triplets at fraction 1. Ids are shaped like the real ones, 40 hex
@@ -83,8 +83,8 @@ def msd_shaped_batch(fraction: float, seed: int = 3) -> TripletBatch:
     the rows come in a seeded random order, as a text file would hold them.
     """
     batch = skewed_batch(round(1_020_000 * fraction), round(385_000 * fraction),
-                         47.0, seed=seed)
-    rng = np.random.default_rng([seed, 0x4D5344])
+                         47.0, seed=3)
+    rng = np.random.default_rng([3, 0x4D5344])
     n_users, n_tracks = len(batch.user_vocab), len(batch.track_vocab)
     # random digits, then the index, so that every id is distinct
     digits = rng.bytes(16 * n_users).hex()

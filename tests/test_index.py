@@ -25,7 +25,7 @@ from tastecf import (
     write_recommendations,
     write_triplets,
 )
-from tastecf import core, index as index_module
+from tastecf import core, index as index_module, ingest as ingest_module
 from tastecf.cli import main
 from tastecf.index import InteractionIndex
 from tastecf.synth import random_batch, skewed_batch
@@ -124,19 +124,39 @@ def test_build_index_equals_the_lexsort_reference(drawn, check_rows):
         assert np.array_equal(got, want), name
 
 
-# the tracemalloc peak of build_index per triplet, beyond the batch; it was
-# 71-80 bytes with the lexsort construction and is 31-36 bytes now
+# the tracemalloc peak of build_index per triplet, beyond the batch, with
+# int64 counts; it was 71-80 bytes with the lexsort construction and is
+# 31-36 bytes now, on rows in (user, track) order (as skewed_batch gives
+# them) and on the same rows permuted, which build_index sorts
 _BUILD_BYTES_PER_TRIPLET = 42
 
 
-@pytest.mark.parametrize("shape", [
+_MEMORY_SHAPES = [
     dict(n_users=20_000, n_tracks=5_000, mean_tracks_per_user=10.0),
     # 77,224 tracks: the high 16-bit pass runs over ids above 2**16
     dict(n_users=40_000, n_tracks=100_000, mean_tracks_per_user=4.0, skew=0.3),
-])
-def test_build_index_peak_memory_per_triplet(shape):
+]
+# each shape with its rows in order and permuted
+_MEMORY_CASES = [pytest.param(shape, permuted, id=f"shape{i}" + "-permuted" * permuted)
+                 for permuted in (False, True)
+                 for i, shape in enumerate(_MEMORY_SHAPES)]
+
+
+def _skewed_rows(shape, permuted: bool) -> TripletBatch:
+    """skewed_batch(**shape), its rows permuted if asked."""
     batch = skewed_batch(**shape)
+    if not permuted:
+        return batch
+    perm = np.random.default_rng(5).permutation(len(batch))
+    return TripletBatch(batch.users[perm], batch.tracks[perm],
+                        batch.counts[perm], batch.user_vocab, batch.track_vocab)
+
+
+@pytest.mark.parametrize("shape, permuted", _MEMORY_CASES)
+def test_build_index_peak_memory_per_triplet(shape, permuted):
+    batch = _skewed_rows(shape, permuted)
     assert (len(batch.track_vocab) > 2**16) == (shape["n_tracks"] > 2**16)
+    assert index_module._ordered(batch.users, batch.tracks) != permuted
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -154,14 +174,14 @@ def test_build_index_peak_memory_per_triplet(shape):
 # float64, 27-32 with the counts kept u32 and a forward sort, and is 19-24
 # with the file's columns taken as the forward lists
 _LOAD_BUILD_BYTES_PER_TRIPLET = 26
+# the same for a file of those rows permuted, which build_index sorts:
+# 27-32 bytes
+_LOAD_SORT_BUILD_BYTES_PER_TRIPLET = 36
 
 
-@pytest.mark.parametrize("shape", [
-    dict(n_users=20_000, n_tracks=5_000, mean_tracks_per_user=10.0),
-    dict(n_users=40_000, n_tracks=100_000, mean_tracks_per_user=4.0, skew=0.3),
-])
-def test_build_from_a_dataset_file_peak_memory_per_triplet(tmp_path, shape):
-    batch = skewed_batch(**shape)
+@pytest.mark.parametrize("shape, permuted", _MEMORY_CASES)
+def test_build_from_a_dataset_file_peak_memory_per_triplet(tmp_path, shape, permuted):
+    batch = _skewed_rows(shape, permuted)
     n_triplets = len(batch)
     path = tmp_path / "batch.ds"
     save_dataset(batch, path)
@@ -173,7 +193,9 @@ def test_build_from_a_dataset_file_peak_memory_per_triplet(tmp_path, shape):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert (peak - path.stat().st_size) / n_triplets <= _LOAD_BUILD_BYTES_PER_TRIPLET
+    bound = (_LOAD_SORT_BUILD_BYTES_PER_TRIPLET if permuted
+             else _LOAD_BUILD_BYTES_PER_TRIPLET)
+    assert (peak - path.stat().st_size) / n_triplets <= bound
 
 
 # the tracemalloc peak of serving recommend from an index file (load_index,
@@ -326,6 +348,33 @@ def test_ordered_unordered_and_permuted_rows_give_the_same_index_file(tmp_path):
                    idf=compute_idf(index))
         files.append(path.read_bytes())
     assert files[0] == files[1] == files[2]
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_unordered_rows_too_wide_for_a_packed_key_build_the_reference(
+        monkeypatch, repeated):
+    # 2**16 + 1 users and tracks and a count of 2**32 - 1 need 66 bits, so
+    # sort_by_pair takes its argsort of user << 32 | track
+    n = 2**16 + 1
+    rng = np.random.default_rng(6)
+    users = rng.permutation(n).astype(np.int32)
+    tracks = rng.permutation(n).astype(np.int32)
+    counts = rng.integers(1, 2**32 - 1, n, endpoint=True).astype(np.uint32)
+    counts[11] = 2**32 - 1
+    if repeated:
+        users[12], tracks[12] = users[11], tracks[11]
+    batch = TripletBatch(users, tracks, counts, _vocab(n), _vocab(n))
+    argsorts = []
+    pair_keys = ingest_module._pair_keys
+    monkeypatch.setattr(ingest_module, "_pair_keys",
+                        lambda b: argsorts.append(b) or pair_keys(b))
+    if repeated:
+        with pytest.raises(DuplicatePairError) as err:
+            build_index(batch)
+        assert str(err.value) == "duplicate (user, track) pair in batch"
+    else:
+        assert build_index(batch) == _reference_build(batch)
+    assert argsorts
 
 
 def test_ordered_writable_rows_are_copied_into_the_index(t1_batch):
