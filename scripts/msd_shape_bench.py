@@ -105,7 +105,7 @@ def git_sha(src: Path) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--fractions", default="1/16,1/4",
+    parser.add_argument("--fractions", default="1/16,1/8,1/4",
                         help="comma-separated fractions of the full shape")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose CLI is measured")

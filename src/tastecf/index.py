@@ -2,9 +2,9 @@
 
 Both directions are materialized as contiguous offset-array (CSR-style)
 storage: the forward side drives scoring, the inverted side drives
-candidate generation. Play counts live only on the forward side; posting
-lists are bare user indexes, since overlap is binary and per-user play
-totals are precomputed.
+candidate generation. Play counts live only on the forward side of a built
+index, and only their per-user totals are loaded from a file; posting
+lists are bare user indexes, since overlap is binary.
 """
 
 from dataclasses import dataclass
@@ -21,10 +21,11 @@ from .ingest import TripletBatch, sort_by_pair
 
 _MAGIC = b"TCFIDX1\x00"
 _VERSION = 2
-# _play_totals sums the play counts of this many users' rows at a time
+# play counts are summed, and read by load_index, this many users' rows at
+# a time
 _CHECK_USERS = 1 << 14
-# _ordered and load_index's posting-length check read this many rows at a
-# time
+# _forward_offsets, _run_lengths and _rising_runs read at least this many
+# rows at a time
 _CHECK_ROWS = 1 << 16
 
 
@@ -35,18 +36,19 @@ class InteractionIndex:
     df[t] is the number of distinct listeners of track t (the length of its
     posting list); total_plays[u] is the sum of u's play counts. All arrays
     are frozen after construction and safe to share across workers.
-    fwd_counts keeps the batch's dtype (u32 for a parsed or loaded batch,
-    and the file's u32 from load_index); the engine never reads it, and a
-    sum of it must ask for dtype=np.int64. The forward arrays may be
-    read-only views of a file: of the index file from load_index, and of
-    the dataset file when build_index is given an ordered loaded batch.
+    fwd_counts is the batch's play counts in build_index's dtype (u32 for a
+    parsed or loaded batch), and None in an index from load_index, which
+    keeps only their sums: the engine reads total_plays, never fwd_counts,
+    and a sum of it must ask for dtype=np.int64. Arrays from load_index are
+    read-only arrays of their own, read from the file; build_index given an
+    ordered loaded batch shares that batch's read-only tracks and counts.
     """
 
     n_users: int
     n_tracks: int
     fwd_offsets: np.ndarray   # int64, n_users + 1
     fwd_tracks: np.ndarray    # int32, ascending within each user run
-    fwd_counts: np.ndarray    # the batch's dtype; parallel to fwd_tracks
+    fwd_counts: Optional[np.ndarray]   # parallel to fwd_tracks; None if loaded
     inv_offsets: np.ndarray   # int64, n_tracks + 1
     inv_users: np.ndarray     # int32, ascending within each track run
     df: np.ndarray            # int64 per track
@@ -82,7 +84,9 @@ class InteractionIndex:
             and self.n_tracks == other.n_tracks
             and np.array_equal(self.fwd_offsets, other.fwd_offsets)
             and np.array_equal(self.fwd_tracks, other.fwd_tracks)
-            and np.array_equal(self.fwd_counts, other.fwd_counts)
+            and (self.fwd_counts is None) == (other.fwd_counts is None)
+            and (self.fwd_counts is None
+                 or np.array_equal(self.fwd_counts, other.fwd_counts))
             and np.array_equal(self.inv_offsets, other.inv_offsets)
             and np.array_equal(self.inv_users, other.inv_users)
             and np.array_equal(self.total_plays, other.total_plays)
@@ -109,9 +113,12 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     within a user (as `tastecf ingest` saves them), are the forward lists
     as they are: fwd_tracks and fwd_counts are then the batch's own
     columns, with no sort, when they are read-only (a loaded dataset
-    file's views), and copies of them when they are writable. Any other
+    file's arrays), and copies of them when they are writable. Any other
     batch is put in that order by sort_by_pair on copies of its columns,
-    and a repeated pair raises DuplicatePairError.
+    and a repeated pair raises DuplicatePairError. The forward offsets
+    come from the ordered rows' user runs and the posting lengths from a
+    blockwise count of the tracks, so neither makes an intp copy of a
+    whole column.
 
     Each per-triplet array is made once, at its narrowest width, and freed
     once used; fwd_counts keeps the batch's own dtype, so the u32 counts of
@@ -143,11 +150,8 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     users = users.astype(np.int32, copy=False)
     tracks = tracks.astype(np.int32, copy=False)
 
-    # run lengths do not depend on the order
-    fwd_offsets = _offsets(np.bincount(users, minlength=n_users))
-    inv_offsets = _offsets(np.bincount(tracks, minlength=n_tracks))
-
-    if _ordered(users, tracks):
+    fwd_offsets = _forward_offsets(users, tracks, n_users)
+    if fwd_offsets is not None:
         # the rows are the forward lists; the index shares what it is given
         # only when nothing can write to it
         fwd_tracks = tracks.copy() if tracks.flags.writeable else tracks
@@ -158,7 +162,8 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
         rows = TripletBatch(users.copy(), tracks.copy(), counts.copy(),
                             batch.user_vocab, batch.track_vocab)
         sort_by_pair(rows)
-        if not _ordered(rows.users, rows.tracks):
+        fwd_offsets = _forward_offsets(rows.users, rows.tracks, n_users)
+        if fwd_offsets is None:
             raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
         fwd_tracks, fwd_counts = rows.tracks, rows.counts
         del rows
@@ -178,9 +183,13 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     inv_users = inv_users[order]
     del order
 
+    # counted after the radix pass, whose freed memory its blocks reuse
+    inv_offsets = _offsets(_run_lengths(fwd_tracks, n_tracks))
     total_plays = np.empty(n_users, np.int64)
-    for at, totals in _play_totals(fwd_offsets, fwd_counts):
-        total_plays[at:at + totals.size] = totals
+    for at in range(0, n_users, _CHECK_USERS):
+        rows = fwd_offsets[at:at + _CHECK_USERS + 1]
+        total_plays[at:at + rows.size - 1] = _play_totals(
+            rows, fwd_counts[rows[0]:rows[-1]])
     df = np.diff(inv_offsets)
     _freeze(fwd_offsets, fwd_tracks, fwd_counts, inv_offsets, inv_users,
             df, total_plays)
@@ -188,29 +197,60 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
                             fwd_counts, inv_offsets, inv_users, df, total_plays)
 
 
-def _ordered(users: np.ndarray, tracks: np.ndarray) -> bool:
-    """Whether users never fall and tracks rise strictly within a user,
-    so that no pair repeats; read _CHECK_ROWS rows at a time."""
+def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
+    """The CSR offsets of rows that are already the forward lists, or None
+    unless users never fall and tracks rise strictly within a user, so that
+    no pair repeats. Read _CHECK_ROWS rows at a time: where the user
+    changes, the run that ends is the last of its user, and users with no
+    rows take the offset before them."""
+    offsets = np.zeros(n_users + 1, np.int64)
     for at in range(1, users.size, _CHECK_ROWS):
         u = users[at - 1:at + _CHECK_ROWS]
         t = tracks[at - 1:at + _CHECK_ROWS]
         if ((u[1:] < u[:-1]).any()
                 or ((u[1:] == u[:-1]) & (t[1:] <= t[:-1])).any()):
+            return None
+        ends = np.flatnonzero(u[1:] != u[:-1])
+        offsets[u[ends] + 1] = ends + at
+    if users.size:
+        offsets[users[-1] + 1] = users.size
+    np.maximum.accumulate(offsets, out=offsets)
+    return offsets
+
+
+def _run_lengths(ids: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount(ids, minlength=n) for ids in [0, n), counted a block of
+    rows at a time, so that no intp copy is as long as ids; a block is at
+    least four times as long as the counts it adds, so they cost at most a
+    quarter more."""
+    lengths = np.zeros(n, np.int64)
+    step = max(_CHECK_ROWS, 4 * n)
+    for at in range(0, ids.size, step):
+        lengths += np.bincount(ids[at:at + step], minlength=n)
+    return lengths
+
+
+def _rising_runs(values: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether values rise strictly within each run of the CSR offsets:
+    every entry that is not above the one before it must start a run.
+    Read _CHECK_ROWS values at a time."""
+    for at in range(1, values.size, _CHECK_ROWS):
+        v = values[at - 1:at + _CHECK_ROWS]
+        falls = np.flatnonzero(v[1:] <= v[:-1])
+        falls += at
+        if not np.array_equal(offsets[np.searchsorted(offsets, falls)], falls):
             return False
     return True
 
 
-def _play_totals(fwd_offsets: np.ndarray, fwd_counts: np.ndarray):
-    """(first user, int64 play totals) for each block of _CHECK_USERS
-    users: the running sum of the block's rows, differenced at their
-    offsets. The sum is integer-exact for any u32 counts, and no temporary
-    is larger than one block's rows."""
-    for at in range(0, fwd_offsets.size - 1, _CHECK_USERS):
-        rows = fwd_offsets[at:at + _CHECK_USERS + 1]
-        first = int(rows[0])
-        sums = np.zeros(int(rows[-1]) - first + 1, np.int64)
-        np.cumsum(fwd_counts[first:int(rows[-1])], dtype=np.int64, out=sums[1:])
-        yield at, np.diff(sums[rows - first])
+def _play_totals(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The int64 play totals of a block of users, from the block's forward
+    offsets (one more than its users) and its rows' play counts: their
+    running sum, differenced at the offsets. The sum is integer-exact for
+    any u32 counts, and no temporary is larger than the block's rows."""
+    sums = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, dtype=np.int64, out=sums[1:])
+    return np.diff(sums[offsets - offsets[0]])
 
 
 def _offsets(run_lengths: np.ndarray) -> np.ndarray:
@@ -233,9 +273,11 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
 
     Arrays are written in their in-memory dtypes, except play counts, which
     are stored as u32 (with no copy when they are u32 already). A larger
-    count or an id that contains "\\n" raises ValueError before anything is
-    written.
+    count, an id that contains "\\n" or an index without play counts (one
+    from load_index) raises ValueError before anything is written.
     """
+    if index.fwd_counts is None:
+        raise ValueError("the index holds no play counts; build it from its dataset")
     if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
     chunks = [
@@ -260,61 +302,69 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
 
 
 def load_index(path) -> LoadedIndex:
-    """Inverse of save_index.
+    """Inverse of save_index, except that the index holds no play counts:
+    fwd_counts is None, and total_plays is summed from the file's counts,
+    read _CHECK_USERS users' rows at a time (by _play_totals, as
+    build_index sums them), then compared with the file's total_plays a
+    block at a time. Every other array is a read-only array of its own,
+    read straight from the file (storage.Reader), and df is derived.
 
-    Every array except the derived df is a read-only view of the file
-    bytes, fwd_counts included, which stays u32. The structure is checked
-    with array operations, none of which makes an nnz-size temporary:
-    offsets that do not rise from 0 to nnz, an index outside its
-    vocabulary, a play count of 0, total_plays that differ from the users'
-    summed play counts (by _play_totals, as build_index sums them),
-    posting lengths that differ from the tracks' counts in fwd_tracks
-    (counted a block of rows at a time), an idf flag other than 0 or 1, an
-    idf log base that is not positive or equals 1, an idf value that is not
-    finite and >= 0, or a length that does not match the body raise
-    DataError. Each of the value checks guards output
-    that would otherwise change without an error. A vocabulary that holds
-    an id twice raises DataError at its first lookup or check_distinct.
+    The structure is checked with array operations, none of which makes an
+    nnz-size temporary: offsets that do not rise from 0 to nnz, an index
+    outside its vocabulary, a play count of 0, total_plays that differ from
+    the users' summed play counts, posting lengths that differ from the
+    tracks' counts in fwd_tracks (_run_lengths), users that do not rise
+    within each posting list (_rising_runs), an idf flag other than 0 or 1,
+    an idf log base that is not positive or equals 1, an idf value that is
+    not finite and >= 0, or a length that does not match the body raise
+    DataError; a file whose CRC does not match raises ChecksumError first.
+    Each of the value checks guards output that would otherwise change
+    without an error. The posting checks cannot see two entries swapped
+    between posting lists when both lists still rise and keep their
+    lengths. A vocabulary that holds an id twice raises DataError at its
+    first lookup or check_distinct.
     """
-    r = storage.Reader(path, _MAGIC, _VERSION)
-    n_users, n_tracks, nnz = r.unpack("<QQQ")
-    user_vocab = r.vocab(n_users, "user")
-    track_vocab = r.vocab(n_tracks, "track")
-    fwd_offsets = r.offsets(n_users, nnz, "fwd_offsets")
-    fwd_tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
-    fwd_counts = r.bounded("<u4", nnz, 1, MAX_PLAY_COUNT + 1, "fwd_counts")
-    inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
-    inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
-    total_plays = r.array("<i8", n_users)
-    for at, totals in _play_totals(fwd_offsets, fwd_counts):
-        if not np.array_equal(totals, total_plays[at:at + totals.size]):
-            raise r.fail("total_plays differ from the users' summed fwd_counts")
-    (has_idf,) = r.unpack("<B")
-    idf = None
-    if has_idf == 1:
-        (log_base,) = r.unpack("<d")
-        if not valid_log_base(log_base):
-            raise r.fail(f"idf log base is {log_base!r}, not positive and != 1")
-        ln_values = r.array("<f8", n_tracks)
-        if not (np.isfinite(ln_values).all() and (ln_values >= 0).all()):
-            raise r.fail("idf values are not all finite and >= 0")
-        idf = IdfTable(ln_values, n_users, log_base)
-    elif has_idf != 0:
-        raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
-    r.finish()
+    with storage.Reader(path, _MAGIC, _VERSION) as r:
+        n_users, n_tracks, nnz = r.unpack("<QQQ")
+        user_vocab = r.vocab(n_users, "user")
+        track_vocab = r.vocab(n_tracks, "track")
+        fwd_offsets = r.offsets(n_users, nnz, "fwd_offsets")
+        fwd_tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
+        blocks = np.append(np.arange(0, n_users, _CHECK_USERS), n_users)
+        total_plays = np.empty(n_users, np.int64)
+        at = 0
+        for counts in r.parts("<u4", fwd_offsets[blocks]):
+            r.check_range(counts, 1, MAX_PLAY_COUNT + 1, "fwd_counts")
+            rows = fwd_offsets[at:at + _CHECK_USERS + 1]
+            total_plays[at:at + rows.size - 1] = _play_totals(rows, counts)
+            at += _CHECK_USERS
+        inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
+        inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
+        at = 0
+        for stored in r.parts("<i8", blocks):
+            if not np.array_equal(stored, total_plays[at:at + stored.size]):
+                raise r.fail("total_plays differ from the users' summed fwd_counts")
+            at += stored.size
+        (has_idf,) = r.unpack("<B")
+        idf = None
+        if has_idf == 1:
+            (log_base,) = r.unpack("<d")
+            if not valid_log_base(log_base):
+                raise r.fail(f"idf log base is {log_base!r}, not positive and != 1")
+            ln_values = r.array("<f8", n_tracks)
+            if not (np.isfinite(ln_values).all() and (ln_values >= 0).all()):
+                raise r.fail("idf values are not all finite and >= 0")
+            idf = IdfTable(ln_values, n_users, log_base)
+        elif has_idf != 0:
+            raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
+        r.finish()
 
-    # the posting lengths must be the tracks' counts in the forward lists,
-    # counted a block of rows at a time; a block is at least four times as
-    # long as the counts it adds, so they cost at most a quarter more
     df = np.diff(inv_offsets)
-    uncounted = df.copy()
-    step = max(_CHECK_ROWS, 4 * n_tracks)
-    for at in range(0, nnz, step):
-        uncounted -= np.bincount(fwd_tracks[at:at + step], minlength=n_tracks)
-    if uncounted.any():
+    if not np.array_equal(df, _run_lengths(fwd_tracks, n_tracks)):
         raise r.fail("inv_offsets differ from the tracks' counts in fwd_tracks")
-    _freeze(df)
+    if not _rising_runs(inv_users, inv_offsets):
+        raise r.fail("inv_users do not rise within each posting list")
+    _freeze(df, total_plays)
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
-                             fwd_counts, inv_offsets, inv_users, df,
-                             total_plays)
+                             None, inv_offsets, inv_users, df, total_plays)
     return LoadedIndex(index, user_vocab, track_vocab, idf)

@@ -449,16 +449,18 @@ def save_dataset(batch: TripletBatch, path) -> None:
 def load_dataset(path) -> TripletBatch:
     """Inverse of save_dataset; load(save(b)) == b including vocab order.
 
-    users, tracks and the u32 counts are read-only views of the file bytes.
-    Any id outside its vocabulary, a play count of 0 or a length that does
-    not match the body raises DataError.
+    users, tracks and the u32 counts are read-only arrays of their own,
+    read straight from the file by storage.Reader. Any id outside its
+    vocabulary, a play count of 0 or a length that does not match the body
+    raises DataError; a file whose CRC does not match raises ChecksumError
+    first.
     """
-    r = storage.Reader(path, _MAGIC, _VERSION)
-    n_users, n_tracks, n_triplets = r.unpack("<QQQ")
-    user_vocab = r.vocab(n_users, "user")
-    track_vocab = r.vocab(n_tracks, "track")
-    users = r.bounded("<i4", n_triplets, 0, n_users, "user ids")
-    tracks = r.bounded("<i4", n_triplets, 0, n_tracks, "track ids")
-    counts = r.bounded("<u4", n_triplets, 1, MAX_PLAY_COUNT + 1, "play counts")
-    r.finish()
+    with storage.Reader(path, _MAGIC, _VERSION) as r:
+        n_users, n_tracks, n_triplets = r.unpack("<QQQ")
+        user_vocab = r.vocab(n_users, "user")
+        track_vocab = r.vocab(n_tracks, "track")
+        users = r.bounded("<i4", n_triplets, 0, n_users, "user ids")
+        tracks = r.bounded("<i4", n_triplets, 0, n_tracks, "track ids")
+        counts = r.bounded("<u4", n_triplets, 1, MAX_PLAY_COUNT + 1, "play counts")
+        r.finish()
     return TripletBatch(users, tracks, counts, user_vocab, track_vocab)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 import io
 import tracemalloc
@@ -156,7 +157,9 @@ def _skewed_rows(shape, permuted: bool) -> TripletBatch:
 def test_build_index_peak_memory_per_triplet(shape, permuted):
     batch = _skewed_rows(shape, permuted)
     assert (len(batch.track_vocab) > 2**16) == (shape["n_tracks"] > 2**16)
-    assert index_module._ordered(batch.users, batch.tracks) != permuted
+    ordered = index_module._forward_offsets(batch.users, batch.tracks,
+                                            len(batch.user_vocab)) is not None
+    assert ordered != permuted
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -231,6 +234,45 @@ def test_recommend_peak_memory_per_id(tmp_path, monkeypatch):
     n_ids = len(batch.user_vocab) + len(batch.track_vocab)
     assert (peak - path.stat().st_size) / n_ids <= _RECOMMEND_BYTES_PER_ID
     assert (tmp_path / "recs.txt").read_text().count("\n") == len(wanted)
+
+
+# what load_index may hold beyond the arrays it returns: one block of the
+# play count pass, 4 bytes of counts and 8 of their running sum per row of
+# the largest block of users, 4 more for the next block's counts while it
+# is read, and 32 KiB for the small arrays and objects of the other checks;
+# the whole-file read it replaced held every play count, 4 bytes a triplet
+_LOAD_BLOCK_BYTES_PER_ROW = 16
+_LOAD_SLACK_BYTES = 1 << 15
+
+
+def test_load_index_holds_at_most_one_block_beyond_what_it_returns(tmp_path,
+                                                                   monkeypatch):
+    batch = skewed_batch(20_000, 2_000, 10.0, seed=3)
+    index = build_index(batch)
+    path = tmp_path / "skewed.idx"
+    save_index(index, batch.user_vocab, batch.track_vocab, path, idf=compute_idf(index))
+    del index
+    # blocks small against the file, as at the paper's shape
+    monkeypatch.setattr(index_module, "_CHECK_USERS", 1024)
+    monkeypatch.setattr(index_module, "_CHECK_ROWS", 4096)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_index(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    got = loaded.index
+    assert got.fwd_counts is None
+    returned = sum(arr.nbytes for arr in (
+        got.fwd_offsets, got.fwd_tracks, got.inv_offsets, got.inv_users, got.df,
+        got.total_plays, loaded.idf.ln_values))
+    returned += len(loaded.user_vocab.utf8()) + len(loaded.track_vocab.utf8())
+    firsts = np.append(np.arange(0, got.n_users, 1024), got.n_users)
+    rows = int(np.diff(got.fwd_offsets[firsts]).max())
+    # the play counts alone would not fit
+    assert 4 * got.nnz > _LOAD_BLOCK_BYTES_PER_ROW * rows + _LOAD_SLACK_BYTES
+    assert peak - returned <= _LOAD_BLOCK_BYTES_PER_ROW * rows + _LOAD_SLACK_BYTES
 
 
 def test_empty_batch_builds_empty_index():
@@ -459,7 +501,7 @@ def test_index_round_trip_without_idf(tmp_path, t1_index, t1_batch):
     path = tmp_path / "t1.idx"
     save_index(t1_index, t1_batch.user_vocab, t1_batch.track_vocab, path)
     loaded = load_index(path)
-    assert loaded.index == t1_index
+    assert loaded.index == replace(t1_index, fwd_counts=None)
     assert loaded.user_vocab == t1_batch.user_vocab
     assert loaded.track_vocab == t1_batch.track_vocab
     assert loaded.idf is None
@@ -493,6 +535,6 @@ def test_loaded_index_survives_round_trip_for_random_batches(tmp_path):
         path = tmp_path / f"r{i}.idx"
         save_index(index, batch.user_vocab, batch.track_vocab, path, idf=idf)
         loaded = load_index(path)
-        assert loaded.index == index
+        assert loaded.index == replace(index, fwd_counts=None)
         if idf is not None:
             assert loaded.idf == idf

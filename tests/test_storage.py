@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from tastecf import (DataError, FormatVersionError, TripletBatch, Vocabulary,
-                     build_index, compute_idf, load_dataset, load_index,
-                     save_dataset, save_index)
+from tastecf import (ChecksumError, DataError, FormatVersionError, TripletBatch,
+                     Vocabulary, build_index, compute_idf, load_dataset,
+                     load_index, save_dataset, save_index)
 from tastecf import index as index_module, ingest, storage
+from tastecf.core import MAX_PLAY_COUNT
 from tastecf.cli import main
 from tastecf.synth import skewed_batch
 
@@ -50,6 +51,12 @@ def _write(path, sections):
 def _put(sections, name, dtype, position, value):
     arr = np.frombuffer(sections[name], dtype=dtype).copy()
     arr[position] = value
+    sections[name] = arr.tobytes()
+
+
+def _swap(sections, name, dtype, i, j):
+    arr = np.frombuffer(sections[name], dtype=dtype).copy()
+    arr[[i, j]] = arr[[j, i]]
     sections[name] = arr.tobytes()
 
 
@@ -133,6 +140,15 @@ INDEX_FAULTS = {
     # two users and b by three
     "inv_offsets_shifted": (lambda s: _put(s, "inv_offsets", "<i8", 1, 3),
                             "inv_offsets differ from the tracks' counts in fwd_tracks"),
+    # a's posting list [u1, u4] becomes [u4, u1]: the same lengths and the
+    # same users, and it loaded before the order was checked
+    "inv_users_swapped_within_a_list": (
+        lambda s: _swap(s, "inv_users", "<i4", 0, 1),
+        "inv_users do not rise within each posting list"),
+    # b's posting list [u1, u2, u4] becomes [u1, u1, u4]
+    "inv_users_repeated_within_a_list": (
+        lambda s: _put(s, "inv_users", "<i4", 3, 0),
+        "inv_users do not rise within each posting list"),
 }
 
 DATASET_FAULTS = {
@@ -186,7 +202,8 @@ def test_structural_faults_with_valid_crc_raise_data_error(
 @pytest.mark.parametrize("fault", ["inv_users_past_n_users",
                                    "fwd_offsets_end_past_nnz", "idf_flag_2",
                                    "vocab_not_utf8", "version_1",
-                                   "total_plays_-3", "idf_value_nan"])
+                                   "total_plays_-3", "idf_value_nan",
+                                   "inv_users_swapped_within_a_list"])
 def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
                                             t1_batch, t1_idf, fault):
     sections = _index_sections(monkeypatch, t1_batch, t1_idf)
@@ -200,6 +217,64 @@ def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
                  "--out", str(tmp_path / "recs.txt")])
     assert code == 1
     assert f"error: recommend: {path}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,fault", [
+    *(("index", name) for name in INDEX_FAULTS),
+    *(("dataset", name) for name in DATASET_FAULTS),
+])
+def test_a_bad_checksum_outranks_every_structural_fault(
+        tmp_path, monkeypatch, t1_batch, t1_idf, kind, fault):
+    # each fault is found before the end of the file, so the reader must
+    # read the rest through the CRC before it lets the fault through
+    if kind == "index":
+        sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+        (write_fault, _), load = INDEX_FAULTS[fault], load_index
+    else:
+        sections = _dataset_sections(monkeypatch, t1_batch)
+        (write_fault, _), load = DATASET_FAULTS[fault], load_dataset
+    write_fault(sections)
+    path = tmp_path / f"{fault}.bin"
+    _write(path, sections)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x10
+    path.write_bytes(bytes(data))
+    with pytest.raises(ChecksumError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: checksum mismatch"
+
+
+@pytest.mark.parametrize("refresh_crc", [False, True])
+def test_a_file_cut_inside_fwd_counts_fails_after_the_crc(tmp_path, monkeypatch,
+                                                          refresh_crc):
+    # blocks of 2 users, so the cut falls after parts already read
+    monkeypatch.setattr(index_module, "_CHECK_USERS", 2)
+    file_bytes, layout, _ = _fuzz_index()
+    offset, size = layout["fwd_counts"]
+    cut = offset + size - 12
+    assert cut > offset + 8
+    path = tmp_path / "cut.idx"
+    path.write_bytes(_with_crc(file_bytes[:cut]) if refresh_crc else file_bytes[:cut])
+    error = DataError if refresh_crc else ChecksumError
+    with pytest.raises(error) as caught:
+        load_index(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == (
+        f"{path}: file body is shorter than its header says" if refresh_crc
+        else f"{path}: checksum mismatch")
+
+
+@pytest.mark.parametrize("command", ["build", "recommend"])
+def test_a_pipe_as_binary_input_exits_1_without_opening_it(tmp_path, capsys, command):
+    # its size cannot be known before it is read, so it is refused by name
+    # rather than read as a truncated file; opening it would wait for a writer
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    (tmp_path / "users.txt").write_text("u1\n")
+    extra = (["--users", str(tmp_path / "users.txt")] if command == "recommend" else [])
+    code = main([command, "--input", str(pipe), *extra, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"error: {command}: {pipe}: not a regular file\n" in capsys.readouterr().err
 
 
 def test_build_on_crafted_dataset_exits_1(tmp_path, monkeypatch, capsys, t1_batch):
@@ -266,7 +341,8 @@ def test_a_loaded_vocabulary_is_saved_as_its_loaded_bytes(tmp_path, t1_batch):
     batch = load_dataset(path)
     size, data = storage.encode_vocab(batch.user_vocab)
     assert bytes(data) == b"u1\nu2\nu3\nu4" and size == struct.pack("<Q", 11)
-    assert data.obj is _file_bytes(batch.users)
+    # the bytes read from the file, not a copy
+    assert isinstance(data.obj, np.ndarray) and not data.obj.flags.writeable
     again = tmp_path / "again.ds"
     save_dataset(batch, again)
     assert again.read_bytes() == path.read_bytes()
@@ -430,49 +506,38 @@ def test_total_plays_are_checked_in_every_block_of_users(tmp_path, monkeypatch, 
             load_index(path)
 
 
-def _file_bytes(arr):
-    """The object at the end of arr's .base chain, past any memoryview."""
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return arr.obj if isinstance(arr, memoryview) else arr
-
-
-def test_loaded_index_arrays_are_read_only_views_of_the_file(tmp_path, t1_batch,
-                                                             t1_idf):
+def test_loaded_index_arrays_are_read_only_and_hold_no_play_counts(tmp_path, t1_batch,
+                                                                    t1_idf):
     path = tmp_path / "t1.idx"
-    save_index(build_index(t1_batch), t1_batch.user_vocab, t1_batch.track_vocab,
-               path, idf=t1_idf)
+    index = build_index(t1_batch)
+    save_index(index, t1_batch.user_vocab, t1_batch.track_vocab, path, idf=t1_idf)
     loaded = load_index(path)
-    index = loaded.index
-    views = [index.fwd_offsets, index.fwd_tracks, index.fwd_counts,
-             index.inv_offsets, index.inv_users, index.total_plays,
-             loaded.idf.ln_values]
-    owners = {id(_file_bytes(arr)) for arr in views}
-    assert len(owners) == 1
-    assert isinstance(_file_bytes(views[0]), bytes)
-    for arr in views:
+    arrays = [loaded.index.fwd_offsets, loaded.index.fwd_tracks,
+              loaded.index.inv_offsets, loaded.index.inv_users,
+              loaded.index.df, loaded.index.total_plays, loaded.idf.ln_values]
+    for arr in arrays:
         assert not arr.flags.writeable
-        assert arr.flags.aligned
+        assert arr.flags.aligned and arr.flags.c_contiguous
         assert arr.dtype.isnative
-    assert index.fwd_counts.dtype == np.uint32
-    assert not index.df.flags.writeable
+    # each was read into an array of its own: none keeps the file alive
+    assert all(arr.base is None for arr in arrays)
+    assert loaded.index.fwd_counts is None
+    assert loaded.index.total_plays.tolist() == index.total_plays.tolist()
+    with pytest.raises(ValueError, match="no play counts"):
+        save_index(loaded.index, loaded.user_vocab, loaded.track_vocab,
+                   tmp_path / "again.idx")
+    assert not (tmp_path / "again.idx").exists()
 
 
-def test_loaded_dataset_id_arrays_are_views_of_the_file(tmp_path, t1_batch):
+def test_loaded_dataset_arrays_are_read_only_int32_ids_and_u32_counts(tmp_path,
+                                                                      t1_batch):
     path = tmp_path / "t1.ds"
     save_dataset(t1_batch, path)
     batch = load_dataset(path)
-    assert _file_bytes(batch.users) is _file_bytes(batch.tracks)
-    assert isinstance(_file_bytes(batch.users), bytes)
-    assert batch.users.dtype == np.int32 and batch.counts.dtype == np.uint32
-
-
-def test_loaded_dataset_counts_are_a_read_only_u32_view_of_the_file(tmp_path, t1_batch):
-    path = tmp_path / "t1.ds"
-    save_dataset(t1_batch, path)
-    batch = load_dataset(path)
-    assert _file_bytes(batch.counts) is _file_bytes(batch.users)
-    assert not batch.counts.flags.writeable
+    assert batch.users.dtype == np.int32 and batch.tracks.dtype == np.int32
+    assert batch.counts.dtype == np.uint32
+    for arr in (batch.users, batch.tracks, batch.counts):
+        assert not arr.flags.writeable and arr.base is None
     assert batch.counts.tolist() == t1_batch.counts.tolist()
 
 
@@ -481,22 +546,34 @@ def test_loaded_dataset_counts_are_a_read_only_u32_view_of_the_file(tmp_path, t1
 _FUZZ_USERS = ["u000001", "u000004", "u000007"]
 
 
+def _captured(save) -> list:
+    """The sections save(path) hands to storage.write_file."""
+    captured = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "write_file", lambda path, chunks: captured.extend(chunks))
+        save(None)
+    return captured
+
+
+def _layout(names, chunks) -> dict:
+    """{section: (offset, size)} of the chunks written as one file."""
+    layout, offset = {}, 0
+    for name, chunk in zip(names, chunks):
+        size = memoryview(chunk).nbytes
+        layout[name] = (offset, size)
+        offset += size + storage._padding(size)
+    return layout
+
+
 @lru_cache(maxsize=None)
 def _fuzz_index():
     """(file bytes, {section: (offset, size)}, recs bytes) of a small index
     with an idf table, and of `recommend --k 6` for _FUZZ_USERS on it."""
     batch = skewed_batch(12, 8, 3.0, seed=4)
     index = build_index(batch)
-    captured = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(storage, "write_file", lambda path, chunks: captured.extend(chunks))
-        save_index(index, batch.user_vocab, batch.track_vocab, None,
-                   idf=compute_idf(index))
-    layout, offset = {}, 0
-    for name, chunk in zip(INDEX_SECTIONS, captured):
-        size = memoryview(chunk).nbytes
-        layout[name] = (offset, size)
-        offset += size + storage._padding(size)
+    captured = _captured(lambda path: save_index(
+        index, batch.user_vocab, batch.track_vocab, path, idf=compute_idf(index)))
+    layout = _layout(INDEX_SECTIONS, captured)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.idx"
         storage.write_file(path, captured)
@@ -525,13 +602,13 @@ def _recommend_bytes(work: Path, data: bytes):
     return code, err.getvalue(), recs.read_bytes() if recs.exists() else None
 
 
-def _fails_naming(outcome, work: Path, *names) -> bool:
-    """Whether recommend exited 1, its last line a DataError naming one of
-    the files, and left no recs file."""
-    code, err, recs = outcome
+def _fails_naming(outcome, work: Path, *names, command="recommend") -> bool:
+    """Whether the command exited 1, its last line a DataError naming one of
+    the files, and left no output file."""
+    code, err, out = outcome
     last = err.rstrip("\n").split("\n")[-1]
-    return (code == 1 and recs is None and "Traceback" not in err
-            and any(last.startswith(f"error: recommend: {work / name}")
+    return (code == 1 and out is None and "Traceback" not in err
+            and any(last.startswith(f"error: {command}: {work / name}")
                     or last.endswith(f" in {work / name}") for name in names))
 
 
@@ -545,7 +622,8 @@ _FIELDS = {"n_users": ("counts", "<Q", 0), "n_tracks": ("counts", "<Q", 1),
            "inv_offsets": ("inv_offsets", "<q", None),
            "fwd_counts": ("fwd_counts", "<I", None),
            "total_plays": ("total_plays", "<q", None)}
-_RANGES = {"<Q": (0, 2**64 - 1), "<I": (0, 2**32 - 1), "<q": (-2**63, 2**63 - 1)}
+_RANGES = {"<Q": (0, 2**64 - 1), "<I": (0, 2**32 - 1), "<q": (-2**63, 2**63 - 1),
+           "<i": (-2**31, 2**31 - 1)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -614,3 +692,153 @@ def test_flipped_and_truncated_index_files_fail_cleanly(data, refresh_crc):
             # flip in an id may also leave a query user unknown
             assert (code == 0 and got is not None and got.count(b"\n") == len(_FUZZ_USERS)
                     or _fails_naming(outcome, work, "fuzz.idx", "users.txt")), err
+
+
+# --- generated faults: a small saved dataset, mutated -------------------------
+
+@lru_cache(maxsize=None)
+def _fuzz_dataset():
+    """(file bytes, {section: (offset, size)}, batch, index bytes) of a small
+    dataset file, the batch it holds and what `build` makes of it."""
+    batch = skewed_batch(12, 8, 3.0, seed=4)
+    captured = _captured(lambda path: save_dataset(batch, path))
+    layout = _layout(DATASET_SECTIONS, captured)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ds"
+        storage.write_file(path, captured)
+        data = path.read_bytes()
+        code, _, index = _build_bytes(Path(tmp), data)
+    offset, size = layout["play_counts"]
+    assert code == 0 and offset + size + storage._padding(size) == len(data) - 4
+    return data, layout, batch, index
+
+
+def _build_bytes(work: Path, data: bytes):
+    """(exit code, stderr, index bytes or None) of build on a dataset file
+    holding `data`."""
+    path, out = work / "fuzz.ds", work / "fuzz.idx"
+    path.write_bytes(data)
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["build", "--input", str(path), "--out", str(out)])
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+# the fields a rewrite puts a new value in, as _FIELDS; the rows' columns
+# with the value each entry must lie above or at, and the vocabulary whose
+# length it must lie below
+_DATASET_FIELDS = {"n_users": ("counts", "<Q", 0), "n_tracks": ("counts", "<Q", 1),
+                   "n_triplets": ("counts", "<Q", 2),
+                   "user_vocab_size": ("user_vocab_size", "<Q", 0),
+                   "track_vocab_size": ("track_vocab_size", "<Q", 0),
+                   "users": ("users", "<i", None), "tracks": ("tracks", "<i", None),
+                   "play_counts": ("play_counts", "<I", None)}
+_COLUMNS = {"users": ("users", 0, "user_vocab"), "tracks": ("tracks", 0, "track_vocab"),
+            "play_counts": ("counts", 1, None)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_DATASET_FIELDS)), st.data())
+def test_rewritten_dataset_fields_load_exactly_or_fail_naming_the_file(field, data):
+    file_bytes, layout, batch, index_bytes = _fuzz_dataset()
+    section, fmt, entry = _DATASET_FIELDS[field]
+    offset, size = layout[section]
+    width = struct.calcsize(fmt)
+    if entry is None:
+        entry = data.draw(st.integers(0, size // width - 1), label="entry")
+    at = offset + entry * width
+    (old,) = struct.unpack_from(fmt, file_bytes, at)
+    lo, hi = _RANGES[fmt]
+    new = data.draw(st.one_of(st.integers(max(lo, old - 3), min(hi, old + 3)),
+                              st.integers(lo, hi)), label="value")
+    body = bytearray(file_bytes[:-4])
+    struct.pack_into(fmt, body, at, new)
+    # the columns the file holds when it is valid, else None
+    columns = [batch.users, batch.tracks, batch.counts]
+    if field in _COLUMNS:
+        name, least, vocab = _COLUMNS[field]
+        above = len(getattr(batch, vocab)) if vocab else MAX_PLAY_COUNT + 1
+        column = getattr(batch, name).copy()
+        column[entry] = new
+        columns[("users", "tracks", "counts").index(name)] = column
+        valid = least <= new < above
+    else:
+        # a vocabulary whose last id takes in zero padding is as valid as
+        # one written with that id
+        valid = new == old or (field.endswith("_vocab_size")
+                               and old < new <= old + storage._padding(old))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        outcome = _build_bytes(work, _with_crc(bytes(body)))
+        why = (field, entry, old, new, outcome[1])
+        if not valid:
+            assert _fails_naming(outcome, work, "fuzz.ds", command="build"), why
+            return
+        loaded = load_dataset(work / "fuzz.ds")
+        for got, want in zip((loaded.users, loaded.tracks, loaded.counts), columns):
+            assert np.array_equal(got, want), why
+        if new == old:
+            assert outcome == (0, outcome[1], index_bytes), why
+        # a rewritten id may repeat a pair, which build refuses
+        elif outcome[0] != 0:
+            assert _fails_naming(outcome, work, "fuzz.ds", command="build"), why
+        else:
+            assert load_index(work / "fuzz.idx").index.nnz == len(batch), why
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_flipped_and_truncated_dataset_files_fail_cleanly(data, refresh_crc):
+    file_bytes = _fuzz_dataset()[0]
+    body = bytearray(file_bytes[:-4])
+    kept = len(body) if refresh_crc else len(file_bytes)
+    cut = data.draw(st.one_of(st.none(), st.integers(0, kept - 1)), label="cut")
+    if cut is None:
+        for at in data.draw(st.lists(st.integers(0, len(body) - 1), min_size=1,
+                                     max_size=4, unique=True), label="flips"):
+            body[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    if refresh_crc:
+        mutated = _with_crc(bytes(body if cut is None else body[:cut]))
+    else:
+        mutated = bytes(body) + file_bytes[-4:] if cut is None else file_bytes[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        outcome = _build_bytes(work, mutated)
+        code, err, got = outcome
+        if not refresh_crc:
+            assert code == 1 and got is None
+            assert err.endswith(f"error: build: {work / 'fuzz.ds'}: "
+                                + ("file truncated\n" if len(mutated) < 4
+                                   else "checksum mismatch\n"))
+        elif cut is not None:
+            assert _fails_naming(outcome, work, "fuzz.ds", command="build"), (cut, err)
+        else:
+            # a flip that keeps the file valid may change the rows
+            assert (code == 0 and got is not None
+                    or _fails_naming(outcome, work, "fuzz.ds", command="build")), err
+
+
+@pytest.mark.parametrize("refresh_crc", [False, True])
+def test_dataset_cut_at_every_section_boundary_fails_cleanly(tmp_path, refresh_crc):
+    file_bytes, layout = _fuzz_dataset()[:2]
+    body_size = len(file_bytes) - 4
+    # each section's start, the end of its bytes and the end of its padding
+    cuts = sorted({edge for offset, size in layout.values()
+                   for edge in (offset, offset + size,
+                                offset + size + storage._padding(size))})
+    assert cuts[-1] == body_size
+    if refresh_crc:
+        cuts.remove(body_size)   # the whole body: the file itself
+    for cut in cuts:
+        data = _with_crc(file_bytes[:cut]) if refresh_crc else file_bytes[:cut]
+        outcome = _build_bytes(tmp_path, data)
+        if refresh_crc:
+            assert _fails_naming(outcome, tmp_path, "fuzz.ds", command="build"), (
+                cut, outcome[1])
+        else:
+            assert outcome[0] == 1 and outcome[2] is None, cut
+            assert outcome[1].endswith(
+                f"error: build: {tmp_path / 'fuzz.ds'}: "
+                + ("file truncated\n" if cut < 4 else "checksum mismatch\n")), cut
