@@ -157,7 +157,7 @@ class Vocabulary:
     strings, nothing about their format is assumed.
 
     A vocabulary holds its ids joined by "\\n" in UTF-8, as the file formats
-    store them: the file bytes themselves once loaded (from_utf8), or a
+    store them: the bytes read from the file once loaded (from_utf8), or a
     store that doubles when full as ids are interned. Beside them it keeps
     where each id starts (derived from the bytes on first use) and one
     sorted hash table of 8 bytes per id, built on the first lookup. No
