@@ -529,15 +529,24 @@ def test_loaded_index_arrays_are_read_only_and_hold_no_play_counts(tmp_path, t1_
     assert not (tmp_path / "again.idx").exists()
 
 
-def test_loaded_dataset_arrays_are_read_only_int32_ids_and_u32_counts(tmp_path,
-                                                                      t1_batch):
+def test_loaded_dataset_id_arrays_are_views_of_the_file(tmp_path, t1_batch):
+    # each id column is read from the file into a read-only array of its own
     path = tmp_path / "t1.ds"
     save_dataset(t1_batch, path)
     batch = load_dataset(path)
     assert batch.users.dtype == np.int32 and batch.tracks.dtype == np.int32
-    assert batch.counts.dtype == np.uint32
-    for arr in (batch.users, batch.tracks, batch.counts):
+    for arr in (batch.users, batch.tracks):
         assert not arr.flags.writeable and arr.base is None
+    assert batch.users.tolist() == t1_batch.users.tolist()
+    assert batch.tracks.tolist() == t1_batch.tracks.tolist()
+
+
+def test_loaded_dataset_counts_are_a_read_only_u32_view_of_the_file(tmp_path, t1_batch):
+    path = tmp_path / "t1.ds"
+    save_dataset(t1_batch, path)
+    batch = load_dataset(path)
+    assert batch.counts.dtype == np.uint32
+    assert not batch.counts.flags.writeable and batch.counts.base is None
     assert batch.counts.tolist() == t1_batch.counts.tolist()
 
 
