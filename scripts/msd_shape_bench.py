@@ -7,17 +7,22 @@ CLI at fractions of the Million Song Dataset challenge's shape.
 
 For each fraction f, the text of synth.msd_shaped_batch(f) is written once
 to --cache and reused by later runs, together with a file of QUERY_USERS
-query users drawn with SEED. Each stage then runs
-as `python -m tastecf` in a fresh process started by this script, so the
-`ru_maxrss` that os.wait4 reports is that stage's own peak. --out gets one
-JSON object: per fraction and stage the wall time and peak RSS, with
-recommend run at each of WORKERS, the sha256 of the index and recs files
-(equal for changes that keep output), and the git SHA, nproc and src/ line
-count of the measured code.
+query users drawn with SEED. Each stage then runs as `python -m tastecf`
+in a fresh process started by this script, so the `ru_maxrss` that
+os.wait4 reports is that stage's own peak. --out gets one JSON object: per
+fraction and stage the wall time and peak RSS, with recommend run at each
+of WORKERS, the sha256 of the dataset, index and recs files (equal for
+changes that keep output), and the git SHA, nproc and src/ line count of
+the measured code.
 --src runs the stages from another checkout's src directory, so two
-checkouts can be measured on the same cached text. The text is made in a
-child process, and this process never imports numpy: a stage starts as a
-copy of it, so its ru_maxrss would otherwise count this process's memory.
+checkouts can be measured on the same cached text. That directory is
+compiled (`python -m compileall -q`) before the first stage, so every
+stage starts from cached bytecode: a stage that compiles the package as it
+starts takes about 20 ms and 1-2 MiB more, which would make two checkouts
+with different cache states differ for no change in the code. The text is
+made in a child process, and this process never imports numpy: a stage
+starts as a copy of it, so its ru_maxrss would otherwise count this
+process's memory.
 """
 
 import argparse
@@ -114,6 +119,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_msd-shape.json")
     args = parser.parse_args()
     src = args.src.resolve()
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)], check=True)
 
     result = {
         "git_sha": git_sha(src),
@@ -145,6 +151,7 @@ def main() -> int:
             "triplets": n_triplets, "users": n_users, "tracks": n_tracks,
             "text_bytes": text.stat().st_size,
             "stages": runs,
+            "dataset_sha256": sha256(dataset),
             "index_sha256": sha256(index),
             "recs_sha256": {f"w{w}": sha256(work / f"recs_w{w}.txt") for w in WORKERS},
         }

@@ -10,7 +10,6 @@ supplied through TASTECF_* environment variables.
 
 import argparse
 from contextlib import contextmanager
-import math
 import os
 import sys
 
@@ -19,25 +18,13 @@ from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    DuplicatePairError, MalformedLineError, PAD_DUMMY,
                    PAD_STRATEGIES)
 from .evaluate import mean_average_precision, split_history, tracks_by_user
-from .idf import compute_idf, valid_log_base
+from .idf import compute_idf
 from .index import build_index, load_index, save_index
 from .ingest import (load_dataset, read_triplets, save_dataset, sort_by_pair,
                      write_triplets)
 from .recommend import recommend_all, write_recommendations
 
 _MODE_NAMES = {"challenge": AP_CHALLENGE, "paper": AP_LIST_LENGTH}
-
-
-def _log_base(text: str) -> float:
-    if text == "e":
-        return math.e
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not valid_log_base(value):
-        raise argparse.ArgumentTypeError("log base must be positive and != 1")
-    return value
 
 
 def _ratio(text: str) -> float:
@@ -121,14 +108,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    _log_config("build", args, ["input", "out", "log_base"])
+    _log_config("build", args, ["input", "out"])
     batch = load_dataset(args.input)
     try:
         index = build_index(batch)
     except DuplicatePairError as exc:
         raise DataError(f"{args.input}: {exc}") from None
-    idf = compute_idf(index, args.log_base)
-    save_index(index, batch.user_vocab, batch.track_vocab, args.out, idf=idf)
+    save_index(index, batch.user_vocab, batch.track_vocab, args.out,
+               idf=compute_idf(index))
     print(f"built index: {index.n_users} users, {index.n_tracks} tracks, "
           f"{index.nnz} interactions -> {args.out}", file=sys.stderr)
     return 0
@@ -157,7 +144,7 @@ def _cmd_recommend(args) -> int:
                 ["input", "users", "out", "prune_ratio", "k", "exclude_seen",
                  "pad", "workers"])
     loaded = load_index(args.input)
-    # the engine reads only the natural-log values, which the stored table
+    # the engine reads only the natural-log values, which the loaded table
     # holds whatever its base
     idf = loaded.idf
     if idf is None:
@@ -256,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the interaction index from a dataset")
     _add_path(p, "--input", "TASTECF_INPUT", "binary dataset file")
     _add_path(p, "--out", "TASTECF_OUT", "binary index to write")
-    p.add_argument("--log-base", type=_log_base, default=math.e,
-                   metavar="BASE", help="idf log base (default e)")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("recommend", help="write top-k lists for a set of users")

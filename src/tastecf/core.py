@@ -235,11 +235,10 @@ class Vocabulary:
     def _hash_table(self) -> np.ndarray:
         """The table of (hash high bits, index) entries, sorted by the high
         bits, built from the bytes on first use. Each block of ids is hashed
-        from its own byte range, straight into the table. Ids that share
-        their full hash are a repeated id or a true collision: only the ids
-        whose high bits are shared are hashed again, and those that share
-        the full hash are decoded and scanned in index order, so that the
-        first repeat raises DataError."""
+        from its own byte range, straight into the table. A repeated id
+        shares its full hash, and so its high bits: the ids whose high bits
+        are shared, repeats and collisions alike, are decoded and scanned in
+        index order, so that the first repeat raises DataError."""
         if self._table is None:
             bounds = self._id_bounds()
             data = np.frombuffer(self._data, np.uint8)
@@ -255,20 +254,12 @@ class Vocabulary:
                 entries |= np.arange(at, at + lens.size, dtype=np.uint64)
                 table[at:at + lens.size] = entries
             table.sort()
-            shared = self._shared_entries(table)
-            if shared.size:
-                held = (table[shared] & _LOW).astype(np.intp)
-                _, starts, lens = self.spans(held)
-                hashes = _hash_spans(_words(_gather(data, starts, lens)),
-                                     np.cumsum(lens) - lens, lens)
-                _, group, sizes = np.unique(hashes, return_inverse=True,
-                                            return_counts=True)
-                seen = set()
-                for index in np.sort(held[sizes[group] > 1]).tolist():
-                    ext_id = self.lookup(index)
-                    if ext_id in seen:
-                        raise DataError(f"{self._origin}: id {ext_id!r} appears twice")
-                    seen.add(ext_id)
+            seen = set()
+            for index in np.sort(table[self._shared_entries(table)] & _LOW).tolist():
+                ext_id = self.lookup(index)
+                if ext_id in seen:
+                    raise DataError(f"{self._origin}: id {ext_id!r} appears twice")
+                seen.add(ext_id)
             self._table = table
         return self._table
 

@@ -4,7 +4,8 @@ Both directions are materialized as contiguous offset-array (CSR-style)
 storage: the forward side drives scoring, the inverted side drives
 candidate generation. Play counts live only on the forward side of a built
 index, and only their per-user totals are loaded from a file; posting
-lists are bare user indexes, since overlap is binary.
+lists are bare user indexes, since overlap is binary. An index file keeps
+of the idf table only its log base; load_index derives the values.
 """
 
 from dataclasses import dataclass
@@ -16,11 +17,11 @@ import numpy as np
 from . import storage
 from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
                    MAX_PLAY_COUNT, Vocabulary, _gather)
-from .idf import IdfTable, valid_log_base
+from .idf import IdfTable, compute_idf, valid_log_base
 from .ingest import TripletBatch, sort_by_pair
 
 _MAGIC = b"TCFIDX1\x00"
-_VERSION = 2
+_VERSION = 3
 # play counts are summed, and read by load_index, this many users' rows at
 # a time
 _CHECK_USERS = 1 << 14
@@ -269,17 +270,20 @@ class LoadedIndex(NamedTuple):
 
 def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
                idf: Optional[IdfTable] = None) -> None:
-    """Persist the index (plus vocabularies and, optionally, an idf table).
+    """Persist the index and vocabularies, and of `idf` only its log base.
 
     Arrays are written in their in-memory dtypes, except play counts, which
-    are stored as u32 (with no copy when they are u32 already). A larger
-    count, an id that contains "\\n" or an index without play counts (one
-    from load_index) raises ValueError before anything is written.
+    are stored as u32 (with no copy when they are u32 already). An idf
+    table that is not compute_idf(index, idf.log_base), a larger count, an
+    id that contains "\\n" or an index without play counts (one from
+    load_index) raises ValueError before anything is written.
     """
     if index.fwd_counts is None:
         raise ValueError("the index holds no play counts; build it from its dataset")
     if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
+    if idf is not None and idf != compute_idf(index, idf.log_base):
+        raise ValueError("the idf table is not the index's; only its log base is stored")
     chunks = [
         storage.header(_MAGIC, _VERSION),
         struct.pack("<QQQ", index.n_users, index.n_tracks, index.nnz),
@@ -287,27 +291,26 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
         *storage.encode_vocab(track_vocab),
         np.ascontiguousarray(index.fwd_offsets, dtype="<i8"),
         np.ascontiguousarray(index.fwd_tracks, dtype="<i4"),
+        np.ascontiguousarray(index.total_plays, dtype="<i8"),
         np.ascontiguousarray(index.fwd_counts, dtype="<u4"),
         np.ascontiguousarray(index.inv_offsets, dtype="<i8"),
         np.ascontiguousarray(index.inv_users, dtype="<i4"),
-        np.ascontiguousarray(index.total_plays, dtype="<i8"),
     ]
     if idf is None:
         chunks.append(b"\x00")
     else:
         chunks.append(b"\x01")
         chunks.append(struct.pack("<d", idf.log_base))
-        chunks.append(np.ascontiguousarray(idf.ln_values, dtype="<f8"))
     storage.write_file(path, chunks)
 
 
 def load_index(path) -> LoadedIndex:
     """Inverse of save_index, except that the index holds no play counts:
-    fwd_counts is None, and total_plays is summed from the file's counts,
-    read _CHECK_USERS users' rows at a time (by _play_totals, as
-    build_index sums them), then compared with the file's total_plays a
-    block at a time. Every other array is a read-only array of its own,
-    read straight from the file (storage.Reader), and df is derived.
+    fwd_counts is None, and the file's total_plays are compared, a block of
+    _CHECK_USERS users at a time, with the play counts summed by
+    _play_totals as build_index sums them. Every other array is a read-only
+    array of its own, read straight from the file (storage.Reader); df and
+    the idf table (compute_idf) are derived.
 
     The structure is checked with array operations, none of which makes an
     nnz-size temporary: offsets that do not rise from 0 to nnz, an index
@@ -315,14 +318,14 @@ def load_index(path) -> LoadedIndex:
     the users' summed play counts, posting lengths that differ from the
     tracks' counts in fwd_tracks (_run_lengths), users that do not rise
     within each posting list (_rising_runs), an idf flag other than 0 or 1,
-    an idf log base that is not positive or equals 1, an idf value that is
-    not finite and >= 0, or a length that does not match the body raise
-    DataError; a file whose CRC does not match raises ChecksumError first.
-    Each of the value checks guards output that would otherwise change
-    without an error. The posting checks cannot see two entries swapped
-    between posting lists when both lists still rise and keep their
-    lengths. A vocabulary that holds an id twice raises DataError at its
-    first lookup or check_distinct.
+    an idf log base that is not positive or equals 1, an idf flag over 0
+    users, or a length that does not match the body raise DataError; a file
+    whose CRC does not match raises ChecksumError first. Each of the value
+    checks guards output that would otherwise change without an error; the
+    idf has no bytes of its own to change. The posting checks cannot see
+    two entries swapped between posting lists when both lists still rise
+    and keep their lengths. A vocabulary that holds an id twice raises
+    DataError at its first lookup or check_distinct.
     """
     with storage.Reader(path, _MAGIC, _VERSION) as r:
         n_users, n_tracks, nnz = r.unpack("<QQQ")
@@ -330,31 +333,26 @@ def load_index(path) -> LoadedIndex:
         track_vocab = r.vocab(n_tracks, "track")
         fwd_offsets = r.offsets(n_users, nnz, "fwd_offsets")
         fwd_tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
+        total_plays = r.array("<i8", n_users)
         blocks = np.append(np.arange(0, n_users, _CHECK_USERS), n_users)
-        total_plays = np.empty(n_users, np.int64)
         at = 0
         for counts in r.parts("<u4", fwd_offsets[blocks]):
             r.check_range(counts, 1, MAX_PLAY_COUNT + 1, "fwd_counts")
             rows = fwd_offsets[at:at + _CHECK_USERS + 1]
-            total_plays[at:at + rows.size - 1] = _play_totals(rows, counts)
+            if not np.array_equal(_play_totals(rows, counts),
+                                  total_plays[at:at + rows.size - 1]):
+                raise r.fail("total_plays differ from the users' summed fwd_counts")
             at += _CHECK_USERS
         inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
         inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
-        at = 0
-        for stored in r.parts("<i8", blocks):
-            if not np.array_equal(stored, total_plays[at:at + stored.size]):
-                raise r.fail("total_plays differ from the users' summed fwd_counts")
-            at += stored.size
         (has_idf,) = r.unpack("<B")
-        idf = None
+        log_base = None
         if has_idf == 1:
             (log_base,) = r.unpack("<d")
             if not valid_log_base(log_base):
                 raise r.fail(f"idf log base is {log_base!r}, not positive and != 1")
-            ln_values = r.array("<f8", n_tracks)
-            if not (np.isfinite(ln_values).all() and (ln_values >= 0).all()):
-                raise r.fail("idf values are not all finite and >= 0")
-            idf = IdfTable(ln_values, n_users, log_base)
+            if n_users == 0:
+                raise r.fail("idf flag is set on an index of 0 users")
         elif has_idf != 0:
             raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
         r.finish()
@@ -364,7 +362,8 @@ def load_index(path) -> LoadedIndex:
         raise r.fail("inv_offsets differ from the tracks' counts in fwd_tracks")
     if not _rising_runs(inv_users, inv_offsets):
         raise r.fail("inv_users do not rise within each posting list")
-    _freeze(df, total_plays)
+    _freeze(df)
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                              None, inv_offsets, inv_users, df, total_plays)
+    idf = None if log_base is None else compute_idf(index, log_base)
     return LoadedIndex(index, user_vocab, track_vocab, idf)

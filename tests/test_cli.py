@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, TripletBatch, Vocabulary,
-                     load_dataset, mean_average_precision, parse_triplets,
-                     save_dataset)
+                     build_index, compute_idf, load_dataset, load_index,
+                     mean_average_precision, parse_triplets, save_dataset,
+                     save_index)
 from tastecf import cli
 from tastecf.cli import main
 from tastecf.ingest import write_triplets
@@ -64,13 +65,16 @@ def test_full_pipeline_produces_golden_line(tmp_path, t1_file, capsys):
 
 def test_recommend_reuses_stored_idf_for_any_log_base(tmp_path, t1_file,
                                                       capsys, monkeypatch):
-    # the engine reads only natural-log idf, so a table stored at base 2
-    # serves as it is and gives the bytes of the base-e index
+    # the engine reads only natural-log idf, so an index labelled base 2
+    # serves its loaded table as it is and gives the bytes of the base-e index
     code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "5"])
     assert code == 0
+    batch = load_dataset(tmp_path / "t1.ds")
+    index = build_index(batch)
     base_2_index = tmp_path / "t1_base_2.idx"
-    assert main(["build", "--input", str(tmp_path / "t1.ds"),
-                 "--out", str(base_2_index), "--log-base", "2"]) == 0
+    save_index(index, batch.user_vocab, batch.track_vocab, base_2_index,
+               idf=compute_idf(index, 2.0))
+    assert load_index(base_2_index).idf.log_base == 2.0
 
     def no_recompute(*args):
         raise AssertionError("compute_idf called on an index that has idf")
@@ -81,6 +85,18 @@ def test_recommend_reuses_stored_idf_for_any_log_base(tmp_path, t1_file,
                  "--users", str(tmp_path / "users.txt"), "--out", str(base_2),
                  "--k", "5"]) == 0
     assert base_2.read_bytes() == recs.read_bytes()
+
+
+def test_build_has_no_log_base_option(tmp_path, t1_file, capsys):
+    # the base only labels the idf table, so build always writes base e
+    dataset = tmp_path / "t1.ds"
+    assert main(["ingest", "--input", str(t1_file), "--out", str(dataset)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--input", str(dataset), "--out", str(tmp_path / "t1.idx"),
+              "--log-base", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --log-base 2" in capsys.readouterr().err
+    assert not (tmp_path / "t1.idx").exists()
 
 
 def test_recommend_defaults_echo_reference_constants(tmp_path, t1_file, capsys):

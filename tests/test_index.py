@@ -1,6 +1,7 @@
 from dataclasses import replace
 from functools import lru_cache
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from tastecf import (
     Config,
     DataError,
     DuplicatePairError,
+    IdfTable,
     TripletBatch,
     Vocabulary,
     build_index,
@@ -514,6 +516,63 @@ def test_index_round_trip_with_idf(tmp_path, t1_index, t1_batch, t1_idf):
     loaded = load_index(path)
     assert loaded.idf == t1_idf
     assert loaded.idf.log_base == t1_idf.log_base
+
+
+@pytest.mark.parametrize("log_base", [math.e, 2.0])
+def test_loaded_idf_is_compute_idf_bit_for_bit(tmp_path, log_base):
+    # the file holds only the base; the values are derived at load, and are
+    # the bits build_index's own index gives
+    batch = skewed_batch(300, 60, 6.0, seed=1)
+    index = build_index(batch)
+    idf = compute_idf(index, log_base)
+    path = tmp_path / "skewed.idx"
+    save_index(index, batch.user_vocab, batch.track_vocab, path, idf=idf)
+    loaded = load_index(path).idf
+    assert loaded.log_base == log_base and loaded.n_users == idf.n_users
+    assert loaded.ln_values.tobytes() == idf.ln_values.tobytes()
+    assert loaded.values.tobytes() == idf.values.tobytes()
+    assert not loaded.ln_values.flags.writeable
+
+
+def _padded(size: int) -> int:
+    return size + -size % 8
+
+
+@pytest.mark.parametrize("with_idf", [False, True])
+def test_index_file_size_matches_the_v3_layout(tmp_path, with_idf):
+    batch = skewed_batch(300, 60, 6.0, seed=1)
+    index = build_index(batch)
+    path = tmp_path / "skewed.idx"
+    save_index(index, batch.user_vocab, batch.track_vocab, path,
+               idf=compute_idf(index) if with_idf else None)
+    n_users, n_tracks, nnz = index.n_users, index.n_tracks, index.nnz
+    vocabs = sum(8 + _padded(len(vocab.utf8()))
+                 for vocab in (batch.user_vocab, batch.track_vocab))
+    # header, counts, vocabularies, fwd_offsets and fwd_tracks, total_plays
+    # and fwd_counts, inv_offsets and inv_users, the idf flag and base, CRC;
+    # no section per track beyond the offsets
+    expected = (16 + 24 + vocabs
+                + 8 * (n_users + 1) + _padded(4 * nnz)
+                + 8 * n_users + _padded(4 * nnz)
+                + 8 * (n_tracks + 1) + _padded(4 * nnz)
+                + 8 + (8 if with_idf else 0) + 4)
+    assert path.stat().st_size == expected
+
+
+@pytest.mark.parametrize("change", ["scaled", "other_users"])
+def test_save_index_refuses_an_idf_table_it_would_not_load(tmp_path, t1_index,
+                                                           t1_batch, t1_idf, change):
+    # only the base is stored, so a table that is not compute_idf's would be
+    # dropped without a word
+    if change == "scaled":
+        table = IdfTable(t1_idf.ln_values * 2, t1_idf.n_users, t1_idf.log_base)
+    else:
+        table = IdfTable(t1_idf.ln_values, t1_idf.n_users + 1, t1_idf.log_base)
+    path = tmp_path / "t1.idx"
+    with pytest.raises(ValueError, match="not the index's"):
+        save_index(t1_index, t1_batch.user_vocab, t1_batch.track_vocab, path,
+                   idf=table)
+    assert not path.exists()
 
 
 def test_index_file_corruption_is_detected(tmp_path, t1_index, t1_batch):

@@ -1,5 +1,5 @@
-"""Binary format v2: structural validation of crafted files (version 1
-included), ids the format cannot hold, lookups in loaded vocabularies
+"""Binary formats (index v3, dataset v2): structural validation of crafted
+files (older versions included), ids the format cannot hold, lookups in loaded vocabularies
 and zero-copy loads."""
 
 import contextlib
@@ -28,8 +28,8 @@ from tastecf.synth import skewed_batch
 # the sections save_index and save_dataset hand to storage.write_file
 INDEX_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
                   "track_vocab_size", "track_vocab", "fwd_offsets",
-                  "fwd_tracks", "fwd_counts", "inv_offsets", "inv_users",
-                  "total_plays", "idf_flag", "log_base", "idf_values")
+                  "fwd_tracks", "total_plays", "fwd_counts", "inv_offsets",
+                  "inv_users", "idf_flag", "log_base")
 DATASET_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
                     "track_vocab_size", "track_vocab", "users", "tracks",
                     "play_counts")
@@ -79,8 +79,8 @@ def _dataset_sections(monkeypatch, t1_batch):
                      DATASET_SECTIONS)
 
 
-def _version_1(sections, magic):
-    sections["header"] = magic + struct.pack("<I", 1)
+def _version(sections, magic, version):
+    sections["header"] = magic + struct.pack("<I", version)
 
 
 # fault -> (how to write it, what the error says after the path);
@@ -108,11 +108,6 @@ INDEX_FAULTS = {
         lambda s, total=total: _put(s, "total_plays", "<i8", 3, total),
         "total_plays differ from the users' summed fwd_counts")
        for total in (-3, 0, 4)},
-    # a NaN idf for track a turned u1's list into pads without a warning
-    **{f"idf_value_{value}": (
-        lambda s, value=value: _put(s, "idf_values", "<f8", 0, value),
-        "idf values are not all finite and >= 0")
-       for value in (float("nan"), float("inf"), -0.5)},
     "idf_flag_2": (lambda s: s.update(idf_flag=b"\x02"), "idf flag is 2, not 0 or 1"),
     **{f"idf_log_base_{base}": (
         lambda s, base=base: s.update(log_base=struct.pack("<d", base)),
@@ -120,8 +115,8 @@ INDEX_FAULTS = {
        for base in (1.0, 0.0, -2.0, float("nan"))},
     "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
                        "8 bytes after the last section"),
-    "missing_idf_values": (lambda s: s.pop("idf_values"),
-                           "file body is shorter than its header says"),
+    "missing_log_base": (lambda s: s.pop("log_base"),
+                         "file body is shorter than its header says"),
     "vocab_not_utf8": (lambda s: _vocab_text(s, "user", b"u1\nu2\nu\xff\nu4"),
                        "user vocabulary: invalid UTF-8 at byte 7"),
     "vocab_count_mismatch": (lambda s: _vocab_text(s, "user", b"u1\nu2\nu3\nu4\nu5"),
@@ -129,8 +124,10 @@ INDEX_FAULTS = {
     "vocab_size_past_body": (
         lambda s: s.update(track_vocab_size=struct.pack("<Q", 1 << 40)),
         "file body is shorter than its header says"),
-    "version_1": (lambda s: _version_1(s, index_module._MAGIC),
-                  "format version 1, expected 2"),
+    **{f"version_{version}": (
+        lambda s, version=version: _version(s, index_module._MAGIC, version),
+        f"format version {version}, expected {index_module._VERSION}")
+       for version in range(1, index_module._VERSION)},
     # "u1\nu2\nu3\n" still holds 4 ids, and its section ends where the
     # whole one did
     "vocab_size_within_padding": (
@@ -170,8 +167,8 @@ DATASET_FAULTS = {
                        "track vocabulary: invalid UTF-8 at byte 2"),
     "vocab_count_mismatch": (lambda s: _vocab_text(s, "track", b"a\nb"),
                              "track vocabulary: 2 ids, header says 3"),
-    "version_1": (lambda s: _version_1(s, ingest._MAGIC),
-                  "format version 1, expected 2"),
+    "version_1": (lambda s: _version(s, ingest._MAGIC, 1),
+                  f"format version 1, expected {ingest._VERSION}"),
     "vocab_size_within_padding": (
         lambda s: s.update(track_vocab_size=struct.pack("<Q", 3)),
         "padding at byte 75 is not zero"),
@@ -193,7 +190,7 @@ def test_structural_faults_with_valid_crc_raise_data_error(
     write_fault(sections)
     path = tmp_path / f"{fault}.bin"
     _write(path, sections)
-    error = FormatVersionError if fault == "version_1" else DataError
+    error = FormatVersionError if fault.startswith("version_") else DataError
     with pytest.raises(error) as caught:
         load(path)
     assert str(caught.value) == f"{path}: {message}"
@@ -201,8 +198,8 @@ def test_structural_faults_with_valid_crc_raise_data_error(
 
 @pytest.mark.parametrize("fault", ["inv_users_past_n_users",
                                    "fwd_offsets_end_past_nnz", "idf_flag_2",
-                                   "vocab_not_utf8", "version_1",
-                                   "total_plays_-3", "idf_value_nan",
+                                   "vocab_not_utf8", "version_1", "version_2",
+                                   "total_plays_-3", "idf_log_base_nan",
                                    "inv_users_swapped_within_a_list"])
 def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
                                             t1_batch, t1_idf, fault):
@@ -275,6 +272,47 @@ def test_a_pipe_as_binary_input_exits_1_without_opening_it(tmp_path, capsys, com
     code = main([command, "--input", str(pipe), *extra, "--out", str(tmp_path / "out")])
     assert code == 1
     assert f"error: {command}: {pipe}: not a regular file\n" in capsys.readouterr().err
+
+
+def test_idf_flag_on_an_index_of_0_users_exits_1_naming_the_file(
+        tmp_path, monkeypatch, capsys):
+    # no idf can be derived over 0 users; the error names the file, where
+    # compute_idf's own would not
+    batch = TripletBatch(np.empty(0, np.int32), np.empty(0, np.int32),
+                         np.empty(0, np.uint32), Vocabulary(), Vocabulary())
+    index = build_index(batch)
+    sections = _sections(
+        monkeypatch,
+        lambda path: save_index(index, batch.user_vocab, batch.track_vocab, path),
+        INDEX_SECTIONS)
+    path = tmp_path / "empty.idx"
+    _write(path, sections)
+    assert load_index(path).idf is None
+    sections.update(idf_flag=b"\x01", log_base=struct.pack("<d", 2.0))
+    _write(path, sections)
+    with pytest.raises(DataError) as caught:
+        load_index(path)
+    assert str(caught.value) == f"{path}: idf flag is set on an index of 0 users"
+    users = tmp_path / "users.txt"
+    users.write_text("u1\n")
+    code = main(["recommend", "--input", str(path), "--users", str(users),
+                 "--out", str(tmp_path / "recs.txt")])
+    assert code == 1
+    assert (f"error: recommend: {path}: idf flag is set on an index of 0 users\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "recs.txt").exists()
+
+
+@pytest.mark.parametrize("base", [2.0, 10.0, 0.5, 1e-300])
+def test_a_rewritten_log_base_changes_no_list(tmp_path, base):
+    # the base is the one idf byte a file holds, and it only labels the
+    # derived table
+    file_bytes, layout, recs = _fuzz_index()
+    offset, size = layout["log_base"]
+    body = bytearray(file_bytes[:-4])
+    struct.pack_into("<d", body, offset, base)
+    assert _recommend_bytes(tmp_path, _with_crc(bytes(body)))[::2] == (0, recs)
+    assert load_index(tmp_path / "fuzz.idx").idf.log_base == base
 
 
 def test_build_on_crafted_dataset_exits_1(tmp_path, monkeypatch, capsys, t1_batch):
@@ -588,7 +626,7 @@ def _fuzz_index():
         storage.write_file(path, captured)
         data = path.read_bytes()
         code, _, recs = _recommend_bytes(Path(tmp), data)
-    assert code == 0 and layout["idf_values"][0] + layout["idf_values"][1] == len(data) - 4
+    assert code == 0 and layout["log_base"][0] + layout["log_base"][1] == len(data) - 4
     return data, layout, recs
 
 
