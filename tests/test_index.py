@@ -520,8 +520,8 @@ def test_index_round_trip_with_idf(tmp_path, t1_index, t1_batch, t1_idf):
 
 @pytest.mark.parametrize("log_base", [math.e, 2.0])
 def test_loaded_idf_is_compute_idf_bit_for_bit(tmp_path, log_base):
-    # the file holds only the base; the values are derived at load, and are
-    # the bits build_index's own index gives
+    # the file holds only the base; the values derived at load are the bits
+    # compute_idf gives for the built index
     batch = skewed_batch(300, 60, 6.0, seed=1)
     index = build_index(batch)
     idf = compute_idf(index, log_base)

@@ -1,6 +1,6 @@
 """Binary formats (index v3, dataset v2): structural validation of crafted
-files (older versions included), ids the format cannot hold, lookups in loaded vocabularies
-and zero-copy loads."""
+files (older versions included), ids the format cannot hold, lookups in
+loaded vocabularies and zero-copy loads."""
 
 import contextlib
 from functools import lru_cache
@@ -305,13 +305,13 @@ def test_idf_flag_on_an_index_of_0_users_exits_1_naming_the_file(
 
 @pytest.mark.parametrize("base", [2.0, 10.0, 0.5, 1e-300])
 def test_a_rewritten_log_base_changes_no_list(tmp_path, base):
-    # the base is the one idf byte a file holds, and it only labels the
-    # derived table
+    # beside its flag, the base is all a file holds of the idf table, and
+    # it only labels the table derived at load
     file_bytes, layout, recs = _fuzz_index()
-    offset, size = layout["log_base"]
     body = bytearray(file_bytes[:-4])
-    struct.pack_into("<d", body, offset, base)
-    assert _recommend_bytes(tmp_path, _with_crc(bytes(body)))[::2] == (0, recs)
+    struct.pack_into("<d", body, layout["log_base"][0], base)
+    code, _, got = _recommend_bytes(tmp_path, _with_crc(bytes(body)))
+    assert code == 0 and got == recs
     assert load_index(tmp_path / "fuzz.idx").idf.log_base == base
 
 
