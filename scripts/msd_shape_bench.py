@@ -13,7 +13,8 @@ os.wait4 reports is that stage's own peak. --out gets one JSON object: per
 fraction and stage the wall time and peak RSS, with recommend run at each
 of WORKERS, the sha256 of the dataset, index and recs files (equal for
 changes that keep output), and the git SHA, nproc and src/ line count of
-the measured code.
+the measured code. The script exits 1, after writing --out, when the recs
+of two worker counts differ.
 --src runs the stages from another checkout's src directory, so two
 checkouts can be measured on the same cached text. That directory is
 compiled (`python -m compileall -q`) before the first stage, so every
@@ -160,6 +161,12 @@ def main() -> int:
         work.rmdir()
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(result))
+    differ = [name for name, run in result["fractions"].items()
+              if len(set(run["recs_sha256"].values())) > 1]
+    if differ:
+        print(f"recs differ between worker counts at f = {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

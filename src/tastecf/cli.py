@@ -18,8 +18,7 @@ from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    DuplicatePairError, MalformedLineError, PAD_DUMMY,
                    PAD_STRATEGIES)
 from .evaluate import mean_average_precision, split_history, tracks_by_user
-from .idf import compute_idf
-from .index import build_index, load_index, save_index
+from .index import _MAGIC as _INDEX_MAGIC, build_index, load_index, save_index
 from .ingest import (load_dataset, read_triplets, save_dataset, sort_by_pair,
                      write_triplets)
 from .recommend import recommend_all, write_recommendations
@@ -114,8 +113,7 @@ def _cmd_build(args) -> int:
         index = build_index(batch)
     except DuplicatePairError as exc:
         raise DataError(f"{args.input}: {exc}") from None
-    save_index(index, batch.user_vocab, batch.track_vocab, args.out,
-               idf=compute_idf(index))
+    save_index(index, batch.user_vocab, batch.track_vocab, args.out)
     print(f"built index: {index.n_users} users, {index.n_tracks} tracks, "
           f"{index.nnz} interactions -> {args.out}", file=sys.stderr)
     return 0
@@ -144,11 +142,6 @@ def _cmd_recommend(args) -> int:
                 ["input", "users", "out", "prune_ratio", "k", "exclude_seen",
                  "pad", "workers"])
     loaded = load_index(args.input)
-    # the engine reads only the natural-log values, which the loaded table
-    # holds whatever its base
-    idf = loaded.idf
-    if idf is None:
-        idf = compute_idf(loaded.index)
     config = Config(prune_ratio=args.prune_ratio, k=args.k,
                     exclude_seen=args.exclude_seen, pad_strategy=args.pad)
     user_ids = _read_user_ids(args.users)
@@ -156,7 +149,8 @@ def _cmd_recommend(args) -> int:
     if None in indexes:
         unknown = user_ids[indexes.index(None)]
         raise DataError(f"unknown user id {unknown!r} in {args.users}")
-    recs = recommend_all(loaded.index, idf, indexes, config, workers=args.workers)
+    recs = recommend_all(loaded.index, loaded.idf, indexes, config,
+                         workers=args.workers)
     write_recommendations(recs, args.out, loaded.user_vocab, loaded.track_vocab)
     print(f"recommended for {len(indexes)} users -> {args.out}", file=sys.stderr)
     return 0
@@ -215,14 +209,18 @@ def _cmd_stats(args) -> int:
     _log_config("stats", args, ["input", "delimiter"])
     with open(args.input, "rb") as fh:
         magic = fh.read(len(ingest._MAGIC))
-    if magic == ingest._MAGIC:
-        batch = load_dataset(args.input)
+    if magic == _INDEX_MAGIC:
+        index = load_index(args.input).index
+        shape = (index.n_users, index.n_tracks, index.nnz,
+                 index.total_plays.sum())
     else:
-        batch = _read_triplets(args.input, args.delimiter)
-    print(f"n_users={len(batch.user_vocab)}")
-    print(f"n_tracks={len(batch.track_vocab)}")
-    print(f"triplets={len(batch)}")
-    print(f"total_plays={int(batch.counts.sum(dtype='int64'))}")
+        batch = (load_dataset(args.input) if magic == ingest._MAGIC
+                 else _read_triplets(args.input, args.delimiter))
+        shape = (len(batch.user_vocab), len(batch.track_vocab), len(batch),
+                 batch.counts.sum(dtype="int64"))
+    for name, value in zip(("n_users", "n_tracks", "triplets", "total_plays"),
+                           shape):
+        print(f"{name}={int(value)}")
     return 0
 
 
@@ -287,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("stats", help="print dataset statistics")
-    _add_path(p, "--input", "TASTECF_INPUT", "triplet text or binary dataset")
+    _add_path(p, "--input", "TASTECF_INPUT",
+              "triplet text, binary dataset or binary index")
     p.add_argument("--delimiter", type=_delimiter, default="\t")
     p.set_defaults(func=_cmd_stats)
 

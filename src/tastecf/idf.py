@@ -7,9 +7,9 @@ for tracks everyone has played.
 The log base can never change neighbor sets or item rankings (for bases
 above 1 all weights scale by one positive constant, and every downstream
 comparison is scale-invariant), so the engine reads only the natural-log
-values and the base only labels the table: it sets `values` and is stored
-in the index file. That keeps rankings bit-identical across bases instead
-of merely close. Natural log is the default; bases in (0, 1) flip the sign
+values and the base only labels the table: it sets `values`, and no file
+stores it. That keeps rankings bit-identical across bases instead of merely
+close. Natural log is the default; bases in (0, 1) flip the sign
 of every value and are degenerate for ranking.
 """
 
@@ -54,18 +54,14 @@ class IdfTable:
         )
 
 
-def valid_log_base(log_base: float) -> bool:
-    """A log base is positive and not 1; NaN is neither."""
-    return log_base > 0 and log_base != 1
-
-
 def compute_idf(index, log_base: float = math.e) -> IdfTable:
     """Build the idf table for every track of the index.
 
     Raises ValueError for a log base that is not positive or equals 1, and
     EmptyIndexError when the index has no users.
     """
-    if not valid_log_base(log_base):
+    # NaN is neither positive nor 1
+    if not (log_base > 0 and log_base != 1):
         raise ValueError(f"log_base must be positive and != 1, got {log_base}")
     if index.n_users == 0:
         raise EmptyIndexError("cannot compute idf over zero users")

@@ -4,8 +4,8 @@ Both directions are materialized as contiguous offset-array (CSR-style)
 storage: the forward side drives scoring, the inverted side drives
 candidate generation. Play counts live only on the forward side of a built
 index, and only their per-user totals are loaded from a file; posting
-lists are bare user indexes, since overlap is binary. An index file keeps
-of the idf table only its log base; load_index derives the values.
+lists are bare user indexes, since overlap is binary. An index file stores
+no idf: load_index derives the natural-log table from the loaded index.
 """
 
 from dataclasses import dataclass
@@ -17,11 +17,11 @@ import numpy as np
 from . import storage
 from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
                    MAX_PLAY_COUNT, Vocabulary, _gather)
-from .idf import IdfTable, compute_idf, valid_log_base
+from .idf import IdfTable, compute_idf
 from .ingest import TripletBatch, sort_by_pair
 
 _MAGIC = b"TCFIDX1\x00"
-_VERSION = 3
+_VERSION = 4
 # play counts are summed, and read by load_index, this many users' rows at
 # a time
 _CHECK_USERS = 1 << 14
@@ -234,12 +234,14 @@ def _run_lengths(ids: np.ndarray, n: int) -> np.ndarray:
 def _rising_runs(values: np.ndarray, offsets: np.ndarray) -> bool:
     """Whether values rise strictly within each run of the CSR offsets:
     every entry that is not above the one before it must start a run.
-    Read _CHECK_ROWS values at a time."""
+    Read _CHECK_ROWS values at a time: the block's falls are masked, and
+    the run starts inside the block cleared from the mask."""
     for at in range(1, values.size, _CHECK_ROWS):
         v = values[at - 1:at + _CHECK_ROWS]
-        falls = np.flatnonzero(v[1:] <= v[:-1])
-        falls += at
-        if not np.array_equal(offsets[np.searchsorted(offsets, falls)], falls):
+        falls = v[1:] <= v[:-1]
+        lo, hi = np.searchsorted(offsets, (at, at + falls.size))
+        falls[offsets[lo:hi] - at] = False
+        if falls.any():
             return False
     return True
 
@@ -270,12 +272,13 @@ class LoadedIndex(NamedTuple):
 
 def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
                idf: Optional[IdfTable] = None) -> None:
-    """Persist the index and vocabularies, and of `idf` only its log base.
+    """Persist the index and vocabularies.
 
     Arrays are written in their in-memory dtypes, except play counts, which
-    are stored as u32 (with no copy when they are u32 already). An idf
-    table that is not compute_idf(index, idf.log_base), a larger count, an
-    id that contains "\\n" or an index without play counts (one from
+    are stored as u32 (with no copy when they are u32 already). An `idf`
+    table is checked but never stored, since load_index derives it: one
+    that is not compute_idf(index, idf.log_base), a larger count, an id
+    that contains "\\n" or an index without play counts (one from
     load_index) raises ValueError before anything is written.
     """
     if index.fwd_counts is None:
@@ -283,8 +286,8 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
     if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
     if idf is not None and idf != compute_idf(index, idf.log_base):
-        raise ValueError("the idf table is not the index's; only its log base is stored")
-    chunks = [
+        raise ValueError("the idf table is not the index's; no idf is stored")
+    storage.write_file(path, [
         storage.header(_MAGIC, _VERSION),
         struct.pack("<QQQ", index.n_users, index.n_tracks, index.nnz),
         *storage.encode_vocab(user_vocab),
@@ -295,13 +298,7 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
         np.ascontiguousarray(index.fwd_counts, dtype="<u4"),
         np.ascontiguousarray(index.inv_offsets, dtype="<i8"),
         np.ascontiguousarray(index.inv_users, dtype="<i4"),
-    ]
-    if idf is None:
-        chunks.append(b"\x00")
-    else:
-        chunks.append(b"\x01")
-        chunks.append(struct.pack("<d", idf.log_base))
-    storage.write_file(path, chunks)
+    ])
 
 
 def load_index(path) -> LoadedIndex:
@@ -310,22 +307,23 @@ def load_index(path) -> LoadedIndex:
     _CHECK_USERS users at a time, with the play counts summed by
     _play_totals as build_index sums them. Every other array is a read-only
     array of its own, read straight from the file (storage.Reader); df and
-    the idf table (compute_idf) are derived.
+    the idf table are derived: idf is compute_idf(index), natural log, or
+    None for an index of 0 users.
 
     The structure is checked with array operations, none of which makes an
     nnz-size temporary: offsets that do not rise from 0 to nnz, an index
     outside its vocabulary, a play count of 0, total_plays that differ from
-    the users' summed play counts, posting lengths that differ from the
-    tracks' counts in fwd_tracks (_run_lengths), users that do not rise
-    within each posting list (_rising_runs), an idf flag other than 0 or 1,
-    an idf log base that is not positive or equals 1, an idf flag over 0
-    users, or a length that does not match the body raise DataError; a file
-    whose CRC does not match raises ChecksumError first. Each of the value
-    checks guards output that would otherwise change without an error; the
-    idf has no bytes of its own to change. The posting checks cannot see
-    two entries swapped between posting lists when both lists still rise
-    and keep their lengths. A vocabulary that holds an id twice raises
-    DataError at its first lookup or check_distinct.
+    the users' summed play counts, tracks that do not rise within each
+    user's list or users that do not rise within each posting list
+    (_rising_runs), posting lengths that differ from the tracks' counts in
+    fwd_tracks (_run_lengths), or a length that does not match the body
+    raise DataError; a file whose CRC does not match raises ChecksumError
+    first. Each of the value checks guards output that would otherwise
+    change without an error; the idf has no bytes of its own to change. The
+    posting checks cannot see two entries swapped between posting lists
+    when both lists still rise and keep their lengths. A vocabulary that
+    holds an id twice raises DataError at its first lookup or
+    check_distinct.
     """
     with storage.Reader(path, _MAGIC, _VERSION) as r:
         n_users, n_tracks, nnz = r.unpack("<QQQ")
@@ -345,18 +343,10 @@ def load_index(path) -> LoadedIndex:
             at += _CHECK_USERS
         inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
         inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
-        (has_idf,) = r.unpack("<B")
-        log_base = None
-        if has_idf == 1:
-            (log_base,) = r.unpack("<d")
-            if not valid_log_base(log_base):
-                raise r.fail(f"idf log base is {log_base!r}, not positive and != 1")
-            if n_users == 0:
-                raise r.fail("idf flag is set on an index of 0 users")
-        elif has_idf != 0:
-            raise r.fail(f"idf flag is {has_idf}, not 0 or 1")
         r.finish()
 
+    if not _rising_runs(fwd_tracks, fwd_offsets):
+        raise r.fail("fwd_tracks do not rise within each user's list")
     df = np.diff(inv_offsets)
     if not np.array_equal(df, _run_lengths(fwd_tracks, n_tracks)):
         raise r.fail("inv_offsets differ from the tracks' counts in fwd_tracks")
@@ -365,5 +355,5 @@ def load_index(path) -> LoadedIndex:
     _freeze(df)
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                              None, inv_offsets, inv_users, df, total_plays)
-    idf = None if log_base is None else compute_idf(index, log_base)
+    idf = compute_idf(index) if n_users else None
     return LoadedIndex(index, user_vocab, track_vocab, idf)

@@ -57,16 +57,58 @@ def test_stats_on_binary_dataset(tmp_path, t1_file, capsys):
     assert "triplets=8" in capsys.readouterr().out
 
 
+def test_stats_on_an_index_prints_what_it_prints_for_the_dataset(tmp_path,
+                                                                 capsys):
+    # user 0 has no rows, and play totals pass 2**32
+    batch = TripletBatch(np.array([2, 1, 2, 3], np.int32),
+                         np.array([0, 1, 1, 0], np.int32),
+                         np.array([2**32 - 1, 7, 2**32 - 1, 1], np.uint32),
+                         Vocabulary(["u0", "u1", "u2", "u3"]),
+                         Vocabulary(["a", "b", "c"]))
+    dataset, index = tmp_path / "d.tcfd", tmp_path / "d.tcfi"
+    save_dataset(batch, dataset)
+    assert main(["build", "--input", str(dataset), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--input", str(dataset)]) == 0
+    expected = capsys.readouterr().out
+    assert expected == ("n_users=4\nn_tracks=3\ntriplets=4\n"
+                        f"total_plays={2 * (2**32 - 1) + 8}\n")
+    assert main(["stats", "--input", str(index)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_build_and_recommend_on_a_dataset_of_0_users(tmp_path, capsys):
+    # an empty index holds no idf, and no user can be asked for
+    dataset, index = tmp_path / "empty.tcfd", tmp_path / "empty.tcfi"
+    save_dataset(TripletBatch(np.empty(0, np.int32), np.empty(0, np.int32),
+                              np.empty(0, np.uint32), Vocabulary(), Vocabulary()),
+                 dataset)
+    assert main(["build", "--input", str(dataset), "--out", str(index)]) == 0
+    assert load_index(index).idf is None
+    users, recs = tmp_path / "users.txt", tmp_path / "recs.txt"
+    users.write_text("\n")
+    assert main(["recommend", "--input", str(index), "--users", str(users),
+                 "--out", str(recs)]) == 0
+    assert recs.read_bytes() == b""
+    users.write_text("u1\n")
+    recs.unlink()
+    assert main(["recommend", "--input", str(index), "--users", str(users),
+                 "--out", str(recs)]) == 1
+    assert f"unknown user id 'u1' in {users}" in capsys.readouterr().err
+    assert not recs.exists()
+
+
 def test_full_pipeline_produces_golden_line(tmp_path, t1_file, capsys):
     code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "5"])
     assert code == 0
     assert recs.read_text() == "u1 c 1 2 3 4\n"
 
 
-def test_recommend_reuses_stored_idf_for_any_log_base(tmp_path, t1_file,
-                                                      capsys, monkeypatch):
-    # the engine reads only natural-log idf, so an index labelled base 2
-    # serves its loaded table as it is and gives the bytes of the base-e index
+def test_recommend_gives_the_same_bytes_for_any_log_base_given_to_save_index(
+        tmp_path, t1_file, capsys):
+    # the engine reads only natural-log idf, and an index file stores none:
+    # a table of base 2 is accepted, checked and dropped, so the file and
+    # the recs are the bytes of the base-e index
     code, recs = _pipeline(tmp_path, t1_file, capsys, rec_args=["--k", "5"])
     assert code == 0
     batch = load_dataset(tmp_path / "t1.ds")
@@ -74,12 +116,8 @@ def test_recommend_reuses_stored_idf_for_any_log_base(tmp_path, t1_file,
     base_2_index = tmp_path / "t1_base_2.idx"
     save_index(index, batch.user_vocab, batch.track_vocab, base_2_index,
                idf=compute_idf(index, 2.0))
-    assert load_index(base_2_index).idf.log_base == 2.0
-
-    def no_recompute(*args):
-        raise AssertionError("compute_idf called on an index that has idf")
-
-    monkeypatch.setattr(cli, "compute_idf", no_recompute)
+    assert base_2_index.read_bytes() == (tmp_path / "t1.idx").read_bytes()
+    assert load_index(base_2_index).idf == compute_idf(index)
     base_2 = tmp_path / "recs_base_2.txt"
     assert main(["recommend", "--input", str(base_2_index),
                  "--users", str(tmp_path / "users.txt"), "--out", str(base_2),
@@ -229,6 +267,41 @@ def test_unknown_user_id_exits_1_with_id(tmp_path, t1_file, capsys):
                  "--out", str(tmp_path / "r.txt")]) == 1
     # the first unknown id in file order is named
     assert f"unknown user id 'ghost' in {users}" in capsys.readouterr().err
+
+
+def test_blank_lines_and_spaces_in_files_read_as_a_clean_file(tmp_path, capsys):
+    batch = planted_clusters(n_users=40, n_tracks=200, n_clusters=5, seed=2)
+    text, dataset, index = (tmp_path / name for name in ("p.txt", "p.ds", "p.idx"))
+    write_triplets(batch, text)
+    assert main(["ingest", "--input", str(text), "--out", str(dataset)]) == 0
+    assert main(["build", "--input", str(dataset), "--out", str(index)]) == 0
+    ids = [batch.user_vocab.lookup(u) for u in (3, 17, 0, 25)]
+    # every track of the planted cluster each user belongs to
+    hidden = tmp_path / "hidden.txt"
+    hidden.write_text("".join(f"{ids[i]}\t{batch.track_vocab.lookup(t)}\t1\n"
+                              for i, u in enumerate((3, 17, 0, 25))
+                              for t in range(u % 5 * 40, u % 5 * 40 + 40)))
+    users = {"clean": "".join(f"{u}\n" for u in ids),
+             "padded": "\n  \n".join(f"  {u} " for u in ids) + "\n\n \n"}
+    got = {}
+    for name, content in users.items():
+        path = tmp_path / f"users_{name}.txt"
+        path.write_text(content)
+        recs = tmp_path / f"recs_{name}.txt"
+        assert main(["recommend", "--input", str(index), "--users", str(path),
+                     "--out", str(recs), "--k", "10"]) == 0
+        got[name] = recs.read_bytes()
+    assert got["padded"] == got["clean"] and got["clean"].count(b"\n") == 4
+    # evaluate --recs skips blank lines as well
+    spaced = tmp_path / "recs_spaced.txt"
+    spaced.write_bytes(b"\n" + got["clean"].replace(b"\n", b"\n\n"))
+    scores = []
+    for recs in (tmp_path / "recs_clean.txt", spaced):
+        capsys.readouterr()
+        assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden),
+                     "--k", "10"]) == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1] != "mAP@10 (challenge) = 0.000000\n"
 
 
 def test_repeated_user_id_exits_1_with_line(tmp_path, t1_file, capsys):

@@ -468,6 +468,19 @@ def test_out_of_range_index_is_rejected():
         build_index(batch)
 
 
+@pytest.mark.parametrize("tracks,counts,message", [
+    ([0, 2], [1, 1], "track index outside vocabulary range"),
+    ([0, 1], [1, 0], "play_count must be >= 1"),
+])
+def test_build_index_refuses_a_track_past_n_tracks_or_a_count_of_0(
+        tracks, counts, message):
+    batch = TripletBatch(np.array([0, 1], np.int32), np.array(tracks, np.int32),
+                         np.array(counts, np.uint32), Vocabulary(["u1", "u2"]),
+                         Vocabulary(["a", "b"]))
+    with pytest.raises(DataError, match=f"^{message}$"):
+        build_index(batch)
+
+
 def test_index_arrays_are_frozen(t1_index):
     with pytest.raises(ValueError):
         t1_index.df[0] = 99
@@ -506,7 +519,8 @@ def test_index_round_trip_without_idf(tmp_path, t1_index, t1_batch):
     assert loaded.index == replace(t1_index, fwd_counts=None)
     assert loaded.user_vocab == t1_batch.user_vocab
     assert loaded.track_vocab == t1_batch.track_vocab
-    assert loaded.idf is None
+    # no idf is stored, so the loaded table is derived whatever was saved
+    assert loaded.idf == compute_idf(t1_index)
 
 
 def test_index_round_trip_with_idf(tmp_path, t1_index, t1_batch, t1_idf):
@@ -520,15 +534,16 @@ def test_index_round_trip_with_idf(tmp_path, t1_index, t1_batch, t1_idf):
 
 @pytest.mark.parametrize("log_base", [math.e, 2.0])
 def test_loaded_idf_is_compute_idf_bit_for_bit(tmp_path, log_base):
-    # the file holds only the base; the values derived at load are the bits
-    # compute_idf gives for the built index
+    # the file holds no idf; the values derived at load are the natural-log
+    # bits compute_idf gives for the built index, whatever base was saved
     batch = skewed_batch(300, 60, 6.0, seed=1)
     index = build_index(batch)
-    idf = compute_idf(index, log_base)
     path = tmp_path / "skewed.idx"
-    save_index(index, batch.user_vocab, batch.track_vocab, path, idf=idf)
+    save_index(index, batch.user_vocab, batch.track_vocab, path,
+               idf=compute_idf(index, log_base))
     loaded = load_index(path).idf
-    assert loaded.log_base == log_base and loaded.n_users == idf.n_users
+    idf = compute_idf(index)
+    assert loaded.log_base == math.e and loaded.n_users == idf.n_users
     assert loaded.ln_values.tobytes() == idf.ln_values.tobytes()
     assert loaded.values.tobytes() == idf.values.tobytes()
     assert not loaded.ln_values.flags.writeable
@@ -539,7 +554,7 @@ def _padded(size: int) -> int:
 
 
 @pytest.mark.parametrize("with_idf", [False, True])
-def test_index_file_size_matches_the_v3_layout(tmp_path, with_idf):
+def test_index_file_size_matches_the_layout(tmp_path, with_idf):
     batch = skewed_batch(300, 60, 6.0, seed=1)
     index = build_index(batch)
     path = tmp_path / "skewed.idx"
@@ -549,13 +564,13 @@ def test_index_file_size_matches_the_v3_layout(tmp_path, with_idf):
     vocabs = sum(8 + _padded(len(vocab.utf8()))
                  for vocab in (batch.user_vocab, batch.track_vocab))
     # header, counts, vocabularies, fwd_offsets and fwd_tracks, total_plays
-    # and fwd_counts, inv_offsets and inv_users, the idf flag and base, CRC;
-    # no section per track beyond the offsets
+    # and fwd_counts, inv_offsets and inv_users, CRC; nothing of the idf,
+    # and no section per track beyond the offsets
     expected = (16 + 24 + vocabs
                 + 8 * (n_users + 1) + _padded(4 * nnz)
                 + 8 * n_users + _padded(4 * nnz)
                 + 8 * (n_tracks + 1) + _padded(4 * nnz)
-                + 8 + (8 if with_idf else 0) + 4)
+                + 4)
     assert path.stat().st_size == expected
 
 
@@ -596,4 +611,4 @@ def test_loaded_index_survives_round_trip_for_random_batches(tmp_path):
         loaded = load_index(path)
         assert loaded.index == replace(index, fwd_counts=None)
         if idf is not None:
-            assert loaded.idf == idf
+            assert loaded.idf == compute_idf(index)

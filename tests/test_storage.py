@@ -1,4 +1,4 @@
-"""Binary formats (index v3, dataset v2): structural validation of crafted
+"""Binary formats (index v4, dataset v2): structural validation of crafted
 files (older versions included), ids the format cannot hold, lookups in
 loaded vocabularies and zero-copy loads."""
 
@@ -29,7 +29,7 @@ from tastecf.synth import skewed_batch
 INDEX_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
                   "track_vocab_size", "track_vocab", "fwd_offsets",
                   "fwd_tracks", "total_plays", "fwd_counts", "inv_offsets",
-                  "inv_users", "idf_flag", "log_base")
+                  "inv_users")
 DATASET_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
                     "track_vocab_size", "track_vocab", "users", "tracks",
                     "play_counts")
@@ -108,15 +108,10 @@ INDEX_FAULTS = {
         lambda s, total=total: _put(s, "total_plays", "<i8", 3, total),
         "total_plays differ from the users' summed fwd_counts")
        for total in (-3, 0, 4)},
-    "idf_flag_2": (lambda s: s.update(idf_flag=b"\x02"), "idf flag is 2, not 0 or 1"),
-    **{f"idf_log_base_{base}": (
-        lambda s, base=base: s.update(log_base=struct.pack("<d", base)),
-        f"idf log base is {base!r}, not positive and != 1")
-       for base in (1.0, 0.0, -2.0, float("nan"))},
     "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
                        "8 bytes after the last section"),
-    "missing_log_base": (lambda s: s.pop("log_base"),
-                         "file body is shorter than its header says"),
+    "missing_inv_users": (lambda s: s.pop("inv_users"),
+                          "file body is shorter than its header says"),
     "vocab_not_utf8": (lambda s: _vocab_text(s, "user", b"u1\nu2\nu\xff\nu4"),
                        "user vocabulary: invalid UTF-8 at byte 7"),
     "vocab_count_mismatch": (lambda s: _vocab_text(s, "user", b"u1\nu2\nu3\nu4\nu5"),
@@ -146,6 +141,11 @@ INDEX_FAULTS = {
     "inv_users_repeated_within_a_list": (
         lambda s: _put(s, "inv_users", "<i4", 3, 0),
         "inv_users do not rise within each posting list"),
+    # u4's list [a, b, c] becomes [c, b, a]: the same tracks, so the same
+    # posting lengths and lists, and it loaded before the order was checked
+    "fwd_tracks_swapped_within_a_list": (
+        lambda s: _swap(s, "fwd_tracks", "<i4", 5, 7),
+        "fwd_tracks do not rise within each user's list"),
 }
 
 DATASET_FAULTS = {
@@ -197,10 +197,10 @@ def test_structural_faults_with_valid_crc_raise_data_error(
 
 
 @pytest.mark.parametrize("fault", ["inv_users_past_n_users",
-                                   "fwd_offsets_end_past_nnz", "idf_flag_2",
-                                   "vocab_not_utf8", "version_1", "version_2",
-                                   "total_plays_-3", "idf_log_base_nan",
-                                   "inv_users_swapped_within_a_list"])
+                                   "fwd_offsets_end_past_nnz", "vocab_not_utf8",
+                                   "version_1", "version_2", "version_3",
+                                   "total_plays_-3", "inv_users_swapped_within_a_list",
+                                   "fwd_tracks_swapped_within_a_list"])
 def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
                                             t1_batch, t1_idf, fault):
     sections = _index_sections(monkeypatch, t1_batch, t1_idf)
@@ -274,45 +274,28 @@ def test_a_pipe_as_binary_input_exits_1_without_opening_it(tmp_path, capsys, com
     assert f"error: {command}: {pipe}: not a regular file\n" in capsys.readouterr().err
 
 
-def test_idf_flag_on_an_index_of_0_users_exits_1_naming_the_file(
-        tmp_path, monkeypatch, capsys):
-    # no idf can be derived over 0 users; the error names the file, where
-    # compute_idf's own would not
-    batch = TripletBatch(np.empty(0, np.int32), np.empty(0, np.int32),
-                         np.empty(0, np.uint32), Vocabulary(), Vocabulary())
+def test_swapping_the_ends_of_any_forward_list_is_refused(tmp_path, monkeypatch):
+    # the first and last tracks of every user with two or more, one user at
+    # a time: the posting lists stay as they were, and each such file
+    # loaded before the order of fwd_tracks was checked
+    batch = skewed_batch(300, 60, 6.0, seed=1)
     index = build_index(batch)
     sections = _sections(
         monkeypatch,
         lambda path: save_index(index, batch.user_vocab, batch.track_vocab, path),
         INDEX_SECTIONS)
-    path = tmp_path / "empty.idx"
-    _write(path, sections)
-    assert load_index(path).idf is None
-    sections.update(idf_flag=b"\x01", log_base=struct.pack("<d", 2.0))
-    _write(path, sections)
-    with pytest.raises(DataError) as caught:
-        load_index(path)
-    assert str(caught.value) == f"{path}: idf flag is set on an index of 0 users"
-    users = tmp_path / "users.txt"
-    users.write_text("u1\n")
-    code = main(["recommend", "--input", str(path), "--users", str(users),
-                 "--out", str(tmp_path / "recs.txt")])
-    assert code == 1
-    assert (f"error: recommend: {path}: idf flag is set on an index of 0 users\n"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "recs.txt").exists()
-
-
-@pytest.mark.parametrize("base", [2.0, 10.0, 0.5, 1e-300])
-def test_a_rewritten_log_base_changes_no_list(tmp_path, base):
-    # beside its flag, the base is all a file holds of the idf table, and
-    # it only labels the table derived at load
-    file_bytes, layout, recs = _fuzz_index()
-    body = bytearray(file_bytes[:-4])
-    struct.pack_into("<d", body, layout["log_base"][0], base)
-    code, _, got = _recommend_bytes(tmp_path, _with_crc(bytes(body)))
-    assert code == 0 and got == recs
-    assert load_index(tmp_path / "fuzz.idx").idf.log_base == base
+    starts, ends = index.fwd_offsets[:-1], index.fwd_offsets[1:] - 1
+    users = np.flatnonzero(ends > starts)
+    assert users.size == 294
+    path = tmp_path / "swapped.idx"
+    for u in users:
+        swapped = dict(sections)
+        _swap(swapped, "fwd_tracks", "<i4", starts[u], ends[u])
+        _write(path, swapped)
+        with pytest.raises(DataError) as caught:
+            load_index(path)
+        assert str(caught.value) == (
+            f"{path}: fwd_tracks do not rise within each user's list"), u
 
 
 def test_build_on_crafted_dataset_exits_1(tmp_path, monkeypatch, capsys, t1_batch):
@@ -626,7 +609,8 @@ def _fuzz_index():
         storage.write_file(path, captured)
         data = path.read_bytes()
         code, _, recs = _recommend_bytes(Path(tmp), data)
-    assert code == 0 and layout["log_base"][0] + layout["log_base"][1] == len(data) - 4
+    offset, size = layout["inv_users"]
+    assert code == 0 and offset + size + storage._padding(size) == len(data) - 4
     return data, layout, recs
 
 
