@@ -47,10 +47,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _delimiter(text: str) -> str:
-    return "\t" if text == "\\t" else text
-
-
 def _add_path(parser, flag: str, env: str, help_text: str, required=True):
     default = os.environ.get(env)
     parser.add_argument(flag, default=default,
@@ -79,10 +75,10 @@ def _text_lines(path):
                 raise error
 
 
-def _read_triplets(path, delimiter: str):
+def _read_triplets(path):
     """read_triplets, with a line error raised as `FILE:LINE: ...`."""
     with _located(path):
-        return read_triplets(path, delimiter)
+        return read_triplets(path)
 
 
 def _log_config(command: str, args, keys) -> None:
@@ -96,8 +92,8 @@ def _log_config(command: str, args, keys) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    _log_config("ingest", args, ["input", "out", "delimiter"])
-    batch = _read_triplets(args.input, args.delimiter)
+    _log_config("ingest", args, ["input", "out"])
+    batch = _read_triplets(args.input)
     sort_by_pair(batch)
     save_dataset(batch, args.out)
     print(f"ingested {len(batch)} triplets "
@@ -175,9 +171,9 @@ def _read_recommendation_lines(path):
 
 def _cmd_evaluate(args) -> int:
     _log_config("evaluate", args,
-                ["recs", "hidden", "k", "mode", "per_user", "delimiter"])
+                ["recs", "hidden", "k", "mode", "per_user"])
     rankings = _read_recommendation_lines(args.recs)
-    hidden = _read_triplets(args.hidden, args.delimiter)
+    hidden = _read_triplets(args.hidden)
     hidden_by_user = tracks_by_user(hidden, hidden.user_vocab.ids,
                                     hidden.track_vocab.ids)
 
@@ -194,19 +190,18 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_split(args) -> int:
     _log_config("split", args,
-                ["input", "visible_out", "hidden_out", "fraction", "seed",
-                 "delimiter"])
-    batch = _read_triplets(args.input, args.delimiter)
+                ["input", "visible_out", "hidden_out", "fraction", "seed"])
+    batch = _read_triplets(args.input)
     split = split_history(batch, args.fraction, args.seed)
-    write_triplets(split.visible, args.visible_out, args.delimiter)
-    write_triplets(split.hidden, args.hidden_out, args.delimiter)
+    write_triplets(split.visible, args.visible_out)
+    write_triplets(split.hidden, args.hidden_out)
     print(f"split {len(batch)} triplets into {len(split.visible)} visible / "
           f"{len(split.hidden)} hidden", file=sys.stderr)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    _log_config("stats", args, ["input", "delimiter"])
+    _log_config("stats", args, ["input"])
     with open(args.input, "rb") as fh:
         magic = fh.read(len(ingest._MAGIC))
     if magic == _INDEX_MAGIC:
@@ -215,7 +210,7 @@ def _cmd_stats(args) -> int:
                  index.total_plays.sum())
     else:
         batch = (load_dataset(args.input) if magic == ingest._MAGIC
-                 else _read_triplets(args.input, args.delimiter))
+                 else _read_triplets(args.input))
         shape = (len(batch.user_vocab), len(batch.track_vocab), len(batch),
                  batch.counts.sum(dtype="int64"))
     for name, value in zip(("n_users", "n_tracks", "triplets", "total_plays"),
@@ -234,8 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse triplet text into a binary dataset")
     _add_path(p, "--input", "TASTECF_INPUT", "triplet text file")
     _add_path(p, "--out", "TASTECF_OUT", "binary dataset to write")
-    p.add_argument("--delimiter", type=_delimiter, default="\t",
-                   help="field delimiter (default TAB; \\t accepted)")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("build", help="build the interaction index from a dataset")
@@ -270,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "'paper' by list length")
     _add_path(p, "--per-user", "TASTECF_PER_USER",
               "optional per-user TSV to write", required=False)
-    p.add_argument("--delimiter", type=_delimiter, default="\t")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("split", help="split each user's history into "
@@ -281,13 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=_fraction, default=0.5,
                    help="visible share of each user's distinct tracks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delimiter", type=_delimiter, default="\t")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("stats", help="print dataset statistics")
     _add_path(p, "--input", "TASTECF_INPUT",
               "triplet text, binary dataset or binary index")
-    p.add_argument("--delimiter", type=_delimiter, default="\t")
     p.set_defaults(func=_cmd_stats)
 
     return parser

@@ -68,11 +68,10 @@ def compute_idf(index, log_base: float = math.e) -> IdfTable:
     n = int(index.n_users)
     # scalar math.log, not np.log: keeps values bit-identical to any
     # straight per-entry reimplementation of the formula; it runs once per
-    # distinct df, since each track with that df gets the same scalar
-    dfs, inverse = np.unique(index.df, return_inverse=True)
-    ln_values = np.array(
-        [0.0 if d == 0 else math.log(n / d) for d in dfs.tolist()],
-        dtype=np.float64,
-    )[inverse]
+    # distinct df > 0, into a table indexed by df, so no df is sorted
+    table = np.zeros(int(index.df.max(initial=0)) + 1)
+    dfs = np.flatnonzero(np.bincount(index.df)[1:]) + 1
+    table[dfs] = [math.log(n / d) for d in dfs.tolist()]
+    ln_values = table[index.df]
     ln_values.flags.writeable = False
     return IdfTable(ln_values, n, float(log_base))

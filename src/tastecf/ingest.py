@@ -1,7 +1,8 @@
 """Triplet text parsing and the binary dataset container.
 
 The text convention is one interaction per line, `user<TAB>track<TAB>count`
-with a base-10 play count >= 1. A (user, track) pair appearing twice is a
+with a base-10 play count >= 1, as in the taste-profile triplet files; TAB
+is the only field separator. A (user, track) pair appearing twice is a
 hard error: upstream data is defined to be unique per pair, so a repeat
 means corruption, not something to sum away.
 
@@ -79,13 +80,13 @@ _NO_ROWS = (np.empty(0, np.uint8), (np.empty(0, np.intp),) * 2,
             (np.empty(0, np.intp),) * 2, np.empty(0, np.uint32), None)
 
 
-def _check_line(line: str, line_no: int, delimiter: str) -> None:
+def _check_line(line: str, line_no: int) -> None:
     """The definition of a bad line: raise MalformedLineError unless `line`,
     stripped of its line end and not empty, is one triplet."""
-    parts = line.split(delimiter)
+    parts = line.split("\t")
     if len(parts) != 3:
         raise MalformedLineError(
-            line_no, f"expected 3 {delimiter!r}-separated fields, got {len(parts)}")
+            line_no, f"expected 3 '\\t'-separated fields, got {len(parts)}")
     user_ext, track_ext, count_text = parts
     if " " in user_ext or " " in track_ext:
         raise MalformedLineError(
@@ -114,7 +115,7 @@ def _check_line(line: str, line_no: int, delimiter: str) -> None:
             line_no, f"play_count must be in [1, {MAX_PLAY_COUNT}]")
 
 
-def _columns(data: bytes, delimiter: bytes):
+def _columns(data: bytes):
     """Check and split lines of UTF-8 text, each ended by "\n": the bytes
     as a uint8 array, the (starts, lengths) in it of each non-empty line's
     user and track id, the play counts, and the position of each non-empty
@@ -123,17 +124,9 @@ def _columns(data: bytes, delimiter: bytes):
     once."""
     if data.count(b"\n") == len(data):    # every line is empty
         return _NO_ROWS
-    if not delimiter or b"\n" in delimiter:
-        return None
-    mark = delimiter[0]
-    if len(delimiter) > 1:
-        # bytes.replace matches as str.split does, and no UTF-8 text holds
-        # the byte 0xff
-        data = data.replace(delimiter, b"\xff")
-        mark = 0xFF
-    # in UTF-8 the bytes of "\n" and " " stand for those characters alone;
-    # a space is refused in an id, and in a count by the digit check
-    if mark != ord(" ") and b" " in data:
+    # in UTF-8 the bytes of "\n", "\t" and " " stand for those characters
+    # alone; a space is refused in an id, and in a count by the digit check
+    if b" " in data:
         return None
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -144,9 +137,9 @@ def _columns(data: bytes, delimiter: bytes):
     if (starts == ends).any():
         kept = np.flatnonzero(starts != ends)
         starts, ends = starts[kept], ends[kept]
-    # each line holds exactly two delimiters: the (2j)th and (2j + 1)th of
-    # the block lie in line j, and there are no others
-    marks = np.flatnonzero(buf == mark)
+    # each line holds exactly two tabs: the (2j)th and (2j + 1)th of the
+    # block lie in line j, and there are no others
+    marks = np.flatnonzero(buf == ord("\t"))
     if marks.size != 2 * ends.size:
         return None
     first, second = marks[0::2], marks[1::2]
@@ -183,13 +176,13 @@ def _play_counts(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
     return counts.astype(np.uint32)
 
 
-def _first_bad_line(lines: list[str], first_line: int, delimiter: str):
+def _first_bad_line(lines: list[str], first_line: int):
     """(position, error) of the first non-empty line that fails
     _check_line, line number first_line + position; or (len(lines), None)."""
     for position, line in enumerate(lines):
         if line:
             try:
-                _check_line(line, first_line + position, delimiter)
+                _check_line(line, first_line + position)
             except MalformedLineError as exc:
                 return position, exc
     return len(lines), None
@@ -222,7 +215,7 @@ def _check_unique_pairs(batch: TripletBatch, line_nos) -> None:
         f"{batch.track_vocab.lookup(int(batch.tracks[row]))!r}")
 
 
-def _parse(blocks, delimiter: str) -> TripletBatch:
+def _parse(blocks) -> TripletBatch:
     """The batch of a text given as blocks of lines; see parse_triplets.
 
     Each block is (data, first_line, lines, error): its lines as UTF-8,
@@ -231,9 +224,6 @@ def _parse(blocks, delimiter: str) -> TripletBatch:
     the error at the line after the block, or None. _columns checks and
     splits the block; only a block it refuses is walked line by line by
     _check_line, to find its first bad line."""
-    # a delimiter holding a lone surrogate can only split lines that are
-    # str from the Python API; surrogatepass keeps it from raising here
-    delimiter_bytes = delimiter.encode("utf-8", "surrogatepass")
     user_vocab = Vocabulary()
     track_vocab = Vocabulary()
     # one array per column, doubled when full as the vocabulary store is,
@@ -245,17 +235,16 @@ def _parse(blocks, delimiter: str) -> TripletBatch:
     line_nos = []    # per block, the line number of each row kept
     error = None
     for data, first_line, lines, error in blocks:
-        columns = None if data is None else _columns(data, delimiter_bytes)
+        columns = None if data is None else _columns(data)
         if columns is None:
             if lines is None:
                 lines = str(data, "utf-8").split("\n")[:-1]
             # lines before the first bad one still count for duplicates
-            stop, bad = _first_bad_line(lines, first_line, delimiter)
+            stop, bad = _first_bad_line(lines, first_line)
             error = error if bad is None else bad
-            # those lines passed _check_line, so only a delimiter can hold
-            # a lone surrogate
+            # those lines passed _check_line, so none holds a lone surrogate
             head = "".join(map("{}\n".format, lines[:stop]))
-            columns = _columns(head.encode("utf-8", "surrogatepass"), delimiter_bytes)
+            columns = _columns(head.encode("utf-8"))
             if columns is None:
                 raise RuntimeError("block checks reject a line _check_line accepts")
         buf, user_spans, track_spans, block_counts, kept = columns
@@ -337,8 +326,9 @@ def _file_blocks(fh):
         first_line += data.count(b"\n")
 
 
-def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
-    """Parse line-oriented triplet text into a batch.
+def parse_triplets(stream) -> TripletBatch:
+    """Parse line-oriented triplet text, `user<TAB>track<TAB>count` lines,
+    into a batch.
 
     Empty lines are skipped. Rows are in line order, and vocabularies are
     populated in first-seen order. Raises MalformedLineError for a wrong
@@ -352,10 +342,10 @@ def parse_triplets(stream, delimiter: str = "\t") -> TripletBatch:
     stripped. The items are encoded to UTF-8 _CHUNK_LINES at a time and
     parsed as read_triplets parses a file's blocks.
     """
-    return _parse(_stream_blocks(stream), delimiter)
+    return _parse(_stream_blocks(stream))
 
 
-def read_triplets(path, delimiter: str = "\t") -> TripletBatch:
+def read_triplets(path) -> TripletBatch:
     """parse_triplets over the lines of the UTF-8 text file at `path`, as
     text mode splits them ("\n", "\r\n" or a lone "\r").
 
@@ -367,16 +357,29 @@ def read_triplets(path, delimiter: str = "\t") -> TripletBatch:
     them.
     """
     with open(path, "rb") as fh:
-        return _parse(_file_blocks(fh), delimiter)
+        return _parse(_file_blocks(fh))
 
 
-def write_triplets(batch: TripletBatch, path, delimiter: str = "\t") -> None:
-    """Write one `user<delimiter>track<delimiter>count` line per record, in
-    stored order."""
-    # braces in the delimiter stand for themselves in the format string
-    field = delimiter.replace("{", "{{").replace("}", "}}")
-    line = f"{{}}{field}{{}}{field}{{}}\n".format
+def _breaks_a_line(text: str) -> bool:
+    """Whether text holds a tab, "\\n", "\\r" or a space, any of which
+    splits the triplet line of an id that holds it."""
+    return any(c in text for c in "\t\n\r ")
+
+
+def write_triplets(batch: TripletBatch, path) -> None:
+    """Write one `user<TAB>track<TAB>count` line per record, in stored
+    order, so that read_triplets reads the batch back.
+
+    Raises ValueError before the file is opened for an id that holds a
+    tab, "\\n", "\\r" or a space.
+    """
     user_ids, track_ids = batch.user_vocab.ids, batch.track_vocab.ids
+    for ids in (user_ids, track_ids):
+        if _breaks_a_line("".join(ids)):
+            bad = next(filter(_breaks_a_line, ids))
+            raise ValueError(f"id {bad!r} holds a tab, a line end or a space, "
+                             "so its line could not be read back")
+    line = "{}\t{}\t{}\n".format
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # a block of rows at a time, so that no list is as long as the batch
         for at in range(0, len(batch), _BLOCK_ROWS):

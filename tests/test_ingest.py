@@ -1,6 +1,7 @@
 from array import array
 from functools import lru_cache
 import io
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from tastecf.core import MAX_PLAY_COUNT
 from conftest import T1_TEXT
 
 
-def _reference_parse(stream, delimiter="\t"):
+def _reference_parse(stream):
     """parse_triplets as one loop over lines: the specification the chunked
     parser must match, batch for batch and error for error."""
     # interned through plain dicts, so that the reference does not run the
@@ -41,10 +42,10 @@ def _reference_parse(stream, delimiter="\t"):
         line = raw.rstrip("\r\n")
         if not line:
             continue
-        parts = line.split(delimiter)
+        parts = line.split("\t")
         if len(parts) != 3:
             raise MalformedLineError(
-                line_no, f"expected 3 {delimiter!r}-separated fields, got {len(parts)}")
+                line_no, f"expected 3 '\\t'-separated fields, got {len(parts)}")
         user_ext, track_ext, count_text = parts
         if " " in user_ext or " " in track_ext:
             raise MalformedLineError(
@@ -157,18 +158,17 @@ def test_parse_rejects_long_zero_play_count():
     assert err.value.line_no == 1
 
 
-@pytest.mark.parametrize("delimiter, line", [
-    ("\t", "u 1\tta\t2\n"),
-    ("\t", "u1\tt a\t2\n"),
-    ("\t", " \tta\t2\n"),
-    (",", "u1,ta ,2\n"),
-    # the delimiter's own spaces are allowed, not the ids'
-    (", ", "u 1, ta, 2\n"),
+@pytest.mark.parametrize("line", [
+    "u 1\tta\t2\n",
+    "u1\tt a\t2\n",
+    " \tta\t2\n",
+    "u1\tta \t2\n",
+    # spaces beside a tab belong to the ids
+    "u1 \t ta\t2\n",
 ], ids=["user", "track", "only-space", "trailing", "spaced-delimiter"])
-def test_parse_rejects_id_with_space(delimiter, line):
-    first = delimiter.join(["ok", "fine", "1"]) + "\n"
+def test_parse_rejects_id_with_space(line):
     with pytest.raises(MalformedLineError, match="space") as err:
-        parse_triplets(io.StringIO(first + line), delimiter)
+        parse_triplets(io.StringIO("ok\tfine\t1\n" + line))
     assert err.value.line_no == 2
 
 
@@ -215,8 +215,11 @@ def test_parse_interns_from_bytes_without_an_id_map(monkeypatch, tmp_path):
 
 
 def test_parse_alternate_delimiter():
-    batch = parse_triplets(io.StringIO("u1,ta,2\n"), delimiter=",")
-    assert len(batch) == 1
+    # TAB is the only separator: a comma-separated line is one field
+    with pytest.raises(MalformedLineError) as err:
+        parse_triplets(io.StringIO("u1\tta\t2\nu1,tb,2\n"))
+    assert err.value.line_no == 2
+    assert err.value.message == "expected 3 '\\t'-separated fields, got 1"
 
 
 def test_empty_stream_gives_empty_batch():
@@ -292,13 +295,21 @@ def test_write_triplets_round_trips_through_text(tmp_path, t1_batch):
         assert parse_triplets(fh) == t1_batch
 
 
-@pytest.mark.parametrize("delimiter", [",", ", ", "{}", "{0}"])
-def test_write_triplets_keeps_any_delimiter_literal(tmp_path, t1_batch, delimiter):
-    path = tmp_path / "t1.txt"
-    write_triplets(t1_batch, path, delimiter)
-    assert path.read_text() == T1_TEXT.replace("\t", delimiter)
-    with open(path) as fh:
-        assert parse_triplets(fh, delimiter) == t1_batch
+@pytest.mark.parametrize("bad_id", ["u\tx", "u\nx", "u\rx", "u x"],
+                         ids=["tab", "newline", "carriage-return", "space"])
+@pytest.mark.parametrize("column", ["user", "track"])
+def test_write_triplets_refuses_an_id_it_could_not_read_back(tmp_path, bad_id,
+                                                            column):
+    # the line of such an id would not read back as one triplet; a batch
+    # from parse_triplets(["u\rx\tt\t1"]) holds the id "u\rx"
+    ids = [bad_id, "t"] if column == "user" else ["u", bad_id]
+    batch = TripletBatch(np.zeros(1, np.int32), np.zeros(1, np.int32),
+                         np.ones(1, np.uint32), Vocabulary(ids[:1]),
+                         Vocabulary(ids[1:]))
+    path = tmp_path / "plays.txt"
+    with pytest.raises(ValueError, match=re.escape(repr(bad_id))):
+        write_triplets(batch, path)
+    assert not path.exists()
 
 
 _id_text = st.text(
@@ -326,9 +337,9 @@ def _outcome(parse, *args):
     return batch, [a.dtype for a in (batch.users, batch.tracks, batch.counts)]
 
 
-# few ids, so (user, track) pairs repeat; tabs, commas and "\r" in ids are
-# fine under some delimiters and break the field count under others, and a
-# numeric id can pass for a count when fields shift. Ids of 2-, 3- and
+# few ids, so (user, track) pairs repeat; a tab in an id breaks the field
+# count, a "\r" ends a line in a file, a comma goes through, and a numeric
+# id can pass for a count when fields shift. Ids of 2-, 3- and
 # 4-byte UTF-8 characters, ids of 0, 7, 8, 9, 16 and 17 bytes (across the
 # 8-byte words the id hash reads), and an id holding a lone surrogate.
 _fuzz_id = st.one_of(
@@ -343,7 +354,7 @@ _bad_count = st.sampled_from(["0", "+1", "\u0663", "", " 1", "4294967296",
 
 
 @st.composite
-def _fuzz_line(draw, ids, delimiter):
+def _fuzz_line(draw, ids):
     """Mostly well-formed lines, each kind of bad line now and then."""
     kind = draw(st.sampled_from(["good"] * 6 + ["count"] * 2 + [
         "space", "fields", "shifted", "empty"]))
@@ -359,22 +370,20 @@ def _fuzz_line(draw, ids, delimiter):
         fields = draw(st.sampled_from([fields[:2], fields + fields[2:]]))
     elif kind == "shifted":
         # a count moved to the next line: 6 fields that make 2 good rows
-        return (delimiter.join(fields[:2]) + "\n"
-                + delimiter.join([fields[2], *fields]))
-    return delimiter.join(fields)
+        return "\t".join(fields[:2]) + "\n" + "\t".join([fields[2], *fields])
+    return "\t".join(fields)
 
 
 @st.composite
 def _fuzz_text(draw, line_ends=("\n", "\r\n")):
     ids = draw(st.lists(_fuzz_id, min_size=1, max_size=4))
-    delimiter = draw(st.sampled_from(["\t", ",", ", "]))
-    lines = draw(st.lists(_fuzz_line(ids, delimiter), max_size=16))
+    lines = draw(st.lists(_fuzz_line(ids), max_size=16))
     ends = draw(st.lists(st.sampled_from(line_ends),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(map(str.__add__, lines, ends))
     if draw(st.booleans()):
         text = text.removesuffix(ends[-1]) if ends else text
-    return text, delimiter
+    return text
 
 
 # the id hash, and two stand-ins whose collisions make interning go one id
@@ -390,13 +399,12 @@ _HASHES = {
 @settings(max_examples=400)
 @given(_fuzz_text(), st.sampled_from([1, 2, 3, ingest._CHUNK_LINES]),
        st.sampled_from(sorted(_HASHES)))
-def test_chunked_parse_equals_line_by_line_reference(case, chunk_lines, hash_name):
-    text, delimiter = case
-    expected = _outcome(_reference_parse, io.StringIO(text), delimiter)
+def test_chunked_parse_equals_line_by_line_reference(text, chunk_lines, hash_name):
+    expected = _outcome(_reference_parse, io.StringIO(text))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
         patch.setattr(core, "_hash_spans", _HASHES[hash_name])
-        assert _outcome(parse_triplets, io.StringIO(text), delimiter) == expected
+        assert _outcome(parse_triplets, io.StringIO(text)) == expected
 
 
 def _file_lines(path):
@@ -419,44 +427,43 @@ def _file_lines(path):
 @given(_fuzz_text(line_ends=("\n", "\r\n", "\r")),
        st.sampled_from([1, 2, 3, 7, ingest._BLOCK_BYTES]),
        st.sampled_from(sorted(_HASHES)))
-def test_file_parse_equals_line_by_line_reference(tmp_path_factory, case,
+def test_file_parse_equals_line_by_line_reference(tmp_path_factory, text,
                                                   block_bytes, hash_name):
-    text, delimiter = case
     path = tmp_path_factory.mktemp("fuzz") / "plays.txt"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
-    expected = _outcome(_reference_parse, _file_lines(path), delimiter)
+    expected = _outcome(_reference_parse, _file_lines(path))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
         patch.setattr(core, "_hash_spans", _HASHES[hash_name])
-        assert _outcome(read_triplets, path, delimiter) == expected
+        assert _outcome(read_triplets, path) == expected
 
 
-@pytest.mark.parametrize("data, delimiter, block_bytes", [
+@pytest.mark.parametrize("data, block_bytes", [
     # no final newline, after any kind of line end
-    (b"u1\ta\t1\nu2\tb\t2", "\t", 4),
-    (b"u1\ta\t1\r\nu2\tb\t2", "\t", 1 << 20),
+    (b"u1\ta\t1\nu2\tb\t2", 4),
+    (b"u1\ta\t1\r\nu2\tb\t2", 1 << 20),
     # a lone "\r" last in the first block, and a "\r\n" split by the edge
-    (b"u1\ta\t1\ru2\tb\t2\r\n", "\t", 7),
-    (b"u1\ta\t1\r\nu2\tb\t2\r\n", "\t", 7),
+    (b"u1\ta\t1\ru2\tb\t2\r\n", 7),
+    (b"u1\ta\t1\r\nu2\tb\t2\r\n", 7),
     # a 2-byte character split by the edge
-    ("u1\té\t1\nu2\té\t2\n".encode(), "\t", 5),
-    # a delimiter of two bytes, split by the edge, beside a comma in an id
-    (b"u,1, a, 1\n\nu2, b,, 2\n", ", ", 4),
+    ("u1\té\t1\nu2\té\t2\n".encode(), 5),
+    # an empty line between blocks, and commas in ids
+    (b"u,1\ta\t1\n\nu2\tb,\t2\n", 4),
 ], ids=["no-end", "no-end-crlf", "lone-cr-at-edge", "crlf-at-edge",
-        "character-at-edge", "two-byte-delimiter"])
+        "character-at-edge", "empty-line-and-commas"])
 def test_read_triplets_equals_text_mode_parse(tmp_path, monkeypatch, data,
-                                              delimiter, block_bytes):
+                                              block_bytes):
     path = tmp_path / "plays.txt"
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
     with open(path, encoding="utf-8") as fh:
-        expected = parse_triplets(fh, delimiter)
+        expected = parse_triplets(fh)
     assert len(expected) == 2
-    assert read_triplets(path, delimiter) == expected
+    assert read_triplets(path) == expected
     # the same text with line 2 bad: the line numbers agree too
     path.write_bytes(data.replace(b"2", b"x"))
     with pytest.raises(MalformedLineError) as err:
-        read_triplets(path, delimiter)
+        read_triplets(path)
     assert err.value.line_no == (3 if b"\n\n" in data else 2)
 
 
