@@ -573,6 +573,7 @@ def test_empty_and_tab_track_ids_round_trip_through_recs(tmp_path, capsys):
     recs = _recommend_saved(tmp_path, [("q", "z"), ("n", "z"), ("n", ""),
                                        ("n", "a\tb"), ("m", "y")], "q\n", 3)
     assert recs.read_text() == "q  a\tb 1\n"
+    assert cli._read_recommendation_lines(recs) == {"q": ["", "a\tb", "1"]}
     # a hidden file can name the empty track, not the one holding a tab
     hidden, per_user = tmp_path / "hidden.txt", tmp_path / "per_user.tsv"
     hidden.write_text("q\t\t1\n")

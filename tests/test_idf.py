@@ -92,6 +92,15 @@ def test_track_without_listeners_gets_inert_zero():
     assert table.values[1] == 0.0
 
 
+@pytest.mark.parametrize("track_ids", [[], ["a", "b"]], ids=["no-tracks", "only-df-0"])
+def test_index_with_users_but_no_plays(track_ids):
+    batch = TripletBatch(np.zeros(0, np.int32), np.zeros(0, np.int32),
+                         np.zeros(0, np.uint32), Vocabulary(["u1", "u2"]),
+                         Vocabulary(track_ids))
+    table = compute_idf(build_index(batch))
+    assert table.ln_values.tobytes() == np.zeros(len(track_ids)).tobytes()
+
+
 def test_idf_equals_the_per_entry_formula():
     # 40 users, df values that repeat, and tracks no one plays at both ends
     # of the vocabulary and between played ones
