@@ -137,17 +137,18 @@ def _cmd_recommend(args) -> int:
     _log_config("recommend", args,
                 ["input", "users", "out", "prune_ratio", "k", "exclude_seen",
                  "pad", "workers"])
-    loaded = load_index(args.input)
     config = Config(prune_ratio=args.prune_ratio, k=args.k,
                     exclude_seen=args.exclude_seen, pad_strategy=args.pad)
     user_ids = _read_user_ids(args.users)
-    indexes = loaded.user_vocab.indexes_of(user_ids)
+    loaded = load_index(args.input, users=user_ids)
+    indexes = loaded.user_indexes
     if None in indexes:
         unknown = user_ids[indexes.index(None)]
         raise DataError(f"unknown user id {unknown!r} in {args.users}")
     recs = recommend_all(loaded.index, loaded.idf, indexes, config,
                          workers=args.workers)
-    write_recommendations(recs, args.out, loaded.user_vocab, loaded.track_vocab)
+    # each line's user is its --users id, byte for byte the stored one
+    write_recommendations(recs, args.out, user_ids, loaded.track_vocab)
     print(f"recommended for {len(indexes)} users -> {args.out}", file=sys.stderr)
     return 0
 

@@ -413,11 +413,18 @@ class Vocabulary:
 
     def utf8(self):
         """The ids joined by "\\n" in UTF-8, as the file formats store them:
-        the loaded or interned bytes themselves. ValueError if an id
-        contains "\\n"."""
+        the loaded or interned bytes themselves. ValueError, naming the
+        first such id, if an id contains "\\n"."""
         if self._store is not None and self._count != np.count_nonzero(
                 self._store[:int(self._bounds[self._count])] == ord("\n")):
-            raise ValueError('an id contains "\\n", which the file format cannot hold')
+            # every id ends at a "\n": the first "\n" that ends none lies
+            # inside the first id that holds one
+            ends = self._bounds[1:self._count + 1] - 1
+            newlines = np.flatnonzero(self._store[:int(ends[-1]) + 1] == ord("\n"))
+            inside = newlines[np.argmax(newlines[:ends.size] != ends)]
+            bad = self.lookup(int(np.searchsorted(ends, inside)))
+            raise ValueError(f'id {bad!r} contains "\\n", which the file format '
+                             "cannot hold")
         return self._data
 
     @property

@@ -264,10 +264,15 @@ def _offsets(run_lengths: np.ndarray) -> np.ndarray:
 
 
 class LoadedIndex(NamedTuple):
+    """What load_index returns. Loaded for a list of user ids, it holds no
+    user vocabulary (user_vocab is None), and user_indexes is each id's
+    index, None for an id not held; loaded without, user_indexes is None."""
+
     index: InteractionIndex
-    user_vocab: Vocabulary
+    user_vocab: Optional[Vocabulary]
     track_vocab: Vocabulary
     idf: Optional[IdfTable]
+    user_indexes: Optional[list] = None
 
 
 def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
@@ -301,7 +306,7 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
     ])
 
 
-def load_index(path) -> LoadedIndex:
+def load_index(path, users=None) -> LoadedIndex:
     """Inverse of save_index, except that the index holds no play counts:
     fwd_counts is None, and the file's total_plays are compared, a block of
     _CHECK_USERS users at a time, with the play counts summed by
@@ -324,10 +329,21 @@ def load_index(path) -> LoadedIndex:
     when both lists still rise and keep their lengths. A vocabulary that
     holds an id twice raises DataError at its first lookup or
     check_distinct.
+
+    Given `users`, a list of ids, the user vocabulary is checked for a
+    repeated id, even when the list is empty, and the ids are looked up
+    (Vocabulary.indexes_of) as soon as it is read. Its bytes, bounds and
+    hash table, about 8 bytes per stored id each, are then dropped before
+    the first array is read, which reuses their memory: user_indexes holds
+    each id's index, None for one not held, and user_vocab is None.
     """
+    user_indexes = None
     with storage.Reader(path, _MAGIC, _VERSION) as r:
         n_users, n_tracks, nnz = r.unpack("<QQQ")
         user_vocab = r.vocab(n_users, "user")
+        if users is not None:
+            user_indexes = user_vocab.indexes_of(users)
+            user_vocab = None
         track_vocab = r.vocab(n_tracks, "track")
         fwd_offsets = r.offsets(n_users, nnz, "fwd_offsets")
         fwd_tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
@@ -356,4 +372,4 @@ def load_index(path) -> LoadedIndex:
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                              None, inv_offsets, inv_users, df, total_plays)
     idf = compute_idf(index) if n_users else None
-    return LoadedIndex(index, user_vocab, track_vocab, idf)
+    return LoadedIndex(index, user_vocab, track_vocab, idf, user_indexes)

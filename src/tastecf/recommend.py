@@ -32,7 +32,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Config, DataError, PAD_POPULARITY, _positions
+from .core import (Config, DataError, PAD_POPULARITY, Vocabulary, _encoded,
+                   _positions)
 from .similarity import NeighborSet, candidate_neighbors, prune
 
 
@@ -215,16 +216,32 @@ def _spaced(vocab, indexes: np.ndarray):
     return text.tobytes(), ends
 
 
-def _render_lines(recs, user_vocab, track_vocab, labels):
+def _user_spans(users, recs, at: int = 0):
+    """The UTF-8 bytes of the recs' users as a uint8 array, with the start
+    and length in it of each rec's user: from a vocabulary (`users`), by
+    rec.user, once it is checked for a repeated id, or from a list of ids,
+    one per line, of which recs are the lines from `at` on."""
+    if isinstance(users, Vocabulary):
+        users.check_distinct()
+        return users.spans(np.fromiter((rec.user for rec in recs), np.int64,
+                                       len(recs)))
+    ids = users[at:at + len(recs)]
+    if len(ids) < len(recs):
+        raise ValueError("fewer user ids than recommendations")
+    return _encoded(ids)
+
+
+def _render_lines(recs, user_spans, track_vocab, labels):
     """The lines of recs in UTF-8, each `<user> <item_1> ... <item_k>` and
     "\\n", with the labels used: pad p renders as labels[p - 1], and labels
     shorter than a list's pads are replaced by pad_labels for every slot of
-    the longest list. Both vocabularies are first checked for a repeated id.
+    the longest list. The track vocabulary is first checked for a repeated
+    id.
 
-    Each user and the real items of all the lists are taken from their
-    vocabularies' bytes, and each list's pads, -1, -2, ... after its real
-    items, are the first labels joined."""
-    user_vocab.check_distinct()
+    Each user is taken from user_spans, as _user_spans gives them, and the
+    real items of all the lists from the track vocabulary's bytes; each
+    list's pads, -1, -2, ... after its real items, are the first labels
+    joined."""
     track_vocab.check_distinct()
     lens = np.fromiter((len(rec.items) for rec in recs), np.int64, len(recs))
     items = np.fromiter(chain.from_iterable(rec.items for rec in recs),
@@ -235,8 +252,7 @@ def _render_lines(recs, user_vocab, track_vocab, labels):
     need = int(pads.max(initial=0))
     if need > len(labels):
         labels = pad_labels(track_vocab, int(lens.max()))
-    user_bytes, user_starts, user_lens = user_vocab.spans(
-        np.fromiter((rec.user for rec in recs), np.int64, len(recs)))
+    user_bytes, user_starts, user_lens = user_spans
     track_text, track_ends = _spaced(track_vocab, items[~is_pad])
     real_ends = np.zeros(lens.size + 1, np.int64)
     np.cumsum(lens - pads, out=real_ends[1:])
@@ -260,26 +276,34 @@ def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
     of the render write_recommendations makes."""
     if labels is None:
         labels = pad_labels(track_vocab, -min(rec.items, default=0))
-    text, _ = _render_lines([rec], user_vocab, track_vocab, labels)
+    text, _ = _render_lines([rec], _user_spans(user_vocab, [rec]), track_vocab,
+                            labels)
     return str(text[:-1], "utf-8")
 
 
-def _write_lines(fh, recs, user_vocab, track_vocab) -> None:
+def _write_lines(fh, recs, users, track_vocab) -> None:
     labels = []
     recs = iter(recs)
+    at = 0
     while batch := list(islice(recs, _RENDER_LINES)):
-        text, labels = _render_lines(batch, user_vocab, track_vocab, labels)
+        text, labels = _render_lines(batch, _user_spans(users, batch, at),
+                                     track_vocab, labels)
         fh.write(text)
+        at += len(batch)
 
 
 def write_recommendations(recs: Iterable[Recommendation], path,
                           user_vocab, track_vocab) -> None:
     """One line per user, rendered from the vocabularies' bytes a batch of
-    lines at a time, as render_recommendation renders one. A batch whose
-    lists need more pad labels than are held gets pad_labels for all the
-    slots of its longest list, so a run makes them once, at its first pad,
-    or never without pads. Both vocabularies are checked for a repeated id
-    before the first line is written.
+    lines at a time, as render_recommendation renders one. `user_vocab`
+    is the users' Vocabulary, whose id for rec.user starts each line, or
+    a list of ids, one per rec in order, which start the lines as they are
+    (`recommend` passes its --users ids, which equal the stored ones, and
+    so holds no user vocabulary). A batch whose lists need more pad labels
+    than are held gets pad_labels for all the slots of its longest list,
+    so a run makes them once, at its first pad, or never without pads.
+    Each vocabulary is checked for a repeated id before the first line is
+    written.
 
     If `path` resolves (through any links) to a regular file or to none,
     in a directory that can be written, the lines go to a new file beside

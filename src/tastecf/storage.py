@@ -6,11 +6,13 @@ zero-padded to a multiple of 8 bytes. The first section is the magic and a
 u32 format version. A vocabulary is two sections: its UTF-8 byte length as
 u64, then its ids joined by "\\n" (an id therefore cannot contain "\\n"). A
 loaded vocabulary keeps those bytes, read into an array of their own, and
-decodes ids only when they are asked for; the recommendation lines are
-gathered from them undecoded. Beside them it builds, at its first lookup
-and one block at a time, the ids' bounds and one hash table, 8 bytes per id
-each, never an id dictionary (see Vocabulary); saving it again writes the
-same bytes without splitting them.
+decodes ids only when they are asked for; the tracks of a recommendation
+line are gathered from them undecoded. Beside them it builds, at its first
+lookup and one block at a time, the ids' bounds and one hash table, 8 bytes
+per id each, never an id dictionary (see Vocabulary); saving it again
+writes the same bytes without splitting them. load_index, given the user
+ids `recommend` serves, looks them up in the user vocabulary as soon as it
+is read and drops it, bytes, bounds and table, before the arrays are read.
 
 Reader reads a file front to back, one section at a time. Each array is
 read straight into a read-only numpy array of its own (readinto, no copy),

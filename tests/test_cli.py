@@ -344,6 +344,25 @@ def test_repeated_user_id_exits_1_with_line(tmp_path, t1_file, capsys):
     assert f"{users}:4: duplicate user id 'u1'" in capsys.readouterr().err
 
 
+def test_recommend_reads_its_users_before_the_index(tmp_path, t1_file, capsys):
+    assert _pipeline(tmp_path, t1_file, capsys)[0] == 0
+    corrupt = tmp_path / "corrupt.idx"
+    data = bytearray((tmp_path / "t1.idx").read_bytes())
+    data[-1] ^= 1
+    corrupt.write_bytes(data)
+    users = tmp_path / "repeated.txt"
+    users.write_text("u1\nu1\n")
+    recommend = ["recommend", "--input", str(corrupt), "--users", str(users),
+                 "--out", str(tmp_path / "r.txt")]
+    assert main(recommend) == 1
+    err = capsys.readouterr().err
+    assert f"{users}:2: duplicate user id 'u1'" in err and "checksum" not in err
+    users.write_text("u1\n")
+    assert main(recommend) == 1
+    assert f"{corrupt}: checksum mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 @pytest.mark.parametrize("case", ["recommend --users", "evaluate --recs"])
 def test_a_repeat_before_a_byte_not_utf8_decides(tmp_path, t1_file, capsys, case):
     assert _pipeline(tmp_path, t1_file, capsys)[0] == 0

@@ -107,6 +107,20 @@ def test_intern_utf8_keeps_the_table_sorted_over_many_calls():
         assert vocab.indexes_of(vocab.ids) == list(range(held))
 
 
+@pytest.mark.parametrize("ids, named", [
+    (["a\nb"], "a\nb"),
+    (["x", "\n", "c\nd"], "\n"),
+    (["x", "y", "\nc\n\nd", "e\n"], "\nc\n\nd"),
+], ids=["one", "newline-only", "three-newlines"])
+def test_utf8_names_the_first_id_that_holds_a_newline(ids, named):
+    vocab = Vocabulary(["k"])
+    vocab.intern_utf8(*_spans(ids))
+    with pytest.raises(ValueError) as caught:
+        vocab.utf8()
+    assert str(caught.value) == (f'id {named!r} contains "\\n", which the file '
+                                 "format cannot hold")
+
+
 # ids across the 8-byte words the hash reads, the empty id, a tab, and
 # multi-byte UTF-8 that shifts byte lengths away from character counts
 _EDGE_IDS = ["", "\t", "a" * 7, "a" * 8, "a" * 9, "a" * 16, "a" * 17,

@@ -238,6 +238,94 @@ def test_recommend_peak_memory_per_id(tmp_path, monkeypatch):
     assert (tmp_path / "recs.txt").read_text().count("\n") == len(wanted)
 
 
+# the same peak for `tastecf recommend`, which resolves its --users as the
+# index loads and drops the user vocabulary, bytes, bounds and hash table,
+# before the first array is read; it measured 6.0 bytes per id, against 22.4
+# when recommend resolved its ids in the whole loaded vocabulary
+_CLI_RECOMMEND_BYTES_PER_ID = 8
+
+
+def test_cli_recommend_peak_memory_per_id(tmp_path, monkeypatch, capsys):
+    batch = skewed_batch(40_000, 8_000, 2.0, seed=3)
+    index = build_index(batch)
+    path = tmp_path / "wide.idx"
+    save_index(index, batch.user_vocab, batch.track_vocab, path)
+    users = tmp_path / "users.txt"
+    users.write_text("".join(u + "\n" for u in batch.user_vocab.ids[::997]))
+    n_ids = len(batch.user_vocab) + len(batch.track_vocab)
+    del index, batch
+    monkeypatch.setattr(core, "_BLOCK_IDS", 1024, raising=False)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8192, raising=False)
+    monkeypatch.setattr(index_module, "_CHECK_USERS", 1024, raising=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["recommend", "--input", str(path), "--users", str(users),
+                     "--out", str(tmp_path / "recs.txt"), "--k", "50"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert (peak - path.stat().st_size) / n_ids <= _CLI_RECOMMEND_BYTES_PER_ID
+    lines = (tmp_path / "recs.txt").read_text().splitlines()
+    assert [line.split(" ")[0] for line in lines] == users.read_text().split()
+
+
+# stored user ids, and ids to look up among them: a tab, multi-byte
+# characters, the empty id, prefixes and extensions of stored ids, a lone
+# surrogate
+_STORED_USERS = ["u1", "u\t2", "ü3", "日本", "", "u", "u10", "x" * 40]
+_WANTED_USERS = {
+    "none": [],
+    "one": ["u1"],
+    "all-reordered": _STORED_USERS[::-1],
+    "unknown": ["u1\t", "u\t", "ü", "日", "日本語", "u100", "x" * 39, "x" * 41,
+                "U1", " ", "\ud800"],
+    "mixed": ["u10", "nope", "u1", "", "u\t2"],
+}
+
+
+@pytest.mark.parametrize("wanted", _WANTED_USERS.values(), ids=_WANTED_USERS)
+def test_load_index_for_users_equals_a_lookup_in_the_whole_vocabulary(tmp_path,
+                                                                      wanted):
+    n = len(_STORED_USERS)
+    batch = TripletBatch(np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32) % 3,
+                         np.arange(1, n + 1, dtype=np.int64),
+                         Vocabulary(_STORED_USERS), Vocabulary(["a", "b", "c"]))
+    path = tmp_path / "ids.idx"
+    save_index(build_index(batch), batch.user_vocab, batch.track_vocab, path)
+    full = load_index(path)
+    loaded = load_index(path, users=wanted)
+    assert loaded.user_indexes == full.user_vocab.indexes_of(wanted)
+    assert loaded.user_vocab is None and full.user_indexes is None
+    assert loaded.index == full.index
+    assert loaded.track_vocab == full.track_vocab
+    assert loaded.idf == full.idf
+
+
+def test_load_index_for_users_holds_no_user_vocabulary(tmp_path):
+    # long ids, so that the user vocabulary's bytes outweigh the slack
+    batch = skewed_batch(5_000, 500, 3.0, seed=3)
+    users = Vocabulary(f"{u:040x}" for u in range(len(batch.user_vocab)))
+    batch = TripletBatch(batch.users, batch.tracks, batch.counts, users,
+                         batch.track_vocab)
+    path = tmp_path / "long.idx"
+    save_index(build_index(batch), users, batch.track_vocab, path)
+    wanted = users.ids[::500]
+    held = {}
+    for key in (None, wanted):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_index(path, users=key)
+            held[key is None] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert loaded.user_indexes == list(range(0, len(users), 500))
+    # the whole-vocabulary load holds the id bytes, and builds no table
+    assert held[False] + len(users.utf8()) <= held[True] + 4096
+
+
 # what load_index may hold beyond the arrays it returns: one block of the
 # play count pass, 4 bytes of counts and 8 of their running sum per row of
 # the largest block of users, 4 more for the next block's counts while it

@@ -301,6 +301,20 @@ def test_written_lines_equal_joined_ids(tmp_path_factory, user_ids, track_ids, d
         assert path.read_bytes() == want.encode("utf-8")
         assert "".join(render_recommendation(rec, users, tracks) + "\n"
                        for rec in recs) == want
+        # each line's user given as its id, as `recommend` gives them
+        write_recommendations(iter(recs), path, [user_ids[rec.user] for rec in recs],
+                              tracks)
+        assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_recommendations_refuses_fewer_user_ids_than_lists(tmp_path):
+    recs = [Recommendation(0, [0, -1], []) for _ in range(20)]
+    path = tmp_path / "recs.txt"
+    with pytest.raises(ValueError, match="fewer user ids than recommendations"):
+        write_recommendations(recs, path, ["u"] * 19, Vocabulary(["a"]))
+    assert list(tmp_path.iterdir()) == []
+    write_recommendations(recs, path, ["u"] * 20, Vocabulary(["a"]))
+    assert path.read_text() == "u a 1\n" * 20
 
 
 def test_render_recommendation_line(t1_batch, t1_index, t1_idf):

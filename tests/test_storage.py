@@ -315,12 +315,13 @@ def test_ids_with_newline_are_rejected_before_writing(tmp_path, bad_vocab):
     vocabs[bad_vocab] = Vocabulary(["x", "a\nb"])
     batch = TripletBatch(np.array([0], np.int32), np.array([0], np.int32),
                          np.array([1], np.int64), vocabs["user"], vocabs["track"])
+    named = r"id 'a\\nb' contains"
     dataset = tmp_path / "nl.ds"
-    with pytest.raises(ValueError, match="contains"):
+    with pytest.raises(ValueError, match=named):
         save_dataset(batch, dataset)
     assert not dataset.exists()
     index = tmp_path / "nl.idx"
-    with pytest.raises(ValueError, match="contains"):
+    with pytest.raises(ValueError, match=named):
         save_index(build_index(batch), batch.user_vocab, batch.track_vocab, index)
     assert not index.exists()
 
@@ -388,12 +389,19 @@ def test_crafted_file_with_duplicated_id_raises(tmp_path, monkeypatch, capsys,
     _write(path, sections)
     with pytest.raises(DataError, match="'u1' appears twice"):
         load_index(path).user_vocab.get("u4")
+    with pytest.raises(DataError, match="'u1' appears twice"):
+        load_index(path, users=[])
     users = tmp_path / "users.txt"
-    users.write_text("u4\n")
-    code = main(["recommend", "--input", str(path), "--users", str(users),
-                 "--out", str(tmp_path / "recs.txt")])
-    assert code == 1
-    assert f"{path}: user vocabulary: id 'u1' appears twice" in capsys.readouterr().err
+    # an empty --users file is refused as well: recommend reads no index
+    # without checking its user ids
+    for text in ("u4\n", ""):
+        users.write_text(text)
+        code = main(["recommend", "--input", str(path), "--users", str(users),
+                     "--out", str(tmp_path / "recs.txt")])
+        assert code == 1
+        assert (f"{path}: user vocabulary: id 'u1' appears twice"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "recs.txt").exists()
 
 
 def test_recommend_leaves_no_file_when_writing_fails(tmp_path, monkeypatch, capsys,
