@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Paper-shaped pipeline run: `ingest`, `build` and `recommend` through the
-CLI at fractions of the Million Song Dataset challenge's shape.
+"""Paper-shaped pipeline run: `ingest`, `build`, `recommend` and `split`
+through the CLI at fractions of the Million Song Dataset challenge's shape.
 
     python3 scripts/msd_shape_bench.py
     python3 scripts/msd_shape_bench.py --fractions 1/16
@@ -11,9 +11,10 @@ query users drawn with SEED. Each stage then runs as `python -m tastecf`
 in a fresh process started by this script, so the `ru_maxrss` that
 os.wait4 reports is that stage's own peak. --out gets one JSON object: per
 fraction and stage the wall time and peak RSS, with recommend run at each
-of WORKERS, the sha256 of the dataset, index and recs files (equal for
-changes that keep output), and the git SHA, nproc and src/ line count of
-the measured code. The script exits 1, after writing --out, when the recs
+of WORKERS and split run over the whole text with SPLIT_FRACTION and SEED,
+the sha256 of the dataset, index, recs and split halves (equal for changes
+that keep output), and the git SHA, nproc and src/ line count of the
+measured code. The script exits 1, after writing --out, when the recs
 of two worker counts differ.
 --src runs the stages from another checkout's src directory, so two
 checkouts can be measured on the same cached text. That directory is
@@ -43,6 +44,8 @@ QUERY_USERS = 300
 SEED = 3
 # the worker counts recommend runs with
 WORKERS = (1, 2)
+# the visible share of each user's tracks that split keeps
+SPLIT_FRACTION = "0.5"
 
 
 def write_inputs(fraction: str, stem: str) -> None:
@@ -129,6 +132,7 @@ def main() -> int:
                          for p in sorted(src.rglob("*.py"))),
         "seed": SEED,
         "query_users": QUERY_USERS,
+        "split_fraction": SPLIT_FRACTION,
         "fractions": {},
     }
     for name in args.fractions.split(","):
@@ -144,6 +148,10 @@ def main() -> int:
             stages[f"recommend_w{w}"] = [
                 "recommend", "--input", str(index), "--users", str(users),
                 "--out", str(work / f"recs_w{w}.txt"), "--workers", str(w)]
+        stages["split"] = ["split", "--input", str(text),
+                           "--visible-out", str(work / "visible.txt"),
+                           "--hidden-out", str(work / "hidden.txt"),
+                           "--fraction", SPLIT_FRACTION, "--seed", str(SEED)]
         runs = {}
         for stage, stage_args in stages.items():
             runs[stage] = run_stage(src, stage_args)
@@ -155,6 +163,7 @@ def main() -> int:
             "dataset_sha256": sha256(dataset),
             "index_sha256": sha256(index),
             "recs_sha256": {f"w{w}": sha256(work / f"recs_w{w}.txt") for w in WORKERS},
+            "split_sha256": {half: sha256(work / f"{half}.txt") for half in ("visible", "hidden")},
         }
         for path in work.iterdir():
             path.unlink()

@@ -15,6 +15,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .core import AP_CHALLENGE, AP_MODES, MissingRecommendationError
+from .index import sorted_rows
 from .ingest import TripletBatch
 
 
@@ -118,14 +119,13 @@ class HistorySplit:
 def tracks_by_user(batch: TripletBatch, user_ids, track_ids) -> dict:
     """{user_ids[u]: the set of track_ids[t] over u's rows} for each user u
     with a row, in ascending u: for a parsed batch, the order in which
-    users first appear."""
-    counts = np.bincount(batch.users, minlength=len(user_ids))
-    held = np.flatnonzero(counts)
-    ends = np.cumsum(counts[held]).tolist()
-    order = np.argsort(batch.users)
-    tracks = list(map(track_ids.__getitem__, batch.tracks[order].tolist()))
-    return {user_ids[u]: set(tracks[start:end])
-            for u, start, end in zip(held.tolist(), [0, *ends], ends)}
+    users first appear. A repeated pair raises DuplicatePairError
+    (sorted_rows)."""
+    rows, offsets = sorted_rows(batch)
+    tracks = list(map(track_ids.__getitem__, rows.tracks.tolist()))
+    ends = offsets.tolist()
+    return {user_ids[u]: set(tracks[ends[u]:ends[u + 1]])
+            for u in np.flatnonzero(np.diff(offsets)).tolist()}
 
 
 def split_history(batch: TripletBatch, fraction: float, seed: int) -> HistorySplit:
@@ -133,36 +133,21 @@ def split_history(batch: TripletBatch, fraction: float, seed: int) -> HistorySpl
 
     The permutation for user u is drawn from a generator seeded with
     (seed, u), so the split is reproducible and independent of user
-    iteration order.
+    iteration order. The halves hold the rows of sorted_rows, in ascending
+    (user, track) order, and the batch is not changed; a repeated (user,
+    track) pair raises DuplicatePairError, as build_index does.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    n_users = len(batch.user_vocab)
-    order = np.lexsort((batch.tracks, batch.users))
-    sorted_users = batch.users[order]
-    offsets = np.zeros(n_users + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(np.bincount(sorted_users, minlength=n_users))
-
-    seed_material = seed & 0xFFFFFFFFFFFFFFFF
-    visible_rows = []
-    hidden_rows = []
-    for u in range(n_users):
-        rows = order[offsets[u]:offsets[u + 1]]
-        count = rows.size
-        if count < 2:
-            visible_rows.append(rows)
-            continue
-        rng = np.random.default_rng([seed_material, u])
+    rows, offsets = sorted_rows(batch)
+    hidden = np.zeros(len(rows), bool)
+    counts = np.diff(offsets)
+    for u in np.flatnonzero(counts >= 2).tolist():
+        start, count = int(offsets[u]), int(counts[u])
+        rng = np.random.default_rng([seed & 0xFFFF_FFFF_FFFF_FFFF, u])
         perm = rng.permutation(count)
-        n_visible = math.floor(fraction * count)
-        visible_rows.append(rows[np.sort(perm[:n_visible])])
-        hidden_rows.append(rows[np.sort(perm[n_visible:])])
-
-    def gather(row_groups):
-        rows = (np.concatenate(row_groups) if row_groups
-                else np.array([], dtype=np.int64))
-        return TripletBatch(batch.users[rows], batch.tracks[rows],
-                            batch.counts[rows], batch.user_vocab,
-                            batch.track_vocab)
-
-    return HistorySplit(gather(visible_rows), gather(hidden_rows), seed)
+        hidden[start + perm[math.floor(fraction * count):]] = True
+    return HistorySplit(*(TripletBatch(rows.users[mask], rows.tracks[mask],
+                                       rows.counts[mask], rows.user_vocab,
+                                       rows.track_vocab)
+                          for mask in (~hidden, hidden)), seed)

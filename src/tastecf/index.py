@@ -115,7 +115,7 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     as they are: fwd_tracks and fwd_counts are then the batch's own
     columns, with no sort, when they are read-only (a loaded dataset
     file's arrays), and copies of them when they are writable. Any other
-    batch is put in that order by sort_by_pair on copies of its columns,
+    batch is put in that order by sorted_rows, on copies of its columns,
     and a repeated pair raises DuplicatePairError. The forward offsets
     come from the ordered rows' user runs and the posting lengths from a
     blockwise count of the tracks, so neither makes an intp copy of a
@@ -158,14 +158,7 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
         fwd_tracks = tracks.copy() if tracks.flags.writeable else tracks
         fwd_counts = counts.copy() if counts.flags.writeable else counts
     else:
-        # sorted copies of the rows, in which only a repeated pair can leave
-        # two neighbours out of order
-        rows = TripletBatch(users.copy(), tracks.copy(), counts.copy(),
-                            batch.user_vocab, batch.track_vocab)
-        sort_by_pair(rows)
-        fwd_offsets = _forward_offsets(rows.users, rows.tracks, n_users)
-        if fwd_offsets is None:
-            raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+        rows, fwd_offsets = sorted_rows(batch)
         fwd_tracks, fwd_counts = rows.tracks, rows.counts
         del rows
 
@@ -217,6 +210,23 @@ def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
         offsets[users[-1] + 1] = users.size
     np.maximum.accumulate(offsets, out=offsets)
     return offsets
+
+
+def sorted_rows(batch: TripletBatch):
+    """Copies of the batch's rows, int32 ids and counts of its dtype, put
+    in ascending (user, track) order by sort_by_pair, and their per-user
+    CSR offsets. In the sorted copies only a repeated pair can leave two
+    neighbours out of order: it raises DuplicatePairError. The ids must
+    lie in their vocabularies."""
+    rows = TripletBatch(np.array(batch.users, np.int32),
+                        np.array(batch.tracks, np.int32),
+                        np.array(batch.counts), batch.user_vocab,
+                        batch.track_vocab)
+    sort_by_pair(rows)
+    offsets = _forward_offsets(rows.users, rows.tracks, len(batch.user_vocab))
+    if offsets is None:
+        raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+    return rows, offsets
 
 
 def _run_lengths(ids: np.ndarray, n: int) -> np.ndarray:

@@ -26,6 +26,7 @@ otherwise sort for.
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+import re
 import struct
 
 import numpy as np
@@ -360,25 +361,22 @@ def read_triplets(path) -> TripletBatch:
         return _parse(_file_blocks(fh))
 
 
-def _breaks_a_line(text: str) -> bool:
-    """Whether text holds a tab, "\\n", "\\r" or a space, any of which
-    splits the triplet line of an id that holds it."""
-    return any(c in text for c in "\t\n\r ")
-
-
 def write_triplets(batch: TripletBatch, path) -> None:
     """Write one `user<TAB>track<TAB>count` line per record, in stored
     order, so that read_triplets reads the batch back.
 
     Raises ValueError before the file is opened for an id that holds a
-    tab, "\\n", "\\r" or a space.
+    tab, "\\n", "\\r" or a space: one scan of each vocabulary's bytes,
+    whose utf8() names an id that holds "\\n".
     """
+    for vocab in (batch.user_vocab, batch.track_vocab):
+        data = vocab.utf8()
+        # in UTF-8 these bytes stand for their characters alone
+        if bad := re.search(b"[\t\r ]", data):
+            bad_id = vocab.lookup(bytes(data[:bad.start()]).count(b"\n"))
+            raise ValueError(f"id {bad_id!r} holds a tab, a line end or a "
+                             "space, so its line could not be read back")
     user_ids, track_ids = batch.user_vocab.ids, batch.track_vocab.ids
-    for ids in (user_ids, track_ids):
-        if _breaks_a_line("".join(ids)):
-            bad = next(filter(_breaks_a_line, ids))
-            raise ValueError(f"id {bad!r} holds a tab, a line end or a space, "
-                             "so its line could not be read back")
     line = "{}\t{}\t{}\n".format
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # a block of rows at a time, so that no list is as long as the batch

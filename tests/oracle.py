@@ -2,7 +2,8 @@
 
 Everything here is recomputed from a raw triplet list with plain dicts and
 ordered loops; nothing is imported from tastecf, so the two implementations
-can only agree by computing the same quantities.
+can only agree by computing the same quantities. The history split takes
+numpy's generator for its draws, which define the split.
 
 Float contract: sums follow the same documented accumulation order as the
 library (tracks ascending; neighbors by weight descending then user index
@@ -103,6 +104,29 @@ def recommend(triplets, n_users, n_tracks, *, prune_ratio=0.4, k=500,
         out.append(ranked_items(scores, df, k, pad_strategy,
                                 history.get(u, ()), n_tracks))
     return out
+
+
+def split_rows(triplets, fraction, seed):
+    """(visible, hidden) lists of (user, track, count) rows, each in
+    (user, track) order. A user with two or more rows, taken by ascending
+    track, hides those at positions perm[floor(fraction * n):] of
+    default_rng([seed mod 2**64, user]).permutation(n); a user with fewer
+    keeps every row visible."""
+    import numpy as np
+
+    by_user = defaultdict(list)
+    for row in sorted(triplets):
+        by_user[row[0]].append(row)
+    visible, hidden = [], []
+    for u in sorted(by_user):
+        rows = by_user[u]
+        held = set()
+        if len(rows) >= 2:
+            perm = np.random.default_rng([seed % 2**64, u]).permutation(len(rows))
+            held = set(perm[math.floor(fraction * len(rows)):].tolist())
+        for position, row in enumerate(rows):
+            (hidden if position in held else visible).append(row)
+    return visible, hidden
 
 
 # --- metrics -----------------------------------------------------------

@@ -9,16 +9,23 @@ from tastecf import (
     AP_CHALLENGE,
     AP_LIST_LENGTH,
     Config,
+    DuplicatePairError,
     MissingRecommendationError,
+    TripletBatch,
+    Vocabulary,
     average_precision,
     build_index,
     compute_idf,
+    load_dataset,
     mean_average_precision,
     parse_triplets,
     precision_at_k,
     recommend_all,
+    save_dataset,
     split_history,
 )
+from tastecf.evaluate import tracks_by_user
+from tastecf.synth import random_batch
 import oracle
 
 
@@ -224,6 +231,124 @@ def test_split_preserves_play_counts(t1_batch):
     split = split_history(t1_batch, 0.5, seed=11)
     total = int(t1_batch.counts.sum())
     assert int(split.visible.counts.sum()) + int(split.hidden.counts.sum()) == total
+
+
+def _rows(batch):
+    return list(zip(batch.users.tolist(), batch.tracks.tolist(),
+                    batch.counts.tolist()))
+
+
+def _check_split(batch, fraction, seed):
+    """split_history and tracks_by_user against the reference split and a
+    dict of sets built row by row, with the batch unchanged by both."""
+    columns = (batch.users, batch.tracks, batch.counts)
+    before = [(column.copy(), column.flags.writeable) for column in columns]
+    split = split_history(batch, fraction, seed)
+    visible, hidden = oracle.split_rows(_rows(batch), fraction, seed)
+    assert _rows(split.visible) == visible
+    assert _rows(split.hidden) == hidden
+    for half in (split.visible, split.hidden):
+        assert half.counts.dtype == batch.counts.dtype
+        assert half.user_vocab is batch.user_vocab
+        assert half.track_vocab is batch.track_vocab
+    expected = {}
+    for u, t, _ in _rows(batch):
+        expected.setdefault(u, set()).add(t)
+    by_user = tracks_by_user(batch, range(len(batch.user_vocab)),
+                             range(len(batch.track_vocab)))
+    assert by_user == expected
+    assert list(by_user) == sorted(expected)
+    for column, (copy, writeable) in zip(columns, before):
+        assert column.dtype == copy.dtype
+        assert np.array_equal(column, copy)
+        assert column.flags.writeable == writeable
+
+
+_SPLIT_SEEDS = [-3, 0, 2**64 + 5]
+_SPLIT_FRACTIONS = [0.01, 0.99]
+
+
+@pytest.mark.parametrize("seed", _SPLIT_SEEDS)
+@pytest.mark.parametrize("fraction", _SPLIT_FRACTIONS)
+def test_split_matches_reference_for_users_of_0_1_and_2_or_more_rows(
+        tmp_path, fraction, seed):
+    # u0 has no row, u1 one, u2 two and u3 five; rows out of order
+    rows = [(3, 4, 7), (2, 1, 1), (3, 0, 2), (1, 2, 9), (3, 2, 1),
+            (2, 0, 4), (3, 1, 3), (3, 3, 5)]
+    users, tracks, counts = map(list, zip(*rows))
+    batch = TripletBatch(np.array(users, np.int32), np.array(tracks, np.int32),
+                         np.array(counts, np.int64),
+                         Vocabulary(["u0", "u1", "u2", "u3"]),
+                         Vocabulary(["t0", "t1", "t2", "t3", "t4"]))
+    _check_split(batch, fraction, seed)
+    save_dataset(batch, tmp_path / "plays.ds")
+    _check_split(load_dataset(tmp_path / "plays.ds"), fraction, seed)
+
+
+@st.composite
+def _shuffled_rows(draw):
+    """(n_users, n_tracks, rows): distinct (user, track) pairs in drawn
+    order, each with an int64 play count above 32 bits for some rows."""
+    n_users = draw(st.integers(1, 6))
+    n_tracks = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                    st.integers(0, n_tracks - 1)),
+                          unique=True, max_size=30))
+    counts = draw(st.lists(st.integers(1, 2**40), min_size=len(pairs),
+                           max_size=len(pairs)))
+    return n_users, n_tracks, [(u, t, c) for (u, t), c in zip(pairs, counts)]
+
+
+@pytest.mark.parametrize("seed", _SPLIT_SEEDS)
+@pytest.mark.parametrize("fraction", _SPLIT_FRACTIONS)
+@settings(max_examples=30, deadline=None)
+@given(_shuffled_rows())
+def test_split_matches_reference_on_shuffled_batches(tmp_path_factory,
+                                                     fraction, seed, drawn):
+    n_users, n_tracks, rows = drawn
+    user_vocab = Vocabulary([f"u{u}" for u in range(n_users)])
+    track_vocab = Vocabulary([f"t{t}" for t in range(n_tracks)])
+    users = np.array([u for u, _, _ in rows], np.int32)
+    tracks = np.array([t for _, t, _ in rows], np.int32)
+    wide = TripletBatch(users, tracks,
+                        np.array([c for _, _, c in rows], np.int64),
+                        user_vocab, track_vocab)
+    _check_split(wide, fraction, seed)
+    # u32 counts: parsed (users renumbered in first-seen order, no user
+    # without a row) and loaded (read-only columns, the vocabularies kept)
+    narrow = TripletBatch(users, tracks,
+                          np.array([c % 2**32 or 1 for _, _, c in rows],
+                                   np.uint32),
+                          user_vocab, track_vocab)
+    text = "".join(f"u{u}\tt{t}\t{c}\n" for u, t, c in _rows(narrow))
+    _check_split(parse_triplets(io.StringIO(text)), fraction, seed)
+    path = tmp_path_factory.mktemp("split") / "plays.ds"
+    save_dataset(narrow, path)
+    _check_split(load_dataset(path), fraction, seed)
+
+
+@pytest.mark.parametrize("seed", _SPLIT_SEEDS)
+@pytest.mark.parametrize("fraction", _SPLIT_FRACTIONS)
+def test_split_matches_reference_on_shuffled_synthetic_batches(fraction, seed):
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        batch = random_batch(rng)
+        order = rng.permutation(len(batch))
+        _check_split(TripletBatch(batch.users[order], batch.tracks[order],
+                                  batch.counts[order], batch.user_vocab,
+                                  batch.track_vocab), fraction, seed)
+
+
+def test_split_and_tracks_by_user_refuse_a_repeated_pair():
+    # a parse refuses such a batch; one built in the library can hold it,
+    # and its pair could otherwise land in both halves
+    batch = TripletBatch(np.array([0, 1, 0], np.int32), np.zeros(3, np.int32),
+                         np.ones(3, np.uint32), Vocabulary(["u", "v"]),
+                         Vocabulary(["t"]))
+    with pytest.raises(DuplicatePairError, match="duplicate"):
+        split_history(batch, 0.5, seed=0)
+    with pytest.raises(DuplicatePairError, match="duplicate"):
+        tracks_by_user(batch, ["u", "v"], ["t"])
 
 
 # --- end to end -----------------------------------------------------------
