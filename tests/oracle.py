@@ -14,6 +14,8 @@ tolerance.
 import math
 from collections import defaultdict
 
+import numpy as np
+
 
 def build_maps(triplets):
     history = defaultdict(dict)    # user -> {track: play_count}
@@ -112,8 +114,6 @@ def split_rows(triplets, fraction, seed):
     track, hides those at positions perm[floor(fraction * n):] of
     default_rng([seed mod 2**64, user]).permutation(n); a user with fewer
     keeps every row visible."""
-    import numpy as np
-
     by_user = defaultdict(list)
     for row in sorted(triplets):
         by_user[row[0]].append(row)
