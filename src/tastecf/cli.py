@@ -192,12 +192,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_split(args) -> int:
     _log_config("split", args,
                 ["input", "visible_out", "hidden_out", "fraction", "seed"])
-    batch = _read_triplets(args.input)
-    split = split_history(batch, args.fraction, args.seed)
+    # no name holds the parsed batch, so split_history can drop it once
+    # its rows are sorted
+    split = split_history(_read_triplets(args.input), args.fraction, args.seed)
+    visible, hidden = len(split.visible), len(split.hidden)
     write_triplets(split.visible, args.visible_out)
     write_triplets(split.hidden, args.hidden_out)
-    print(f"split {len(batch)} triplets into {len(split.visible)} visible / "
-          f"{len(split.hidden)} hidden", file=sys.stderr)
+    print(f"split {visible + hidden} triplets into {visible} visible / "
+          f"{hidden} hidden", file=sys.stderr)
     return 0
 
 

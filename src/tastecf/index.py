@@ -21,7 +21,7 @@ from .idf import IdfTable, compute_idf
 from .ingest import TripletBatch, sort_by_pair
 
 _MAGIC = b"TCFIDX1\x00"
-_VERSION = 4
+_VERSION = 5
 # play counts are summed, and read by load_index, this many users' rows at
 # a time
 _CHECK_USERS = 1 << 14
@@ -37,22 +37,25 @@ class InteractionIndex:
     df[t] is the number of distinct listeners of track t (the length of its
     posting list); total_plays[u] is the sum of u's play counts. All arrays
     are frozen after construction and safe to share across workers.
+    The offsets and df are int32, as the ids are: an index holds at most
+    MAX_INDEX interactions, so no offset or posting length exceeds it.
     fwd_counts is the batch's play counts in build_index's dtype (u32 for a
     parsed or loaded batch), and None in an index from load_index, which
     keeps only their sums: the engine reads total_plays, never fwd_counts,
-    and a sum of it must ask for dtype=np.int64. Arrays from load_index are
-    read-only arrays of their own, read from the file; build_index given an
-    ordered loaded batch shares that batch's read-only tracks and counts.
+    and a sum of it, or of df, must ask for dtype=np.int64. Arrays from
+    load_index are read-only arrays of their own, read from the file;
+    build_index given an ordered loaded batch shares that batch's read-only
+    tracks and counts.
     """
 
     n_users: int
     n_tracks: int
-    fwd_offsets: np.ndarray   # int64, n_users + 1
+    fwd_offsets: np.ndarray   # int32, n_users + 1
     fwd_tracks: np.ndarray    # int32, ascending within each user run
     fwd_counts: Optional[np.ndarray]   # parallel to fwd_tracks; None if loaded
-    inv_offsets: np.ndarray   # int64, n_tracks + 1
+    inv_offsets: np.ndarray   # int32, n_tracks + 1
     inv_users: np.ndarray     # int32, ascending within each track run
-    df: np.ndarray            # int64 per track
+    df: np.ndarray            # int32 per track
     total_plays: np.ndarray   # int64 per user
 
     @property
@@ -137,6 +140,9 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     n_tracks = len(batch.track_vocab)
     if n_users > MAX_INDEX or n_tracks > MAX_INDEX:
         raise CapacityError("id counts exceed the 32-bit index width")
+    if len(batch) > MAX_INDEX:
+        raise CapacityError(
+            f"{len(batch)} triplets exceed the 32-bit offset width")
 
     users = np.asarray(batch.users)
     tracks = np.asarray(batch.tracks)
@@ -165,16 +171,18 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     # the order np.lexsort((users, tracks)) gives: forward entries are in
     # user order, so two stable sorts, by the tracks' low 16 bits and then
     # by their high 16 bits, keep users ascending within each track; a
-    # stable argsort of uint16 is a radix sort
+    # stable argsort of uint16 is a radix sort. Below 2**16 tracks every
+    # high half is 0, and the second sort would be the identity
     order = np.argsort(fwd_tracks.astype(np.uint16), kind="stable")
     inv_users = np.repeat(np.arange(n_users, dtype=np.int32),
                           np.diff(fwd_offsets))[order]
-    high = fwd_tracks[order]
-    del order
-    high >>= 16
-    order = np.argsort(high.astype(np.uint16), kind="stable")
-    del high
-    inv_users = inv_users[order]
+    if n_tracks > 1 << 16:
+        high = fwd_tracks[order]
+        del order
+        high >>= 16
+        order = np.argsort(high.astype(np.uint16), kind="stable")
+        del high
+        inv_users = inv_users[order]
     del order
 
     # counted after the radix pass, whose freed memory its blocks reuse
@@ -197,7 +205,7 @@ def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
     no pair repeats. Read _CHECK_ROWS rows at a time: where the user
     changes, the run that ends is the last of its user, and users with no
     rows take the offset before them."""
-    offsets = np.zeros(n_users + 1, np.int64)
+    offsets = np.zeros(n_users + 1, np.int32)
     for at in range(1, users.size, _CHECK_ROWS):
         u = users[at - 1:at + _CHECK_ROWS]
         t = tracks[at - 1:at + _CHECK_ROWS]
@@ -230,11 +238,11 @@ def sorted_rows(batch: TripletBatch):
 
 
 def _run_lengths(ids: np.ndarray, n: int) -> np.ndarray:
-    """np.bincount(ids, minlength=n) for ids in [0, n), counted a block of
-    rows at a time, so that no intp copy is as long as ids; a block is at
-    least four times as long as the counts it adds, so they cost at most a
-    quarter more."""
-    lengths = np.zeros(n, np.int64)
+    """np.bincount(ids, minlength=n) for ids in [0, n), as int32, counted a
+    block of rows at a time, so that no intp copy is as long as ids; a
+    block is at least four times as long as the counts it adds, so they
+    cost at most a quarter more. ids must not number more than MAX_INDEX."""
+    lengths = np.zeros(n, np.int32)
     step = max(_CHECK_ROWS, 4 * n)
     for at in range(0, ids.size, step):
         lengths += np.bincount(ids[at:at + step], minlength=n)
@@ -249,7 +257,10 @@ def _rising_runs(values: np.ndarray, offsets: np.ndarray) -> bool:
     for at in range(1, values.size, _CHECK_ROWS):
         v = values[at - 1:at + _CHECK_ROWS]
         falls = v[1:] <= v[:-1]
-        lo, hi = np.searchsorted(offsets, (at, at + falls.size))
+        # keys of the offsets' dtype: others would make numpy convert all
+        # of the offsets on every block
+        lo, hi = np.searchsorted(
+            offsets, np.array((at, at + falls.size), offsets.dtype))
         falls[offsets[lo:hi] - at] = False
         if falls.any():
             return False
@@ -267,8 +278,9 @@ def _play_totals(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _offsets(run_lengths: np.ndarray) -> np.ndarray:
-    """CSR offsets: 0, then the running total of the run lengths."""
-    offsets = np.zeros(run_lengths.size + 1, dtype=np.int64)
+    """int32 CSR offsets: 0, then the running total of the run lengths,
+    which must not exceed MAX_INDEX."""
+    offsets = np.zeros(run_lengths.size + 1, dtype=np.int32)
     np.cumsum(run_lengths, out=offsets[1:])
     return offsets
 
@@ -289,12 +301,13 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
                idf: Optional[IdfTable] = None) -> None:
     """Persist the index and vocabularies.
 
-    Arrays are written in their in-memory dtypes, except play counts, which
-    are stored as u32 (with no copy when they are u32 already). An `idf`
-    table is checked but never stored, since load_index derives it: one
-    that is not compute_idf(index, idf.log_base), a larger count, an id
-    that contains "\\n" or an index without play counts (one from
-    load_index) raises ValueError before anything is written.
+    Arrays are written in their in-memory dtypes, int32 offsets and ids and
+    int64 play totals, except play counts, which are stored as u32 (with no
+    copy when they are u32 already). An `idf` table is checked but never
+    stored, since load_index derives it: one that is not compute_idf(index,
+    idf.log_base), a larger count, an id that contains "\\n" or an index
+    without play counts (one from load_index) raises ValueError before
+    anything is written.
     """
     if index.fwd_counts is None:
         raise ValueError("the index holds no play counts; build it from its dataset")
@@ -307,11 +320,11 @@ def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
         struct.pack("<QQQ", index.n_users, index.n_tracks, index.nnz),
         *storage.encode_vocab(user_vocab),
         *storage.encode_vocab(track_vocab),
-        np.ascontiguousarray(index.fwd_offsets, dtype="<i8"),
+        np.ascontiguousarray(index.fwd_offsets, dtype="<i4"),
         np.ascontiguousarray(index.fwd_tracks, dtype="<i4"),
         np.ascontiguousarray(index.total_plays, dtype="<i8"),
         np.ascontiguousarray(index.fwd_counts, dtype="<u4"),
-        np.ascontiguousarray(index.inv_offsets, dtype="<i8"),
+        np.ascontiguousarray(index.inv_offsets, dtype="<i4"),
         np.ascontiguousarray(index.inv_users, dtype="<i4"),
     ])
 
@@ -323,7 +336,9 @@ def load_index(path, users=None) -> LoadedIndex:
     _play_totals as build_index sums them. Every other array is a read-only
     array of its own, read straight from the file (storage.Reader); df and
     the idf table are derived: idf is compute_idf(index), natural log, or
-    None for an index of 0 users.
+    None for an index of 0 users. A header that claims more than MAX_INDEX
+    interactions, more than int32 offsets hold, raises CapacityError before
+    any array is read.
 
     The structure is checked with array operations, none of which makes an
     nnz-size temporary: offsets that do not rise from 0 to nnz, an index
@@ -350,6 +365,9 @@ def load_index(path, users=None) -> LoadedIndex:
     user_indexes = None
     with storage.Reader(path, _MAGIC, _VERSION) as r:
         n_users, n_tracks, nnz = r.unpack("<QQQ")
+        if nnz > MAX_INDEX:
+            raise CapacityError(f"{path}: {nnz} interactions exceed the "
+                                "32-bit offset width")
         user_vocab = r.vocab(n_users, "user")
         if users is not None:
             user_indexes = user_vocab.indexes_of(users)

@@ -25,7 +25,6 @@ same cut, keyed by popularity, picks popularity pads from the catalogue.
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 import math
-import multiprocessing
 import os
 import sys
 from typing import Iterable, Iterator, Optional
@@ -167,6 +166,8 @@ def recommend_all(index, idf, users: Iterable[int], config: Config,
     user_list = [int(u) for u in users]
     ctx = None
     if workers > 1 and len(user_list) > 1:
+        # imported only here: every CLI start would otherwise pay for it
+        import multiprocessing
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:

@@ -17,7 +17,9 @@ is read and drops it, bytes, bounds and table, before the arrays are read.
 Reader reads a file front to back, one section at a time. Each array is
 read straight into a read-only numpy array of its own (readinto, no copy),
 and a long section can be read in parts (Reader.parts), so a loader never
-holds the whole file and need not keep what it only checks. Every byte,
+holds the whole file and need not keep what it only checks. CSR offsets
+are stored and read as <i4 (Reader.offsets), 4 bytes per row, since no
+offset of an index that load_index accepts exceeds MAX_INDEX. Every byte,
 padding included, goes into a running CRC32 that finish() checks against
 the trailer. Each length is checked against the file's size (fstat) and
 each section's padding is checked to be zero before the section is read,
@@ -221,9 +223,9 @@ class Reader:
         return arr
 
     def offsets(self, rows: int, end: int, name: str) -> np.ndarray:
-        """A CSR offsets array: rows + 1 entries from 0 to end, never
-        decreasing."""
-        arr = self.array("<i8", rows + 1)
+        """A CSR offsets array of int32: rows + 1 entries from 0 to end,
+        never decreasing."""
+        arr = self.array("<i4", rows + 1)
         if arr[0] != 0 or arr[-1] != end or (arr[1:] < arr[:-1]).any():
             raise self.fail(f"{name} do not rise from 0 to {end}")
         return arr

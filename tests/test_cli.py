@@ -4,6 +4,7 @@ from pathlib import Path
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -16,7 +17,7 @@ from tastecf import (AP_CHALLENGE, AP_LIST_LENGTH, TripletBatch, Vocabulary,
 from tastecf import cli
 from tastecf.cli import main
 from tastecf.ingest import write_triplets
-from tastecf.synth import planted_clusters
+from tastecf.synth import planted_clusters, skewed_batch
 import oracle
 from conftest import T1_TEXT
 
@@ -277,6 +278,41 @@ def test_split_emits_disjoint_triplet_files(tmp_path, t1_file, capsys):
     assert len(vis) + len(hid) == 8
     vis_pairs = set(zip(vis.users.tolist(), vis.tracks.tolist()))
     assert len(vis_pairs) == len(vis)
+
+
+# the tracemalloc peak of `tastecf split` per triplet once its input is
+# parsed, on about 100k triplets: 67 bytes when the parsed batch is freed
+# before the halves are written, and 79 while it was held to the end
+_SPLIT_BYTES_PER_TRIPLET = 73
+
+
+def test_split_frees_its_parsed_input_before_writing_the_halves(
+        tmp_path, monkeypatch, capsys):
+    batch = skewed_batch(10_000, 3_000, 10.0, seed=3)
+    text = tmp_path / "in.txt"
+    write_triplets(batch, text)
+    rows = len(batch)
+    del batch
+    read = cli._read_triplets
+
+    def parsed(path):
+        # the parse has a peak of its own; count from its end
+        batch = read(path)
+        tracemalloc.reset_peak()
+        return batch
+
+    monkeypatch.setattr(cli, "_read_triplets", parsed)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["split", "--input", str(text),
+                     "--visible-out", str(tmp_path / "vis.txt"),
+                     "--hidden-out", str(tmp_path / "hid.txt")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert f"split {rows} triplets" in capsys.readouterr().err
+    assert peak / rows <= _SPLIT_BYTES_PER_TRIPLET
 
 
 def test_missing_input_file_exits_1_with_path(tmp_path, capsys):
@@ -664,6 +700,18 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "recommend" in proc.stdout
+
+
+def test_importing_the_cli_leaves_out_multiprocessing():
+    # importing it cost every CLI start about 6 ms; only recommend_all's
+    # fork pool needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tastecf.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # runs each command of argv[1] (JSON) through cli.main in turn and fails at

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tastecf import (
+    CapacityError,
     ChecksumError,
     Config,
     DataError,
@@ -36,7 +37,8 @@ from tastecf.synth import random_batch, skewed_batch
 
 def _reference_build(batch):
     """The index as two np.lexsort calls build it, over int64 copies of the
-    columns: the construction build_index replaced, kept as its reference."""
+    columns: the construction build_index replaced, kept as its reference,
+    with offsets and df cut to the index's int32."""
     n_users = len(batch.user_vocab)
     n_tracks = len(batch.track_vocab)
     users = np.asarray(batch.users, dtype=np.int64)
@@ -56,6 +58,8 @@ def _reference_build(batch):
     inv_offsets[1:] = np.cumsum(np.bincount(tracks[inv_order], minlength=n_tracks))
     total_plays = np.bincount(fwd_users, weights=fwd_counts,
                               minlength=n_users).astype(np.int64)
+    fwd_offsets = fwd_offsets.astype(np.int32)
+    inv_offsets = inv_offsets.astype(np.int32)
     return InteractionIndex(n_users, n_tracks, fwd_offsets,
                             fwd_tracks.astype(np.int32), fwd_counts,
                             inv_offsets, users[inv_order].astype(np.int32),
@@ -76,12 +80,14 @@ def _vocab(n: int) -> Vocabulary:
 def _batches(draw):
     """A batch in any row order or in (user, track) order, with writable
     or read-only columns, over at most 8 users, some of whom hold no pair,
-    and a track vocabulary of at most 8 or of 131,074 ids; and whether some
-    pair in it is repeated."""
+    and a track vocabulary of at most 8 ids or of 2**16, 2**16 + 1 or
+    131,074 ids, on both sides of the 2**16 above which build_index sorts
+    by the high 16 bits too; and whether some pair in it is repeated."""
     n_users = draw(st.integers(1, 8))
     if draw(st.booleans()):
-        track_ids = st.sampled_from(_WIDE_TRACK_IDS)
-        n_tracks = _WIDE_TRACK_IDS[-1] + 1
+        n_tracks = draw(st.sampled_from([2**16, 2**16 + 1,
+                                         _WIDE_TRACK_IDS[-1] + 1]))
+        track_ids = st.sampled_from([t for t in _WIDE_TRACK_IDS if t < n_tracks])
     else:
         n_tracks = draw(st.integers(1, 8))
         track_ids = st.integers(0, n_tracks - 1)
@@ -548,6 +554,17 @@ def test_duplicate_pair_in_programmatic_batch_is_rejected():
         build_index(batch)
 
 
+def test_build_index_refuses_more_triplets_than_int32_offsets_hold(
+        monkeypatch, t1_batch):
+    # t1 has 4 users, 3 tracks and 8 triplets: a limit of 8 holds them all
+    monkeypatch.setattr(index_module, "MAX_INDEX", 8)
+    assert build_index(t1_batch).nnz == 8
+    monkeypatch.setattr(index_module, "MAX_INDEX", 7)
+    with pytest.raises(CapacityError,
+                       match="^8 triplets exceed the 32-bit offset width$"):
+        build_index(t1_batch)
+
+
 def test_out_of_range_index_is_rejected():
     batch = TripletBatch(np.array([5], np.int32), np.array([0], np.int32),
                          np.array([1], np.int64), Vocabulary(["u1"]),
@@ -655,9 +672,9 @@ def test_index_file_size_matches_the_layout(tmp_path, with_idf):
     # and fwd_counts, inv_offsets and inv_users, CRC; nothing of the idf,
     # and no section per track beyond the offsets
     expected = (16 + 24 + vocabs
-                + 8 * (n_users + 1) + _padded(4 * nnz)
+                + _padded(4 * (n_users + 1)) + _padded(4 * nnz)
                 + 8 * n_users + _padded(4 * nnz)
-                + 8 * (n_tracks + 1) + _padded(4 * nnz)
+                + _padded(4 * (n_tracks + 1)) + _padded(4 * nnz)
                 + 4)
     assert path.stat().st_size == expected
 

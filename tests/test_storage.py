@@ -1,4 +1,4 @@
-"""Binary formats (index v4, dataset v2): structural validation of crafted
+"""Binary formats (index v5, dataset v2): structural validation of crafted
 files (older versions included), ids the format cannot hold, lookups in
 loaded vocabularies and zero-copy loads."""
 
@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from tastecf import (ChecksumError, DataError, FormatVersionError, TripletBatch,
+from tastecf import (CapacityError, ChecksumError, DataError, FormatVersionError, TripletBatch,
                      Vocabulary, build_index, compute_idf, load_dataset,
                      load_index, save_dataset, save_index)
 from tastecf import index as index_module, ingest, storage
-from tastecf.core import MAX_PLAY_COUNT
+from tastecf.core import MAX_INDEX, MAX_PLAY_COUNT
 from tastecf.cli import main
 from tastecf.synth import skewed_batch
 
@@ -90,13 +90,13 @@ INDEX_FAULTS = {
                                "inv_users outside [0, 4)"),
     "inv_users_negative": (lambda s: _put(s, "inv_users", "<i4", 0, -1),
                            "inv_users outside [0, 4)"),
-    "fwd_offsets_end_past_nnz": (lambda s: _put(s, "fwd_offsets", "<i8", -1, 9),
+    "fwd_offsets_end_past_nnz": (lambda s: _put(s, "fwd_offsets", "<i4", -1, 9),
                                  "fwd_offsets do not rise from 0 to 8"),
-    "fwd_offsets_start_not_0": (lambda s: _put(s, "fwd_offsets", "<i8", 0, 1),
+    "fwd_offsets_start_not_0": (lambda s: _put(s, "fwd_offsets", "<i4", 0, 1),
                                 "fwd_offsets do not rise from 0 to 8"),
-    "fwd_offsets_decrease": (lambda s: _put(s, "fwd_offsets", "<i8", 2, 1),
+    "fwd_offsets_decrease": (lambda s: _put(s, "fwd_offsets", "<i4", 2, 1),
                              "fwd_offsets do not rise from 0 to 8"),
-    "inv_offsets_end_short_of_nnz": (lambda s: _put(s, "inv_offsets", "<i8", -1, 7),
+    "inv_offsets_end_short_of_nnz": (lambda s: _put(s, "inv_offsets", "<i4", -1, 7),
                                      "inv_offsets do not rise from 0 to 8"),
     "fwd_tracks_past_n_tracks": (lambda s: _put(s, "fwd_tracks", "<i4", 0, 3),
                                  "fwd_tracks outside [0, 3)"),
@@ -130,7 +130,7 @@ INDEX_FAULTS = {
         "padding at byte 57 is not zero"),
     # posting lengths 3, 2, 3 still rise from 0 to 8, but a is played by
     # two users and b by three
-    "inv_offsets_shifted": (lambda s: _put(s, "inv_offsets", "<i8", 1, 3),
+    "inv_offsets_shifted": (lambda s: _put(s, "inv_offsets", "<i4", 1, 3),
                             "inv_offsets differ from the tracks' counts in fwd_tracks"),
     # a's posting list [u1, u4] becomes [u4, u1]: the same lengths and the
     # same users, and it loaded before the order was checked
@@ -199,6 +199,7 @@ def test_structural_faults_with_valid_crc_raise_data_error(
 @pytest.mark.parametrize("fault", ["inv_users_past_n_users",
                                    "fwd_offsets_end_past_nnz", "vocab_not_utf8",
                                    "version_1", "version_2", "version_3",
+                                   "version_4",
                                    "total_plays_-3", "inv_users_swapped_within_a_list",
                                    "fwd_tracks_swapped_within_a_list"])
 def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
@@ -556,6 +557,43 @@ def test_loaded_index_arrays_are_read_only_and_hold_no_play_counts(tmp_path, t1_
         save_index(loaded.index, loaded.user_vocab, loaded.track_vocab,
                    tmp_path / "again.idx")
     assert not (tmp_path / "again.idx").exists()
+
+
+def test_loaded_offsets_and_df_are_read_only_int32(tmp_path, t1_batch):
+    path = tmp_path / "t1.idx"
+    index = build_index(t1_batch)
+    save_index(index, t1_batch.user_vocab, t1_batch.track_vocab, path)
+    loaded = load_index(path).index
+    for name in ("fwd_offsets", "inv_offsets", "df"):
+        built, arr = getattr(index, name), getattr(loaded, name)
+        assert built.dtype == arr.dtype == np.int32, name
+        assert not built.flags.writeable and not arr.flags.writeable, name
+        assert np.array_equal(built, arr), name
+
+
+@pytest.mark.parametrize("crc", ["valid", "bad"])
+def test_a_header_past_max_index_fails_before_any_array_is_read(
+        tmp_path, monkeypatch, t1_batch, t1_idf, crc):
+    sections = _index_sections(monkeypatch, t1_batch, t1_idf)
+    sections["counts"] = struct.pack("<QQQ", 4, 3, MAX_INDEX + 1)
+    path = tmp_path / "huge.idx"
+    _write(path, sections)
+    if crc == "bad":
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x10
+        path.write_bytes(bytes(data))
+    reads = []
+    real = storage.read_verified
+    monkeypatch.setattr(storage, "read_verified",
+                        lambda r, dtype, count: reads.append((np.dtype(dtype), count))
+                        or real(r, dtype, count))
+    with pytest.raises(CapacityError if crc == "valid" else ChecksumError) as caught:
+        load_index(path)
+    # the header and its counts, then nothing but the CRC's pass
+    assert reads == [(np.dtype("u1"), 12), (np.dtype("u1"), 24)]
+    assert str(caught.value) == (
+        f"{path}: {MAX_INDEX + 1} interactions exceed the 32-bit offset width"
+        if crc == "valid" else f"{path}: checksum mismatch")
 
 
 def test_loaded_dataset_id_arrays_are_views_of_the_file(tmp_path, t1_batch):
