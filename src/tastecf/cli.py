@@ -17,8 +17,9 @@ from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    DuplicatePairError, MalformedLineError, PAD_DUMMY,
                    PAD_STRATEGIES)
-from .evaluate import mean_average_precision, split_history, tracks_by_user
-from .index import _MAGIC as _INDEX_MAGIC, build_index, load_index, save_index
+from .evaluate import mean_average_precision, split_sorted_rows, tracks_by_user
+from .index import (_MAGIC as _INDEX_MAGIC, build_index, load_index, save_index,
+                    sorted_rows)
 from .ingest import (load_dataset, read_triplets, save_dataset, sort_by_pair,
                      write_triplets)
 from .recommend import recommend_all, write_recommendations
@@ -192,9 +193,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_split(args) -> int:
     _log_config("split", args,
                 ["input", "visible_out", "hidden_out", "fraction", "seed"])
-    # no name holds the parsed batch, so split_history can drop it once
-    # its rows are sorted
-    split = split_history(_read_triplets(args.input), args.fraction, args.seed)
+    batch = _read_triplets(args.input)
+    rows, offsets = sorted_rows(batch)
+    # freed before the halves are gathered: only the sorted copies are held
+    del batch
+    split = split_sorted_rows(rows, offsets, args.fraction, args.seed)
+    del rows, offsets
     visible, hidden = len(split.visible), len(split.hidden)
     write_triplets(split.visible, args.visible_out)
     write_triplets(split.hidden, args.hidden_out)

@@ -135,15 +135,18 @@ def split_history(batch: TripletBatch, fraction: float, seed: int) -> HistorySpl
     (seed, u), so the split is reproducible and independent of user
     iteration order. The halves hold the rows of sorted_rows, in ascending
     (user, track) order, and the batch is not changed; a repeated (user,
-    track) pair raises DuplicatePairError, as build_index does. The batch
-    is dropped once its rows are copied, so one that no caller holds (as
-    `tastecf split` passes it) is freed before the halves are made; before
-    CPython 3.11 the caller's stack holds it until the call returns.
+    track) pair raises DuplicatePairError, as build_index does.
     """
+    return split_sorted_rows(*sorted_rows(batch), fraction, seed)
+
+
+def split_sorted_rows(rows: TripletBatch, offsets: np.ndarray,
+                      fraction: float, seed: int) -> HistorySplit:
+    """split_history of a batch whose sorted_rows are rows and offsets. A
+    caller that drops the batch once sorted_rows returns holds only these
+    copies while the halves are gathered, as `tastecf split` does."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    rows, offsets = sorted_rows(batch)
-    del batch
     hidden = np.zeros(len(rows), bool)
     counts = np.diff(offsets)
     for u in np.flatnonzero(counts >= 2).tolist():

@@ -140,9 +140,6 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
     n_tracks = len(batch.track_vocab)
     if n_users > MAX_INDEX or n_tracks > MAX_INDEX:
         raise CapacityError("id counts exceed the 32-bit index width")
-    if len(batch) > MAX_INDEX:
-        raise CapacityError(
-            f"{len(batch)} triplets exceed the 32-bit offset width")
 
     users = np.asarray(batch.users)
     tracks = np.asarray(batch.tracks)
@@ -204,7 +201,11 @@ def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
     unless users never fall and tracks rise strictly within a user, so that
     no pair repeats. Read _CHECK_ROWS rows at a time: where the user
     changes, the run that ends is the last of its user, and users with no
-    rows take the offset before them."""
+    rows take the offset before them. More than MAX_INDEX rows, more than
+    int32 offsets hold, raise CapacityError."""
+    if users.size > MAX_INDEX:
+        raise CapacityError(
+            f"{users.size} triplets exceed the 32-bit offset width")
     offsets = np.zeros(n_users + 1, np.int32)
     for at in range(1, users.size, _CHECK_ROWS):
         u = users[at - 1:at + _CHECK_ROWS]

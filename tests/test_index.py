@@ -26,12 +26,14 @@ from tastecf import (
     recommend_all,
     save_dataset,
     save_index,
+    split_history,
     write_recommendations,
     write_triplets,
 )
 from tastecf import core, index as index_module, ingest as ingest_module
 from tastecf.cli import main
-from tastecf.index import InteractionIndex
+from tastecf.evaluate import tracks_by_user
+from tastecf.index import InteractionIndex, sorted_rows
 from tastecf.synth import random_batch, skewed_batch
 
 
@@ -554,15 +556,21 @@ def test_duplicate_pair_in_programmatic_batch_is_rejected():
         build_index(batch)
 
 
-def test_build_index_refuses_more_triplets_than_int32_offsets_hold(
-        monkeypatch, t1_batch):
+@pytest.mark.parametrize("offsets_of", [
+    lambda batch: build_index(batch).fwd_offsets,
+    lambda batch: sorted_rows(batch)[1],
+    lambda batch: split_history(batch, 0.5, seed=0).visible,
+    lambda batch: tracks_by_user(batch, range(4), range(3)),
+], ids=["build_index", "sorted_rows", "split_history", "tracks_by_user"])
+def test_int32_offsets_refuse_more_triplets_than_they_hold(
+        monkeypatch, t1_batch, offsets_of):
     # t1 has 4 users, 3 tracks and 8 triplets: a limit of 8 holds them all
     monkeypatch.setattr(index_module, "MAX_INDEX", 8)
-    assert build_index(t1_batch).nnz == 8
+    offsets_of(t1_batch)
     monkeypatch.setattr(index_module, "MAX_INDEX", 7)
     with pytest.raises(CapacityError,
                        match="^8 triplets exceed the 32-bit offset width$"):
-        build_index(t1_batch)
+        offsets_of(t1_batch)
 
 
 def test_out_of_range_index_is_rejected():
