@@ -27,9 +27,10 @@ from .evaluate import (
     split_history,
 )
 from .idf import IdfTable, compute_idf
-from .index import InteractionIndex, LoadedIndex, build_index, load_index, save_index
-from .ingest import (TripletBatch, load_dataset, parse_triplets, read_triplets,
-                     save_dataset, sort_by_pair, write_triplets)
+from .index import (InteractionIndex, LoadedIndex, build_index, load_dataset,
+                    load_index, save_dataset, save_index)
+from .ingest import (TripletBatch, parse_triplets, read_triplets, sort_by_pair,
+                     write_triplets)
 from .recommend import (
     Recommendation,
     ScoredTracks,

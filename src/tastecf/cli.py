@@ -18,10 +18,9 @@ from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    DuplicatePairError, MalformedLineError, PAD_DUMMY,
                    PAD_STRATEGIES)
 from .evaluate import mean_average_precision, split_sorted_rows, tracks_by_user
-from .index import (_MAGIC as _INDEX_MAGIC, build_index, load_index, save_index,
-                    sorted_rows)
-from .ingest import (load_dataset, read_triplets, save_dataset, sort_by_pair,
-                     write_triplets)
+from .index import (_DATASET_MAGIC, _MAGIC as _INDEX_MAGIC, _build_file,
+                    load_dataset, load_index, save_dataset, sorted_rows)
+from .ingest import read_triplets, sort_by_pair, write_triplets
 from .recommend import recommend_all, write_recommendations
 
 _MODE_NAMES = {"challenge": AP_CHALLENGE, "paper": AP_LIST_LENGTH}
@@ -105,14 +104,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_build(args) -> int:
     _log_config("build", args, ["input", "out"])
-    batch = load_dataset(args.input)
-    try:
-        index = build_index(batch)
-    except DuplicatePairError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
-    save_index(index, batch.user_vocab, batch.track_vocab, args.out)
-    print(f"built index: {index.n_users} users, {index.n_tracks} tracks, "
-          f"{index.nnz} interactions -> {args.out}", file=sys.stderr)
+    n_users, n_tracks, nnz = _build_file(args.input, args.out)
+    print(f"built index: {n_users} users, {n_tracks} tracks, "
+          f"{nnz} interactions -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -210,13 +204,13 @@ def _cmd_split(args) -> int:
 def _cmd_stats(args) -> int:
     _log_config("stats", args, ["input"])
     with open(args.input, "rb") as fh:
-        magic = fh.read(len(ingest._MAGIC))
+        magic = fh.read(len(_DATASET_MAGIC))
     if magic == _INDEX_MAGIC:
         index = load_index(args.input).index
         shape = (index.n_users, index.n_tracks, index.nnz,
                  index.total_plays.sum())
     else:
-        batch = (load_dataset(args.input) if magic == ingest._MAGIC
+        batch = (load_dataset(args.input) if magic == _DATASET_MAGIC
                  else _read_triplets(args.input))
         shape = (len(batch.user_vocab), len(batch.track_vocab), len(batch),
                  batch.counts.sum(dtype="int64"))

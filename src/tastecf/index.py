@@ -1,11 +1,15 @@
-"""Immutable forward and inverted adjacency over the interaction set.
+"""Immutable forward and inverted adjacency over the interaction set, and
+its two binary files.
 
-Both directions are materialized as contiguous offset-array (CSR-style)
-storage: the forward side drives scoring, the inverted side drives
-candidate generation. Play counts live only on the forward side of a built
-index, and only their per-user totals are loaded from a file; posting
-lists are bare user indexes, since overlap is binary. An index file stores
-no idf: load_index derives the natural-log table from the loaded index.
+Both directions are contiguous offset arrays (CSR): the forward side
+drives scoring, the inverted side candidate generation. Play counts live
+only on the forward side; posting lists are bare user indexes, since
+overlap is binary. A dataset file is an index file's forward half: after
+its magic and version, each holds the counts, both vocabularies,
+fwd_offsets, fwd_tracks and fwd_counts (one writer, _save, and one
+checked reader, _read_forward), and an index adds inv_offsets and
+inv_users. Each fact is stored once: fwd_offsets gives each row's user,
+and load_index sums the play totals and derives the idf.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,9 @@ from .idf import IdfTable, compute_idf
 from .ingest import TripletBatch, sort_by_pair
 
 _MAGIC = b"TCFIDX1\x00"
-_VERSION = 5
+_VERSION = 6
+_DATASET_MAGIC = b"TCFDAT1\x00"
+_DATASET_VERSION = 3
 # play counts are summed, and read by load_index, this many users' rows at
 # a time
 _CHECK_USERS = 1 << 14
@@ -42,10 +48,9 @@ class InteractionIndex:
     fwd_counts is the batch's play counts in build_index's dtype (u32 for a
     parsed or loaded batch), and None in an index from load_index, which
     keeps only their sums: the engine reads total_plays, never fwd_counts,
-    and a sum of it, or of df, must ask for dtype=np.int64. Arrays from
-    load_index are read-only arrays of their own, read from the file;
-    build_index given an ordered loaded batch shares that batch's read-only
-    tracks and counts.
+    and a sum of it, or of df, must ask for dtype=np.int64. load_index
+    reads each CSR array into a read-only array of its own and derives df
+    and total_plays; build_index shares an ordered loaded batch's arrays.
     """
 
     n_users: int
@@ -113,34 +118,41 @@ def _freeze(*arrays):
 def build_index(batch: TripletBatch) -> InteractionIndex:
     """Build the index; insensitive to the batch's triplet order.
 
-    Rows already in ascending (user, track) order, tracks rising strictly
-    within a user (as `tastecf ingest` saves them), are the forward lists
-    as they are: fwd_tracks and fwd_counts are then the batch's own
-    columns, with no sort, when they are read-only (a loaded dataset
-    file's arrays), and copies of them when they are writable. Any other
-    batch is put in that order by sorted_rows, on copies of its columns,
-    and a repeated pair raises DuplicatePairError. The forward offsets
-    come from the ordered rows' user runs and the posting lengths from a
-    blockwise count of the tracks, so neither makes an intp copy of a
-    whole column.
-
-    Each per-triplet array is made once, at its narrowest width, and freed
-    once used; fwd_counts keeps the batch's own dtype, so the u32 counts of
-    a parsed or loaded batch are never widened. total_plays is summed by
-    _play_totals once the inverse lists are built, so its 8 bytes per user
-    are not held during their sorts. Beyond the batch, tracemalloc puts the
-    peak at about 25 bytes per triplet with u32 counts (29 with int64) plus
-    16 per user and 8 per track when the rows need sorting, and at about 17
-    per triplet plus the same per user and track when they are ordered and
-    read-only (the lexsort build this replaced took 71-80 bytes per
-    triplet); numpy's sort buffers, which tracemalloc does not see, add up
-    to 8 bytes per triplet.
+    The forward lists are _forward_rows(batch), the inverse lists are added
+    by _inverse, as `tastecf build` adds them to a dataset file's, and
+    total_plays is summed once they are built, so that its 8 bytes per user
+    are not held during their sorts. Each per-triplet array is made once,
+    at its narrowest width (fwd_counts keeps the batch's dtype), and freed
+    once used. Beyond the batch, tracemalloc puts the peak at about 25 bytes
+    per triplet with u32 counts (29 with int64) plus 16 per user and 8 per
+    track when the rows need sorting, and at about 17 per triplet plus the
+    same when they are ordered and read-only; numpy's sort buffers, which
+    tracemalloc does not see, add up to 8 bytes per triplet.
     """
+    fwd_offsets, fwd_tracks, fwd_counts = _forward_rows(batch, own=True)
+    inv_offsets, inv_users = _inverse(fwd_offsets, fwd_tracks,
+                                      len(batch.track_vocab))
+    total_plays = _play_totals(fwd_offsets, np.split(
+        fwd_counts, fwd_offsets[_user_blocks(len(batch.user_vocab))[1:-1]]))
+    df = np.diff(inv_offsets)
+    _freeze(fwd_offsets, fwd_tracks, fwd_counts, inv_offsets, inv_users,
+            df, total_plays)
+    return InteractionIndex(len(batch.user_vocab), len(batch.track_vocab),
+                            fwd_offsets, fwd_tracks, fwd_counts, inv_offsets,
+                            inv_users, df, total_plays)
+
+
+def _forward_rows(batch: TripletBatch, own: bool = False):
+    """The batch's rows as (fwd_offsets, fwd_tracks, fwd_counts), counts
+    in the batch's dtype. Rows in ascending (user, track) order, as
+    `tastecf ingest` sorts them, are taken as they are, copied only when
+    `own` is set and they are writable; any other rows are sorted on copies
+    by sorted_rows, and a repeated pair raises DuplicatePairError. An id
+    outside its vocabulary or a play count below 1 raises DataError."""
     n_users = len(batch.user_vocab)
     n_tracks = len(batch.track_vocab)
     if n_users > MAX_INDEX or n_tracks > MAX_INDEX:
         raise CapacityError("id counts exceed the 32-bit index width")
-
     users = np.asarray(batch.users)
     tracks = np.asarray(batch.tracks)
     counts = np.asarray(batch.counts)
@@ -153,23 +165,23 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
             raise DataError("play_count must be >= 1")
     users = users.astype(np.int32, copy=False)
     tracks = tracks.astype(np.int32, copy=False)
+    offsets = _forward_offsets(users, tracks, n_users)
+    if offsets is None:
+        rows, offsets = sorted_rows(batch)
+        return offsets, rows.tracks, rows.counts
+    if own:
+        tracks, counts = (a.copy() if a.flags.writeable else a for a in (tracks, counts))
+    return offsets, tracks, counts
 
-    fwd_offsets = _forward_offsets(users, tracks, n_users)
-    if fwd_offsets is not None:
-        # the rows are the forward lists; the index shares what it is given
-        # only when nothing can write to it
-        fwd_tracks = tracks.copy() if tracks.flags.writeable else tracks
-        fwd_counts = counts.copy() if counts.flags.writeable else counts
-    else:
-        rows, fwd_offsets = sorted_rows(batch)
-        fwd_tracks, fwd_counts = rows.tracks, rows.counts
-        del rows
 
-    # the order np.lexsort((users, tracks)) gives: forward entries are in
-    # user order, so two stable sorts, by the tracks' low 16 bits and then
-    # by their high 16 bits, keep users ascending within each track; a
-    # stable argsort of uint16 is a radix sort. Below 2**16 tracks every
-    # high half is 0, and the second sort would be the identity
+def _inverse(fwd_offsets: np.ndarray, fwd_tracks: np.ndarray, n_tracks: int):
+    """(inv_offsets, inv_users) of the forward lists, in the order
+    np.lexsort((users, tracks)) gives: forward entries are in user order,
+    so two stable sorts, by the tracks' low 16 bits and then by their high
+    16 bits, keep users ascending within each track; a stable argsort of
+    uint16 is a radix sort. Below 2**16 tracks every high half is 0, and
+    the second sort would be the identity."""
+    n_users = fwd_offsets.size - 1
     order = np.argsort(fwd_tracks.astype(np.uint16), kind="stable")
     inv_users = np.repeat(np.arange(n_users, dtype=np.int32),
                           np.diff(fwd_offsets))[order]
@@ -181,28 +193,16 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
         del high
         inv_users = inv_users[order]
     del order
-
     # counted after the radix pass, whose freed memory its blocks reuse
-    inv_offsets = _offsets(_run_lengths(fwd_tracks, n_tracks))
-    total_plays = np.empty(n_users, np.int64)
-    for at in range(0, n_users, _CHECK_USERS):
-        rows = fwd_offsets[at:at + _CHECK_USERS + 1]
-        total_plays[at:at + rows.size - 1] = _play_totals(
-            rows, fwd_counts[rows[0]:rows[-1]])
-    df = np.diff(inv_offsets)
-    _freeze(fwd_offsets, fwd_tracks, fwd_counts, inv_offsets, inv_users,
-            df, total_plays)
-    return InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
-                            fwd_counts, inv_offsets, inv_users, df, total_plays)
+    return _offsets(_run_lengths(fwd_tracks, n_tracks)), inv_users
 
 
 def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
     """The CSR offsets of rows that are already the forward lists, or None
-    unless users never fall and tracks rise strictly within a user, so that
-    no pair repeats. Read _CHECK_ROWS rows at a time: where the user
-    changes, the run that ends is the last of its user, and users with no
-    rows take the offset before them. More than MAX_INDEX rows, more than
-    int32 offsets hold, raise CapacityError."""
+    unless users never fall and tracks rise strictly within a user. Read
+    _CHECK_ROWS rows at a time: where the user changes, the run that ends
+    is the last of its user, and users with no rows take the offset before
+    them. More than MAX_INDEX rows raise CapacityError."""
     if users.size > MAX_INDEX:
         raise CapacityError(
             f"{users.size} triplets exceed the 32-bit offset width")
@@ -223,10 +223,9 @@ def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
 
 def sorted_rows(batch: TripletBatch):
     """Copies of the batch's rows, int32 ids and counts of its dtype, put
-    in ascending (user, track) order by sort_by_pair, and their per-user
-    CSR offsets. In the sorted copies only a repeated pair can leave two
-    neighbours out of order: it raises DuplicatePairError. The ids must
-    lie in their vocabularies."""
+    in ascending (user, track) order by sort_by_pair, and their CSR
+    offsets; only a repeated pair can leave two of them out of order, and
+    it raises DuplicatePairError. The ids must lie in their vocabularies."""
     rows = TripletBatch(np.array(batch.users, np.int32),
                         np.array(batch.tracks, np.int32),
                         np.array(batch.counts), batch.user_vocab,
@@ -268,14 +267,23 @@ def _rising_runs(values: np.ndarray, offsets: np.ndarray) -> bool:
     return True
 
 
-def _play_totals(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The int64 play totals of a block of users, from the block's forward
-    offsets (one more than its users) and its rows' play counts: their
-    running sum, differenced at the offsets. The sum is integer-exact for
-    any u32 counts, and no temporary is larger than the block's rows."""
-    sums = np.zeros(counts.size + 1, np.int64)
-    np.cumsum(counts, dtype=np.int64, out=sums[1:])
-    return np.diff(sums[offsets - offsets[0]])
+def _user_blocks(n_users: int) -> np.ndarray:
+    """The first user of each block of _CHECK_USERS users, then n_users."""
+    return np.append(np.arange(0, n_users, _CHECK_USERS), n_users)
+
+
+def _play_totals(offsets: np.ndarray, parts) -> np.ndarray:
+    """Each user's int64 play total from the forward offsets and one part
+    of play counts per block of _user_blocks: the block's running sum,
+    differenced at its offsets, exact for any u32 counts."""
+    totals = np.empty(offsets.size - 1, np.int64)
+    # parts first: zip then reads them to their end
+    for counts, at in zip(parts, range(0, totals.size, _CHECK_USERS)):
+        rows = offsets[at:at + _CHECK_USERS + 1]
+        sums = np.zeros(counts.size + 1, np.int64)
+        np.cumsum(counts, dtype=np.int64, out=sums[1:])
+        totals[at:at + rows.size - 1] = np.diff(sums[rows - rows[0]])
+    return totals
 
 
 def _offsets(run_lengths: np.ndarray) -> np.ndarray:
@@ -298,106 +306,153 @@ class LoadedIndex(NamedTuple):
     user_indexes: Optional[list] = None
 
 
-def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
-               idf: Optional[IdfTable] = None) -> None:
-    """Persist the index and vocabularies.
-
-    Arrays are written in their in-memory dtypes, int32 offsets and ids and
-    int64 play totals, except play counts, which are stored as u32 (with no
-    copy when they are u32 already). An `idf` table is checked but never
-    stored, since load_index derives it: one that is not compute_idf(index,
-    idf.log_base), a larger count, an id that contains "\\n" or an index
-    without play counts (one from load_index) raises ValueError before
-    anything is written.
-    """
-    if index.fwd_counts is None:
-        raise ValueError("the index holds no play counts; build it from its dataset")
-    if index.nnz and int(index.fwd_counts.max()) > MAX_PLAY_COUNT:
+def _save(path, magic: bytes, version: int, user_vocab, track_vocab,
+          fwd_offsets, fwd_tracks, fwd_counts, *inverse) -> None:
+    """Write the forward sections, a dataset file's, then any inverse lists
+    (an index file's), with no copy of an array already of its stored
+    dtype. A play count above 2**32 - 1 or an id that contains "\\n"
+    raises ValueError before anything is written."""
+    if fwd_counts.size and int(fwd_counts.max()) > MAX_PLAY_COUNT:
         raise ValueError("play_count exceeds the u32 storage width")
-    if idf is not None and idf != compute_idf(index, idf.log_base):
-        raise ValueError("the idf table is not the index's; no idf is stored")
     storage.write_file(path, [
-        storage.header(_MAGIC, _VERSION),
-        struct.pack("<QQQ", index.n_users, index.n_tracks, index.nnz),
+        storage.header(magic, version),
+        struct.pack("<QQQ", len(user_vocab), len(track_vocab), fwd_tracks.size),
         *storage.encode_vocab(user_vocab),
         *storage.encode_vocab(track_vocab),
-        np.ascontiguousarray(index.fwd_offsets, dtype="<i4"),
-        np.ascontiguousarray(index.fwd_tracks, dtype="<i4"),
-        np.ascontiguousarray(index.total_plays, dtype="<i8"),
-        np.ascontiguousarray(index.fwd_counts, dtype="<u4"),
-        np.ascontiguousarray(index.inv_offsets, dtype="<i4"),
-        np.ascontiguousarray(index.inv_users, dtype="<i4"),
+        np.ascontiguousarray(fwd_offsets, dtype="<i4"),
+        np.ascontiguousarray(fwd_tracks, dtype="<i4"),
+        np.ascontiguousarray(fwd_counts, dtype="<u4"),
+        *(np.ascontiguousarray(arr, dtype="<i4") for arr in inverse),
     ])
+
+
+def _read_forward(r: storage.Reader, users=None, sum_counts: bool = False):
+    """(user_vocab, user_indexes, track_vocab, fwd_offsets, fwd_tracks,
+    counts) read from past the header: counts is the u32 play counts or,
+    with `sum_counts`, each user's int64 play total, summed as the counts
+    are read a block of users at a time and dropped. Given `users`, they
+    are looked up in the user vocabulary, which is then dropped (None).
+    A header that claims more than MAX_INDEX ids or interactions raises
+    CapacityError before any array is read; offsets that do not rise from
+    0 to nnz, a track outside its vocabulary, tracks that do not rise
+    within each user's list (a repeated pair among them) or a play count
+    of 0 raise DataError."""
+    n_users, n_tracks, nnz = r.unpack("<QQQ")
+    if nnz > MAX_INDEX:
+        raise CapacityError(f"{r.path}: {nnz} interactions exceed the "
+                            "32-bit offset width")
+    if max(n_users, n_tracks) > MAX_INDEX:
+        raise CapacityError(f"{r.path}: id counts exceed the 32-bit index width")
+    user_vocab = r.vocab(n_users, "user")
+    user_indexes = None
+    if users is not None:
+        user_indexes = user_vocab.indexes_of(users)
+        user_vocab = None
+    track_vocab = r.vocab(n_tracks, "track")
+    offsets = r.offsets(n_users, nnz, "fwd_offsets")
+    tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
+    if not _rising_runs(tracks, offsets):
+        raise r.fail("fwd_tracks do not rise within each user's list")
+    if sum_counts:
+        parts = r.parts("<u4", offsets[_user_blocks(n_users)])
+        counts = _play_totals(offsets, (
+            r.check_range(part, 1, MAX_PLAY_COUNT + 1, "fwd_counts") for part in parts))
+    else:
+        counts = r.bounded("<u4", nnz, 1, MAX_PLAY_COUNT + 1, "fwd_counts")
+    return user_vocab, user_indexes, track_vocab, offsets, tracks, counts
+
+
+def _read_dataset(path):
+    with storage.Reader(path, _DATASET_MAGIC, _DATASET_VERSION) as r:
+        forward = _read_forward(r)
+        r.finish()
+    return forward
+
+
+def save_dataset(batch: TripletBatch, path) -> None:
+    """Write the batch as a dataset file, the forward half of its index
+    file: its rows in ascending (user, track) order (_forward_rows), with
+    no copy of a column when they are in that order already. A repeated
+    pair raises DuplicatePairError, and a bad id or play count DataError
+    or ValueError (_save), before anything is written."""
+    _save(path, _DATASET_MAGIC, _DATASET_VERSION, batch.user_vocab,
+          batch.track_vocab, *_forward_rows(batch))
+
+
+def load_dataset(path) -> TripletBatch:
+    """The batch of a dataset file, in ascending (user, track) order: the
+    file's read-only tracks and u32 counts, and users expanded from
+    fwd_offsets into a read-only int32 array. load_dataset(p) == b for a
+    batch b in that order that save_dataset wrote to p."""
+    user_vocab, _, track_vocab, offsets, tracks, counts = _read_dataset(path)
+    users = np.repeat(np.arange(len(user_vocab), dtype=np.int32),
+                      np.diff(offsets))
+    users.flags.writeable = False
+    return TripletBatch(users, tracks, counts, user_vocab, track_vocab)
+
+
+def _build_file(dataset, path):
+    """`tastecf build`: write the index file of a dataset file, the
+    dataset's own forward lists plus _inverse's, with no users column, play
+    totals or df made. Returns the index's (users, tracks, interactions)."""
+    user_vocab, _, track_vocab, *forward = _read_dataset(dataset)
+    offsets, tracks, _ = forward
+    _save(path, _MAGIC, _VERSION, user_vocab, track_vocab, *forward,
+          *_inverse(offsets, tracks, len(track_vocab)))
+    return len(user_vocab), len(track_vocab), tracks.size
+
+
+def save_index(index: InteractionIndex, user_vocab, track_vocab, path,
+               idf: Optional[IdfTable] = None) -> None:
+    """Write its dataset file's sections, then its inverse lists (_save);
+    load_index derives the rest. An `idf` table that is not
+    compute_idf(index, idf.log_base), an index without play counts (one
+    from load_index) or what _save refuses raises ValueError before
+    anything is written."""
+    if index.fwd_counts is None:
+        raise ValueError("the index holds no play counts; build it from its dataset")
+    if idf is not None and idf != compute_idf(index, idf.log_base):
+        raise ValueError("the idf table is not the index's; no idf is stored")
+    _save(path, _MAGIC, _VERSION, user_vocab, track_vocab, index.fwd_offsets,
+          index.fwd_tracks, index.fwd_counts, index.inv_offsets, index.inv_users)
 
 
 def load_index(path, users=None) -> LoadedIndex:
     """Inverse of save_index, except that the index holds no play counts:
-    fwd_counts is None, and the file's total_plays are compared, a block of
-    _CHECK_USERS users at a time, with the play counts summed by
-    _play_totals as build_index sums them. Every other array is a read-only
-    array of its own, read straight from the file (storage.Reader); df and
-    the idf table are derived: idf is compute_idf(index), natural log, or
-    None for an index of 0 users. A header that claims more than MAX_INDEX
-    interactions, more than int32 offsets hold, raises CapacityError before
-    any array is read.
+    fwd_counts is None, and total_plays is summed from them as they are
+    read (_read_forward). Every other array is a read-only array of its
+    own, read straight from the file (storage.Reader); df and the idf
+    table are derived: idf is compute_idf(index), natural log, or None for
+    an index of 0 users.
 
-    The structure is checked with array operations, none of which makes an
-    nnz-size temporary: offsets that do not rise from 0 to nnz, an index
-    outside its vocabulary, a play count of 0, total_plays that differ from
-    the users' summed play counts, tracks that do not rise within each
-    user's list or users that do not rise within each posting list
-    (_rising_runs), posting lengths that differ from the tracks' counts in
-    fwd_tracks (_run_lengths), or a length that does not match the body
-    raise DataError; a file whose CRC does not match raises ChecksumError
-    first. Each of the value checks guards output that would otherwise
-    change without an error; the idf has no bytes of its own to change. The
-    posting checks cannot see two entries swapped between posting lists
-    when both lists still rise and keep their lengths. A vocabulary that
-    holds an id twice raises DataError at its first lookup or
-    check_distinct.
+    The forward sections are checked as a dataset file's are; then
+    inv_offsets that do not rise from 0 to nnz, a user outside its
+    vocabulary, posting lengths that differ from the tracks' counts in
+    fwd_tracks, users that do not rise within each posting list or a length
+    that does not match the body raise DataError; a CRC mismatch raises
+    ChecksumError first. No check makes an nnz-size temporary. Two entries
+    swapped between posting lists that both still rise are not seen. A
+    vocabulary that holds an id twice raises DataError at its first lookup.
 
     Given `users`, a list of ids, the user vocabulary is checked for a
-    repeated id, even when the list is empty, and the ids are looked up
-    (Vocabulary.indexes_of) as soon as it is read. Its bytes, bounds and
-    hash table, about 8 bytes per stored id each, are then dropped before
-    the first array is read, which reuses their memory: user_indexes holds
-    each id's index, None for one not held, and user_vocab is None.
+    repeated id, even when the list is empty, the ids are looked up as soon
+    as it is read (user_indexes, None for an id not held), and it is
+    dropped (user_vocab None) before the first array reuses its memory.
     """
-    user_indexes = None
     with storage.Reader(path, _MAGIC, _VERSION) as r:
-        n_users, n_tracks, nnz = r.unpack("<QQQ")
-        if nnz > MAX_INDEX:
-            raise CapacityError(f"{path}: {nnz} interactions exceed the "
-                                "32-bit offset width")
-        user_vocab = r.vocab(n_users, "user")
-        if users is not None:
-            user_indexes = user_vocab.indexes_of(users)
-            user_vocab = None
-        track_vocab = r.vocab(n_tracks, "track")
-        fwd_offsets = r.offsets(n_users, nnz, "fwd_offsets")
-        fwd_tracks = r.bounded("<i4", nnz, 0, n_tracks, "fwd_tracks")
-        total_plays = r.array("<i8", n_users)
-        blocks = np.append(np.arange(0, n_users, _CHECK_USERS), n_users)
-        at = 0
-        for counts in r.parts("<u4", fwd_offsets[blocks]):
-            r.check_range(counts, 1, MAX_PLAY_COUNT + 1, "fwd_counts")
-            rows = fwd_offsets[at:at + _CHECK_USERS + 1]
-            if not np.array_equal(_play_totals(rows, counts),
-                                  total_plays[at:at + rows.size - 1]):
-                raise r.fail("total_plays differ from the users' summed fwd_counts")
-            at += _CHECK_USERS
+        (user_vocab, user_indexes, track_vocab, fwd_offsets, fwd_tracks,
+         total_plays) = _read_forward(r, users, sum_counts=True)
+        n_users, n_tracks, nnz = fwd_offsets.size - 1, len(track_vocab), fwd_tracks.size
         inv_offsets = r.offsets(n_tracks, nnz, "inv_offsets")
         inv_users = r.bounded("<i4", nnz, 0, n_users, "inv_users")
         r.finish()
 
-    if not _rising_runs(fwd_tracks, fwd_offsets):
-        raise r.fail("fwd_tracks do not rise within each user's list")
     df = np.diff(inv_offsets)
     if not np.array_equal(df, _run_lengths(fwd_tracks, n_tracks)):
         raise r.fail("inv_offsets differ from the tracks' counts in fwd_tracks")
     if not _rising_runs(inv_users, inv_offsets):
         raise r.fail("inv_users do not rise within each posting list")
-    _freeze(df)
+    _freeze(df, total_plays)
     index = InteractionIndex(n_users, n_tracks, fwd_offsets, fwd_tracks,
                              None, inv_offsets, inv_users, df, total_plays)
     idf = compute_idf(index) if n_users else None

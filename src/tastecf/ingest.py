@@ -1,4 +1,4 @@
-"""Triplet text parsing and the binary dataset container.
+"""Triplet text parsing.
 
 The text convention is one interaction per line, `user<TAB>track<TAB>count`
 with a base-10 play count >= 1, as in the taste-profile triplet files; TAB
@@ -11,32 +11,26 @@ of about 1 MiB cut after their last line end, reads "\r\n" and a lone "\r"
 as "\n" as text mode does, and checks each block with one decode;
 parse_triplets encodes the items of a line iterable a chunk at a time. One
 numpy core (_columns) then checks and splits each block, and the ids are
-interned from its bytes (Vocabulary.intern_utf8). So a parsed vocabulary
-holds its ids as UTF-8 bytes, as a loaded one does, and save_dataset writes
-them as they are. Interning goes through the vocabulary's hash table of 8
-bytes per id; no id dictionary or per-id str is made. Only a block the core
-refuses is walked line by line, by _check_line, the definition of a bad
-line.
+interned from its bytes (Vocabulary.intern_utf8), through the
+vocabulary's hash table of 8 bytes per id: no id dictionary or per-id str
+is made, and save_dataset writes the bytes as they are. Only a block the
+core refuses is walked line by line, by _check_line, the definition of a
+bad line.
 
-A parse gives its rows in line order. `tastecf ingest` reorders them to
-ascending (user, track) with sort_by_pair before it saves them, so an
-ingested dataset file holds the forward lists that build_index would
-otherwise sort for.
+A parse gives its rows in line order. A dataset file, the forward half of
+an index file (tastecf.index), holds them in ascending (user, track)
+order, so `tastecf ingest` sorts them in place with sort_by_pair and
+save_dataset copies no column.
 """
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 import re
-import struct
 
 import numpy as np
 
-from . import storage
 from .core import (DuplicatePairError, MAX_PLAY_COUNT, MalformedLineError,
                    Vocabulary, _with_room)
-
-_MAGIC = b"TCFDAT1\x00"
-_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -424,44 +418,3 @@ def sort_by_pair(batch: TripletBatch) -> None:
         batch.tracks[rows] = part & ((1 << track_bits) - 1)
         part >>= track_bits
         batch.users[rows] = part
-
-
-def save_dataset(batch: TripletBatch, path) -> None:
-    """Write the versioned, checksummed binary dataset file, its rows in
-    the batch's order.
-
-    Raises ValueError before anything is written for a play count above
-    2**32 - 1 or an id that contains "\\n".
-    """
-    if len(batch) and int(batch.counts.max()) > MAX_PLAY_COUNT:
-        raise ValueError("play_count exceeds the u32 storage width")
-    chunks = [
-        storage.header(_MAGIC, _VERSION),
-        struct.pack("<QQQ", len(batch.user_vocab), len(batch.track_vocab), len(batch)),
-        *storage.encode_vocab(batch.user_vocab),
-        *storage.encode_vocab(batch.track_vocab),
-        np.ascontiguousarray(batch.users, dtype="<i4"),
-        np.ascontiguousarray(batch.tracks, dtype="<i4"),
-        np.ascontiguousarray(batch.counts, dtype="<u4"),
-    ]
-    storage.write_file(path, chunks)
-
-
-def load_dataset(path) -> TripletBatch:
-    """Inverse of save_dataset; load(save(b)) == b including vocab order.
-
-    users, tracks and the u32 counts are read-only arrays of their own,
-    read straight from the file by storage.Reader. Any id outside its
-    vocabulary, a play count of 0 or a length that does not match the body
-    raises DataError; a file whose CRC does not match raises ChecksumError
-    first.
-    """
-    with storage.Reader(path, _MAGIC, _VERSION) as r:
-        n_users, n_tracks, n_triplets = r.unpack("<QQQ")
-        user_vocab = r.vocab(n_users, "user")
-        track_vocab = r.vocab(n_tracks, "track")
-        users = r.bounded("<i4", n_triplets, 0, n_users, "user ids")
-        tracks = r.bounded("<i4", n_triplets, 0, n_tracks, "track ids")
-        counts = r.bounded("<u4", n_triplets, 1, MAX_PLAY_COUNT + 1, "play counts")
-        r.finish()
-    return TripletBatch(users, tracks, counts, user_vocab, track_vocab)

@@ -1,32 +1,26 @@
 """Checksummed little-endian binary container helpers.
 
-Shared by the dataset and index file formats. A file is a sequence of
-sections followed by a CRC32 of everything before it. Each section is
-zero-padded to a multiple of 8 bytes. The first section is the magic and a
-u32 format version. A vocabulary is two sections: its UTF-8 byte length as
-u64, then its ids joined by "\\n" (an id therefore cannot contain "\\n"). A
-loaded vocabulary keeps those bytes, read into an array of their own, and
-decodes ids only when they are asked for; the tracks of a recommendation
-line are gathered from them undecoded. Beside them it builds, at its first
-lookup and one block at a time, the ids' bounds and one hash table, 8 bytes
-per id each, never an id dictionary (see Vocabulary); saving it again
-writes the same bytes without splitting them. load_index, given the user
-ids `recommend` serves, looks them up in the user vocabulary as soon as it
-is read and drops it, bytes, bounds and table, before the arrays are read.
+Shared by the dataset and index file formats, whose layout tastecf.index
+owns. A file is a sequence of sections followed by a CRC32 of everything
+before it. Each section is zero-padded to a multiple of 8 bytes. The first
+section is the magic and a u32 format version. A vocabulary is two
+sections: its UTF-8 byte length as u64, then its ids joined by "\\n" (an id
+therefore cannot contain "\\n"). A loaded vocabulary keeps those bytes, read
+into an array of their own, and decodes ids only when they are asked for
+(see Vocabulary); saving it again writes the same bytes.
 
 Reader reads a file front to back, one section at a time. Each array is
 read straight into a read-only numpy array of its own (readinto, no copy),
 and a long section can be read in parts (Reader.parts), so a loader never
-holds the whole file and need not keep what it only checks. CSR offsets
-are stored and read as <i4 (Reader.offsets), 4 bytes per row, since no
-offset of an index that load_index accepts exceeds MAX_INDEX. Every byte,
-padding included, goes into a running CRC32 that finish() checks against
-the trailer. Each length is checked against the file's size (fstat) and
-each section's padding is checked to be zero before the section is read,
-so a truncated or inconsistent file is a DataError that names the path,
-never an exception from struct or numpy. A DataError is raised only once
-the rest of the file has gone through the CRC: a file whose checksum does
-not match raises ChecksumError, whatever else is wrong with it.
+holds the whole file and need not keep what it only sums or checks. CSR
+offsets are <i4 (Reader.offsets). Every byte, padding included, goes into
+a running CRC32 that finish() checks against the trailer. Each length is
+checked against the file's size (fstat) and each section's padding is
+checked to be zero before the section is read, so a truncated or
+inconsistent file is a DataError that names the path, never an exception
+from struct or numpy. A DataError is raised only once the rest of the file
+has gone through the CRC: a file whose checksum does not match raises
+ChecksumError, whatever else is wrong with it.
 """
 
 import codecs
@@ -211,16 +205,16 @@ class Reader:
             yield read_verified(self, dtype, end - start)
         self.fill(np.empty(pad, np.uint8))
 
-    def check_range(self, arr: np.ndarray, lo: int, hi: int, name: str) -> None:
-        """DataError unless every entry lies in [lo, hi)."""
+    def check_range(self, arr: np.ndarray, lo: int, hi: int, name: str) -> np.ndarray:
+        """arr, once every entry is checked to lie in [lo, hi): DataError
+        otherwise."""
         if arr.size and (arr.min() < lo or arr.max() >= hi):
             raise self.fail(f"{name} outside [{lo}, {hi})")
+        return arr
 
     def bounded(self, dtype, count: int, lo: int, hi: int, name: str):
         """An array whose entries must lie in [lo, hi)."""
-        arr = self.array(dtype, count)
-        self.check_range(arr, lo, hi, name)
-        return arr
+        return self.check_range(self.array(dtype, count), lo, hi, name)
 
     def offsets(self, rows: int, end: int, name: str) -> np.ndarray:
         """A CSR offsets array of int32: rows + 1 entries from 0 to end,

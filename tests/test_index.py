@@ -180,15 +180,17 @@ def test_build_index_peak_memory_per_triplet(shape, permuted):
     assert peak / len(batch) <= _BUILD_BYTES_PER_TRIPLET
 
 
-# the tracemalloc peak of load_dataset and build_index beyond the dataset
-# file, per triplet, for a file whose rows are in (user, track) order as
-# save_dataset writes a skewed_batch; it was 40-46 bytes while load_dataset
+# the tracemalloc peak of save_dataset, load_dataset and build_index beyond
+# the dataset file, per triplet, for a file whose rows are in (user, track)
+# order as save_dataset writes them; it was 40-46 bytes while load_dataset
 # widened the counts to int64 and build_index summed total_plays as
-# float64, 27-32 with the counts kept u32 and a forward sort, and is 19-24
-# with the file's columns taken as the forward lists
+# float64, 27-32 with the counts kept u32 and a forward sort, 19-24 with
+# the file's columns taken as the forward lists, and is 22 now that the
+# file stores no users column for this bound to take off
 _LOAD_BUILD_BYTES_PER_TRIPLET = 26
-# the same for a file of those rows permuted, which build_index sorts:
-# 27-32 bytes
+# the same for those rows permuted, which save_dataset sorts on copies
+# (27 bytes per triplet beside the batch, with no file yet) and writes as
+# the same file: 22 bytes
 _LOAD_SORT_BUILD_BYTES_PER_TRIPLET = 36
 
 
@@ -197,11 +199,10 @@ def test_build_from_a_dataset_file_peak_memory_per_triplet(tmp_path, shape, perm
     batch = _skewed_rows(shape, permuted)
     n_triplets = len(batch)
     path = tmp_path / "batch.ds"
-    save_dataset(batch, path)
-    del batch
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        save_dataset(batch, path)
         build_index(load_dataset(path))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -465,13 +466,15 @@ def test_ordered_unordered_and_permuted_rows_give_the_same_index_file(tmp_path):
     write_triplets(TripletBatch(batch.users[perm], batch.tracks[perm],
                                 batch.counts[perm], batch.user_vocab,
                                 batch.track_vocab), text)
-    # a dataset file in line order, as ingest saved it before it sorted
+    # save_dataset sorts rows in line order: the file ingest writes
     save_dataset(read_triplets(text), tmp_path / "unordered.ds")
     assert main(["ingest", "--input", str(text),
                  "--out", str(tmp_path / "ordered.ds")]) == 0
+    assert ((tmp_path / "unordered.ds").read_bytes()
+            == (tmp_path / "ordered.ds").read_bytes())
     ordered = load_dataset(tmp_path / "ordered.ds")
-    unordered = load_dataset(tmp_path / "unordered.ds")
-    parsed = read_triplets(text)
+    # rows in line order, which build_index sorts
+    unordered = parsed = read_triplets(text)
     perm = rng.permutation(len(parsed))
     permuted = TripletBatch(parsed.users[perm], parsed.tracks[perm],
                             parsed.counts[perm], parsed.user_vocab,
@@ -539,12 +542,14 @@ def test_repeated_pair_in_ordered_rows_is_rejected(tmp_path, source):
                          np.array([0, 1, 1, 0], np.int32),
                          np.array([1, 2, 3, 4], np.uint32),
                          Vocabulary(["u0", "u1"]), Vocabulary(["a", "b"]))
-    if source == "file":
-        save_dataset(batch, tmp_path / "repeat.ds")
-        batch = load_dataset(tmp_path / "repeat.ds")
     with pytest.raises(DuplicatePairError) as err:
-        build_index(batch)
+        if source == "file":
+            # save_dataset refuses it before it writes anything
+            save_dataset(batch, tmp_path / "repeat.ds")
+        else:
+            build_index(batch)
     assert str(err.value) == "duplicate (user, track) pair in batch"
+    assert not (tmp_path / "repeat.ds").exists()
 
 
 def test_duplicate_pair_in_programmatic_batch_is_rejected():
@@ -676,12 +681,11 @@ def test_index_file_size_matches_the_layout(tmp_path, with_idf):
     n_users, n_tracks, nnz = index.n_users, index.n_tracks, index.nnz
     vocabs = sum(8 + _padded(len(vocab.utf8()))
                  for vocab in (batch.user_vocab, batch.track_vocab))
-    # header, counts, vocabularies, fwd_offsets and fwd_tracks, total_plays
-    # and fwd_counts, inv_offsets and inv_users, CRC; nothing of the idf,
+    # header, counts, vocabularies, fwd_offsets, fwd_tracks and fwd_counts,
+    # inv_offsets and inv_users, CRC; nothing of the idf or the play totals,
     # and no section per track beyond the offsets
     expected = (16 + 24 + vocabs
-                + _padded(4 * (n_users + 1)) + _padded(4 * nnz)
-                + 8 * n_users + _padded(4 * nnz)
+                + _padded(4 * (n_users + 1)) + _padded(4 * nnz) + _padded(4 * nnz)
                 + _padded(4 * (n_tracks + 1)) + _padded(4 * nnz)
                 + 4)
     assert path.stat().st_size == expected

@@ -1,6 +1,6 @@
-"""Binary formats (index v5, dataset v2): structural validation of crafted
-files (older versions included), ids the format cannot hold, lookups in
-loaded vocabularies and zero-copy loads."""
+"""Binary formats (index v6, dataset v3, the index's forward half):
+structural validation of crafted files (older versions included), ids the
+format cannot hold, lookups in loaded vocabularies and zero-copy loads."""
 
 import contextlib
 from functools import lru_cache
@@ -20,19 +20,17 @@ import pytest
 from tastecf import (CapacityError, ChecksumError, DataError, FormatVersionError, TripletBatch,
                      Vocabulary, build_index, compute_idf, load_dataset,
                      load_index, save_dataset, save_index)
-from tastecf import index as index_module, ingest, storage
+from tastecf import index as index_module, storage
 from tastecf.core import MAX_INDEX, MAX_PLAY_COUNT
 from tastecf.cli import main
 from tastecf.synth import skewed_batch
 
-# the sections save_index and save_dataset hand to storage.write_file
+# the sections save_index and save_dataset hand to storage.write_file: a
+# dataset file is the index's forward half
 INDEX_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
                   "track_vocab_size", "track_vocab", "fwd_offsets",
-                  "fwd_tracks", "total_plays", "fwd_counts", "inv_offsets",
-                  "inv_users")
-DATASET_SECTIONS = ("header", "counts", "user_vocab_size", "user_vocab",
-                    "track_vocab_size", "track_vocab", "users", "tracks",
-                    "play_counts")
+                  "fwd_tracks", "fwd_counts", "inv_offsets", "inv_users")
+DATASET_SECTIONS = INDEX_SECTIONS[:9]
 
 
 def _sections(monkeypatch, save, names):
@@ -84,30 +82,38 @@ def _version(sections, magic, version):
 
 
 # fault -> (how to write it, what the error says after the path);
-# t1 has 4 users, 3 tracks and 8 interactions
-INDEX_FAULTS = {
-    "inv_users_past_n_users": (lambda s: _put(s, "inv_users", "<i4", 2, 7),
-                               "inv_users outside [0, 4)"),
-    "inv_users_negative": (lambda s: _put(s, "inv_users", "<i4", 0, -1),
-                           "inv_users outside [0, 4)"),
+# t1 has 4 users, 3 tracks and 8 interactions. These faults of the forward
+# sections are written into both file kinds, which hold the same bytes there
+FORWARD_FAULTS = {
     "fwd_offsets_end_past_nnz": (lambda s: _put(s, "fwd_offsets", "<i4", -1, 9),
                                  "fwd_offsets do not rise from 0 to 8"),
     "fwd_offsets_start_not_0": (lambda s: _put(s, "fwd_offsets", "<i4", 0, 1),
                                 "fwd_offsets do not rise from 0 to 8"),
     "fwd_offsets_decrease": (lambda s: _put(s, "fwd_offsets", "<i4", 2, 1),
                              "fwd_offsets do not rise from 0 to 8"),
+    # u4's list [a, b, c] becomes [c, b, a]: the same tracks, so the same
+    # posting lengths and lists, and it loaded before the order was checked
+    "fwd_tracks_swapped_within_a_list": (
+        lambda s: _swap(s, "fwd_tracks", "<i4", 5, 7),
+        "fwd_tracks do not rise within each user's list"),
+    # u1's list [a, b] becomes [a, a]: a repeated pair
+    "fwd_tracks_repeated_within_a_list": (
+        lambda s: _put(s, "fwd_tracks", "<i4", 1, 0),
+        "fwd_tracks do not rise within each user's list"),
+}
+
+INDEX_FAULTS = {
+    **FORWARD_FAULTS,
+    "inv_users_past_n_users": (lambda s: _put(s, "inv_users", "<i4", 2, 7),
+                               "inv_users outside [0, 4)"),
+    "inv_users_negative": (lambda s: _put(s, "inv_users", "<i4", 0, -1),
+                           "inv_users outside [0, 4)"),
     "inv_offsets_end_short_of_nnz": (lambda s: _put(s, "inv_offsets", "<i4", -1, 7),
                                      "inv_offsets do not rise from 0 to 8"),
     "fwd_tracks_past_n_tracks": (lambda s: _put(s, "fwd_tracks", "<i4", 0, 3),
                                  "fwd_tracks outside [0, 3)"),
     "fwd_counts_zero": (lambda s: _put(s, "fwd_counts", "<u4", 1, 0),
                         "fwd_counts outside [1, 4294967296)"),
-    # u4 plays a, b and c once each; a total of 0 only warned of a division
-    # by zero, and a negative one turned every list into pads
-    **{f"total_plays_{total}": (
-        lambda s, total=total: _put(s, "total_plays", "<i8", 3, total),
-        "total_plays differ from the users' summed fwd_counts")
-       for total in (-3, 0, 4)},
     "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
                        "8 bytes after the last section"),
     "missing_inv_users": (lambda s: s.pop("inv_users"),
@@ -141,25 +147,17 @@ INDEX_FAULTS = {
     "inv_users_repeated_within_a_list": (
         lambda s: _put(s, "inv_users", "<i4", 3, 0),
         "inv_users do not rise within each posting list"),
-    # u4's list [a, b, c] becomes [c, b, a]: the same tracks, so the same
-    # posting lengths and lists, and it loaded before the order was checked
-    "fwd_tracks_swapped_within_a_list": (
-        lambda s: _swap(s, "fwd_tracks", "<i4", 5, 7),
-        "fwd_tracks do not rise within each user's list"),
 }
 
 DATASET_FAULTS = {
-    "user_id_past_n_users": (lambda s: _put(s, "users", "<i4", 3, 4),
-                             "user ids outside [0, 4)"),
-    "user_id_negative": (lambda s: _put(s, "users", "<i4", 0, -5),
-                         "user ids outside [0, 4)"),
-    "track_id_past_n_tracks": (lambda s: _put(s, "tracks", "<i4", 0, 3),
-                               "track ids outside [0, 3)"),
-    "play_count_zero": (lambda s: _put(s, "play_counts", "<u4", 0, 0),
-                        "play counts outside [1, 4294967296)"),
+    **FORWARD_FAULTS,
+    "track_id_past_n_tracks": (lambda s: _put(s, "fwd_tracks", "<i4", 0, 3),
+                               "fwd_tracks outside [0, 3)"),
+    "play_count_zero": (lambda s: _put(s, "fwd_counts", "<u4", 0, 0),
+                        "fwd_counts outside [1, 4294967296)"),
     "trailing_bytes": (lambda s: s.update(extra=b"\x00" * 8),
                        "8 bytes after the last section"),
-    "missing_play_counts": (lambda s: s.pop("play_counts"),
+    "missing_play_counts": (lambda s: s.pop("fwd_counts"),
                             "file body is shorter than its header says"),
     "header_only": (lambda s: [s.pop(name) for name in DATASET_SECTIONS[1:]],
                     "file body is shorter than its header says"),
@@ -167,8 +165,10 @@ DATASET_FAULTS = {
                        "track vocabulary: invalid UTF-8 at byte 2"),
     "vocab_count_mismatch": (lambda s: _vocab_text(s, "track", b"a\nb"),
                              "track vocabulary: 2 ids, header says 3"),
-    "version_1": (lambda s: _version(s, ingest._MAGIC, 1),
-                  f"format version 1, expected {ingest._VERSION}"),
+    **{f"version_{version}": (
+        lambda s, version=version: _version(s, index_module._DATASET_MAGIC, version),
+        f"format version {version}, expected {index_module._DATASET_VERSION}")
+       for version in range(1, index_module._DATASET_VERSION)},
     "vocab_size_within_padding": (
         lambda s: s.update(track_vocab_size=struct.pack("<Q", 3)),
         "padding at byte 75 is not zero"),
@@ -199,8 +199,8 @@ def test_structural_faults_with_valid_crc_raise_data_error(
 @pytest.mark.parametrize("fault", ["inv_users_past_n_users",
                                    "fwd_offsets_end_past_nnz", "vocab_not_utf8",
                                    "version_1", "version_2", "version_3",
-                                   "version_4",
-                                   "total_plays_-3", "inv_users_swapped_within_a_list",
+                                   "version_4", "version_5",
+                                   "inv_users_swapped_within_a_list",
                                    "fwd_tracks_swapped_within_a_list"])
 def test_recommend_on_crafted_index_exits_1(tmp_path, monkeypatch, capsys,
                                             t1_batch, t1_idf, fault):
@@ -301,13 +301,29 @@ def test_swapping_the_ends_of_any_forward_list_is_refused(tmp_path, monkeypatch)
 
 def test_build_on_crafted_dataset_exits_1(tmp_path, monkeypatch, capsys, t1_batch):
     sections = _dataset_sections(monkeypatch, t1_batch)
-    write_fault, message = DATASET_FAULTS["user_id_past_n_users"]
+    write_fault, message = DATASET_FAULTS["fwd_tracks_repeated_within_a_list"]
     write_fault(sections)
     path = tmp_path / "bad.ds"
     _write(path, sections)
     code = main(["build", "--input", str(path), "--out", str(tmp_path / "x.idx")])
     assert code == 1
     assert f"error: build: {path}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [None, (300, 60, 6.0)], ids=["t1", "skewed"])
+def test_an_index_file_begins_with_the_sections_of_its_dataset_file(tmp_path, t1_batch,
+                                                                    shape):
+    batch = t1_batch if shape is None else skewed_batch(*shape, seed=1)
+    dataset, built, saved = tmp_path / "d.ds", tmp_path / "d.idx", tmp_path / "s.idx"
+    save_dataset(batch, dataset)
+    assert main(["build", "--input", str(dataset), "--out", str(built)]) == 0
+    save_index(build_index(batch), batch.user_vocab, batch.track_vocab, saved)
+    data, index = dataset.read_bytes(), built.read_bytes()
+    # only the magic and version (16 bytes padded) and the CRC differ
+    assert data[:12] == index_module._DATASET_MAGIC + struct.pack("<I", 3)
+    assert index[:12] == index_module._MAGIC + struct.pack("<I", 6)
+    assert index[16:len(data) - 4] == data[16:-4]
+    assert saved.read_bytes() == index
 
 
 @pytest.mark.parametrize("bad_vocab", ["user", "track"])
@@ -500,25 +516,15 @@ def _empty_rows_sections(monkeypatch):
         INDEX_SECTIONS)
 
 
-@pytest.mark.parametrize("user, total", [
-    (None, None),
-    # among them the next row's first count, which a per-row np.add.reduceat
-    # would give an empty row
-    (1, 5), (1, 12), (3, 7), (0, 0), (2, 7),
-])
-def test_total_plays_are_checked_over_empty_rows(tmp_path, monkeypatch, user, total):
-    sections = _empty_rows_sections(monkeypatch)
-    if user is not None:
-        _put(sections, "total_plays", "<i8", user, total)
+def test_total_plays_are_checked_over_empty_rows(tmp_path, monkeypatch):
+    # no file stores them: each user's total is summed from the play counts
+    # as the index loads, and an empty row totals 0, not the next row's
+    # first count, which a per-row np.add.reduceat would give it
     path = tmp_path / "empty_rows.idx"
-    _write(path, sections)
-    if user is None:
-        assert load_index(path).index.total_plays.tolist() == [2, 0, 12, 0]
-    else:
-        with pytest.raises(DataError) as caught:
-            load_index(path)
-        assert str(caught.value) == (
-            f"{path}: total_plays differ from the users' summed fwd_counts")
+    _write(path, _empty_rows_sections(monkeypatch))
+    total_plays = load_index(path).index.total_plays
+    assert total_plays.tolist() == [2, 0, 12, 0]
+    assert total_plays.dtype == np.int64 and not total_plays.flags.writeable
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -528,12 +534,15 @@ def test_total_plays_are_checked_in_every_block_of_users(tmp_path, monkeypatch, 
     path = tmp_path / "blocks.idx"
     _write(path, sections)
     assert load_index(path).index.total_plays.tolist() == [2, 0, 12, 0]
-    for user in range(4):
-        wrong = dict(sections)
-        _put(wrong, "total_plays", "<i8", user, 1)
-        _write(path, wrong)
-        with pytest.raises(DataError, match="total_plays differ"):
-            load_index(path)
+    # the rows' counts are 2, 5 and 7, of users 0, 2 and 2: a count changed
+    # in the file moves its own user's total and no other
+    for row, (user, count) in enumerate([(0, 2), (2, 5), (2, 7)]):
+        changed = dict(sections)
+        _put(changed, "fwd_counts", "<u4", row, 100)
+        _write(path, changed)
+        want = [2, 0, 12, 0]
+        want[user] += 100 - count
+        assert load_index(path).index.total_plays.tolist() == want
 
 
 def test_loaded_index_arrays_are_read_only_and_hold_no_play_counts(tmp_path, t1_batch,
@@ -697,8 +706,7 @@ _FIELDS = {"n_users": ("counts", "<Q", 0), "n_tracks": ("counts", "<Q", 1),
            "track_vocab_size": ("track_vocab_size", "<Q", 0),
            "fwd_offsets": ("fwd_offsets", "<q", None),
            "inv_offsets": ("inv_offsets", "<q", None),
-           "fwd_counts": ("fwd_counts", "<I", None),
-           "total_plays": ("total_plays", "<q", None)}
+           "fwd_counts": ("fwd_counts", "<I", None)}
 _RANGES = {"<Q": (0, 2**64 - 1), "<I": (0, 2**32 - 1), "<q": (-2**63, 2**63 - 1),
            "<i": (-2**31, 2**31 - 1)}
 
@@ -731,9 +739,21 @@ def test_rewritten_lengths_and_counts_fail_naming_the_file(field, data):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         outcome = _recommend_bytes(work, _with_crc(bytes(body)))
+        why = (field, entry, old, new, outcome[1])
+        if field == "fwd_counts" and 1 <= new <= MAX_PLAY_COUNT:
+            # no copy of a play count is stored to disagree with it: the
+            # file is valid, and its users' play totals are the sums of
+            # its counts
+            ends = np.frombuffer(body, "<i4", layout["fwd_offsets"][1] // 4,
+                                 layout["fwd_offsets"][0]).tolist()
+            counts = np.frombuffer(body, "<u4", size // 4, offset).tolist()
+            assert outcome[0] == 0, why
+            assert outcome[2].count(b"\n") == len(_FUZZ_USERS), why
+            assert load_index(work / "fuzz.idx").index.total_plays.tolist() == [
+                sum(counts[lo:hi]) for lo, hi in zip(ends, ends[1:])], why
+            return
         assert (outcome == (0, outcome[1], expected) if expected is not None
-                else _fails_naming(outcome, work, "fuzz.idx")), (
-            field, entry, old, new, outcome[1])
+                else _fails_naming(outcome, work, "fuzz.idx")), why
 
 
 @settings(max_examples=150, deadline=None)
@@ -775,19 +795,22 @@ def test_flipped_and_truncated_index_files_fail_cleanly(data, refresh_crc):
 
 @lru_cache(maxsize=None)
 def _fuzz_dataset():
-    """(file bytes, {section: (offset, size)}, batch, index bytes) of a small
-    dataset file, the batch it holds and what `build` makes of it."""
+    """(file bytes, {section: (offset, size)}, forward lists, index bytes)
+    of a small dataset file, its (fwd_offsets, fwd_tracks, fwd_counts) and
+    what `build` makes of it."""
     batch = skewed_batch(12, 8, 3.0, seed=4)
     captured = _captured(lambda path: save_dataset(batch, path))
     layout = _layout(DATASET_SECTIONS, captured)
+    forward = tuple(np.frombuffer(bytes(memoryview(chunk)), dtype)
+                    for chunk, dtype in zip(captured[6:], ("<i4", "<i4", "<u4")))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ds"
         storage.write_file(path, captured)
         data = path.read_bytes()
         code, _, index = _build_bytes(Path(tmp), data)
-    offset, size = layout["play_counts"]
+    offset, size = layout["fwd_counts"]
     assert code == 0 and offset + size + storage._padding(size) == len(data) - 4
-    return data, layout, batch, index
+    return data, layout, forward, index
 
 
 def _build_bytes(work: Path, data: bytes):
@@ -803,23 +826,32 @@ def _build_bytes(work: Path, data: bytes):
     return code, err.getvalue(), out.read_bytes() if out.exists() else None
 
 
-# the fields a rewrite puts a new value in, as _FIELDS; the rows' columns
-# with the value each entry must lie above or at, and the vocabulary whose
-# length it must lie below
+# the fields a rewrite puts a new value in, as _FIELDS
 _DATASET_FIELDS = {"n_users": ("counts", "<Q", 0), "n_tracks": ("counts", "<Q", 1),
                    "n_triplets": ("counts", "<Q", 2),
                    "user_vocab_size": ("user_vocab_size", "<Q", 0),
                    "track_vocab_size": ("track_vocab_size", "<Q", 0),
-                   "users": ("users", "<i", None), "tracks": ("tracks", "<i", None),
-                   "play_counts": ("play_counts", "<I", None)}
-_COLUMNS = {"users": ("users", 0, "user_vocab"), "tracks": ("tracks", 0, "track_vocab"),
-            "play_counts": ("counts", 1, None)}
+                   "fwd_offsets": ("fwd_offsets", "<i", None),
+                   "fwd_tracks": ("fwd_tracks", "<i", None),
+                   "fwd_counts": ("fwd_counts", "<I", None)}
+
+
+def _valid_forward(offsets, tracks, counts, n_tracks: int) -> bool:
+    """Whether a file may hold these forward lists: offsets that rise from
+    0 to the row count, tracks of the vocabulary that rise strictly within
+    each user's list, and play counts in [1, 2**32 - 1]."""
+    ends, rows = offsets.tolist(), tracks.tolist()
+    return (ends[0] == 0 and ends[-1] == len(rows) and ends == sorted(ends)
+            and all(0 <= t < n_tracks for t in rows)
+            and all(1 <= c <= MAX_PLAY_COUNT for c in counts.tolist())
+            and all(a < b for lo, hi in zip(ends, ends[1:])
+                    for a, b in zip(rows[lo:hi], rows[lo + 1:hi])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(_DATASET_FIELDS)), st.data())
 def test_rewritten_dataset_fields_load_exactly_or_fail_naming_the_file(field, data):
-    file_bytes, layout, batch, index_bytes = _fuzz_dataset()
+    file_bytes, layout, forward, index_bytes = _fuzz_dataset()
     section, fmt, entry = _DATASET_FIELDS[field]
     offset, size = layout[section]
     width = struct.calcsize(fmt)
@@ -832,15 +864,12 @@ def test_rewritten_dataset_fields_load_exactly_or_fail_naming_the_file(field, da
                               st.integers(lo, hi)), label="value")
     body = bytearray(file_bytes[:-4])
     struct.pack_into(fmt, body, at, new)
-    # the columns the file holds when it is valid, else None
-    columns = [batch.users, batch.tracks, batch.counts]
-    if field in _COLUMNS:
-        name, least, vocab = _COLUMNS[field]
-        above = len(getattr(batch, vocab)) if vocab else MAX_PLAY_COUNT + 1
-        column = getattr(batch, name).copy()
-        column[entry] = new
-        columns[("users", "tracks", "counts").index(name)] = column
-        valid = least <= new < above
+    # the forward lists the file holds when it is valid
+    columns = [arr.copy() for arr in forward]
+    if section in ("fwd_offsets", "fwd_tracks", "fwd_counts"):
+        columns[DATASET_SECTIONS.index(section) - 6][entry] = new
+        n_tracks = struct.unpack_from("<QQQ", file_bytes, layout["counts"][0])[1]
+        valid = _valid_forward(*columns, n_tracks)
     else:
         # a vocabulary whose last id takes in zero padding is as valid as
         # one written with that id
@@ -854,15 +883,17 @@ def test_rewritten_dataset_fields_load_exactly_or_fail_naming_the_file(field, da
             assert _fails_naming(outcome, work, "fuzz.ds", command="build"), why
             return
         loaded = load_dataset(work / "fuzz.ds")
-        for got, want in zip((loaded.users, loaded.tracks, loaded.counts), columns):
+        offsets, tracks, counts = columns
+        users = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        for got, want in zip((loaded.users, loaded.tracks, loaded.counts),
+                             (users, tracks, counts)):
             assert np.array_equal(got, want), why
+        # a valid file repeats no pair, so build takes it
         if new == old:
             assert outcome == (0, outcome[1], index_bytes), why
-        # a rewritten id may repeat a pair, which build refuses
-        elif outcome[0] != 0:
-            assert _fails_naming(outcome, work, "fuzz.ds", command="build"), why
         else:
-            assert load_index(work / "fuzz.idx").index.nnz == len(batch), why
+            assert outcome[0] == 0, why
+            assert load_index(work / "fuzz.idx").index.nnz == tracks.size, why
 
 
 @settings(max_examples=150, deadline=None)
