@@ -17,10 +17,10 @@ from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    DuplicatePairError, MalformedLineError, PAD_DUMMY,
                    PAD_STRATEGIES)
-from .evaluate import mean_average_precision, split_sorted_rows, tracks_by_user
+from .evaluate import mean_average_precision, split_history, tracks_by_user
 from .index import (_DATASET_MAGIC, _MAGIC as _INDEX_MAGIC, _build_file,
-                    load_dataset, load_index, save_dataset, sorted_rows)
-from .ingest import read_triplets, sort_by_pair, write_triplets
+                    _read_dataset, load_index, save_dataset)
+from .ingest import read_triplets, write_triplets
 from .recommend import recommend_all, write_recommendations
 
 _MODE_NAMES = {"challenge": AP_CHALLENGE, "paper": AP_LIST_LENGTH}
@@ -94,7 +94,6 @@ def _log_config(command: str, args, keys) -> None:
 def _cmd_ingest(args) -> int:
     _log_config("ingest", args, ["input", "out"])
     batch = _read_triplets(args.input)
-    sort_by_pair(batch)
     save_dataset(batch, args.out)
     print(f"ingested {len(batch)} triplets "
           f"({len(batch.user_vocab)} users, {len(batch.track_vocab)} tracks) "
@@ -187,12 +186,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_split(args) -> int:
     _log_config("split", args,
                 ["input", "visible_out", "hidden_out", "fraction", "seed"])
-    batch = _read_triplets(args.input)
-    rows, offsets = sorted_rows(batch)
-    # freed before the halves are gathered: only the sorted copies are held
-    del batch
-    split = split_sorted_rows(rows, offsets, args.fraction, args.seed)
-    del rows, offsets
+    split = split_history(_read_triplets(args.input), args.fraction, args.seed)
     visible, hidden = len(split.visible), len(split.hidden)
     write_triplets(split.visible, args.visible_out)
     write_triplets(split.hidden, args.hidden_out)
@@ -209,9 +203,12 @@ def _cmd_stats(args) -> int:
         index = load_index(args.input).index
         shape = (index.n_users, index.n_tracks, index.nnz,
                  index.total_plays.sum())
+    elif magic == _DATASET_MAGIC:
+        # play counts summed as they are read, as load_index sums them
+        uv, _, tv, _, tracks, plays = _read_dataset(args.input, sum_counts=True)
+        shape = (len(uv), len(tv), tracks.size, plays.sum())
     else:
-        batch = (load_dataset(args.input) if magic == _DATASET_MAGIC
-                 else _read_triplets(args.input))
+        batch = _read_triplets(args.input)
         shape = (len(batch.user_vocab), len(batch.track_vocab), len(batch),
                  batch.counts.sum(dtype="int64"))
     for name, value in zip(("n_users", "n_tracks", "triplets", "total_plays"),

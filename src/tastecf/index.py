@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import storage
-from .core import (CapacityError, DataError, DuplicatePairError, MAX_INDEX,
-                   MAX_PLAY_COUNT, Vocabulary, _gather)
+from .core import (CapacityError, DataError, MAX_INDEX, MAX_PLAY_COUNT,
+                   Vocabulary, _gather)
 from .idf import IdfTable, compute_idf
 from .ingest import TripletBatch, sort_by_pair
 
@@ -144,10 +144,9 @@ def build_index(batch: TripletBatch) -> InteractionIndex:
 
 def _forward_rows(batch: TripletBatch, own: bool = False):
     """The batch's rows as (fwd_offsets, fwd_tracks, fwd_counts), counts
-    in the batch's dtype. Rows in ascending (user, track) order, as
-    `tastecf ingest` sorts them, are taken as they are, copied only when
-    `own` is set and they are writable; any other rows are sorted on copies
-    by sorted_rows, and a repeated pair raises DuplicatePairError. An id
+    in the batch's dtype, by sorted_rows: ordered rows, as a parse gives
+    them, are taken as they are, copied only when `own` is set and they
+    are writable; a repeated pair raises DuplicatePairError. An id
     outside its vocabulary or a play count below 1 raises DataError."""
     n_users = len(batch.user_vocab)
     n_tracks = len(batch.track_vocab)
@@ -163,13 +162,12 @@ def _forward_rows(batch: TripletBatch, own: bool = False):
             raise DataError("track index outside vocabulary range")
         if counts.min() < 1:
             raise DataError("play_count must be >= 1")
-    users = users.astype(np.int32, copy=False)
-    tracks = tracks.astype(np.int32, copy=False)
-    offsets = _forward_offsets(users, tracks, n_users)
-    if offsets is None:
-        rows, offsets = sorted_rows(batch)
-        return offsets, rows.tracks, rows.counts
-    if own:
+    given = TripletBatch(users.astype(np.int32, copy=False),
+                         tracks.astype(np.int32, copy=False), counts,
+                         batch.user_vocab, batch.track_vocab)
+    rows, offsets = sorted_rows(given)
+    tracks, counts = rows.tracks, rows.counts
+    if own and rows is given:
         tracks, counts = (a.copy() if a.flags.writeable else a for a in (tracks, counts))
     return offsets, tracks, counts
 
@@ -199,42 +197,40 @@ def _inverse(fwd_offsets: np.ndarray, fwd_tracks: np.ndarray, n_tracks: int):
 
 def _forward_offsets(users: np.ndarray, tracks: np.ndarray, n_users: int):
     """The CSR offsets of rows that are already the forward lists, or None
-    unless users never fall and tracks rise strictly within a user. Read
-    _CHECK_ROWS rows at a time: where the user changes, the run that ends
-    is the last of its user, and users with no rows take the offset before
-    them. More than MAX_INDEX rows raise CapacityError."""
+    unless users never fall and tracks rise within a user (_rising_runs).
+    Read _CHECK_ROWS rows at a time: where the user changes, the run that
+    ends is the last of its user, and users with no rows take the offset
+    before them. More than MAX_INDEX rows raise CapacityError."""
     if users.size > MAX_INDEX:
         raise CapacityError(
             f"{users.size} triplets exceed the 32-bit offset width")
     offsets = np.zeros(n_users + 1, np.int32)
     for at in range(1, users.size, _CHECK_ROWS):
         u = users[at - 1:at + _CHECK_ROWS]
-        t = tracks[at - 1:at + _CHECK_ROWS]
-        if ((u[1:] < u[:-1]).any()
-                or ((u[1:] == u[:-1]) & (t[1:] <= t[:-1])).any()):
+        if (u[1:] < u[:-1]).any():
             return None
         ends = np.flatnonzero(u[1:] != u[:-1])
         offsets[u[ends] + 1] = ends + at
     if users.size:
         offsets[users[-1] + 1] = users.size
     np.maximum.accumulate(offsets, out=offsets)
-    return offsets
+    return offsets if _rising_runs(tracks, offsets) else None
 
 
 def sorted_rows(batch: TripletBatch):
-    """Copies of the batch's rows, int32 ids and counts of its dtype, put
-    in ascending (user, track) order by sort_by_pair, and their CSR
-    offsets; only a repeated pair can leave two of them out of order, and
-    it raises DuplicatePairError. The ids must lie in their vocabularies."""
+    """The batch's rows in ascending (user, track) order, and their CSR
+    offsets: the batch itself when in that order, as a parse gives it;
+    else copies, int32 ids and counts of its dtype, that sort_by_pair sorts
+    or refuses for a repeated pair. The ids must lie in their vocabularies."""
+    offsets = _forward_offsets(batch.users, batch.tracks, len(batch.user_vocab))
+    if offsets is not None:
+        return batch, offsets
     rows = TripletBatch(np.array(batch.users, np.int32),
                         np.array(batch.tracks, np.int32),
                         np.array(batch.counts), batch.user_vocab,
                         batch.track_vocab)
     sort_by_pair(rows)
-    offsets = _forward_offsets(rows.users, rows.tracks, len(batch.user_vocab))
-    if offsets is None:
-        raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
-    return rows, offsets
+    return sorted_rows(rows)
 
 
 def _run_lengths(ids: np.ndarray, n: int) -> np.ndarray:
@@ -362,9 +358,9 @@ def _read_forward(r: storage.Reader, users=None, sum_counts: bool = False):
     return user_vocab, user_indexes, track_vocab, offsets, tracks, counts
 
 
-def _read_dataset(path):
+def _read_dataset(path, sum_counts: bool = False):
     with storage.Reader(path, _DATASET_MAGIC, _DATASET_VERSION) as r:
-        forward = _read_forward(r)
+        forward = _read_forward(r, sum_counts=sum_counts)
         r.finish()
     return forward
 

@@ -17,10 +17,10 @@ is made, and save_dataset writes the bytes as they are. Only a block the
 core refuses is walked line by line, by _check_line, the definition of a
 bad line.
 
-A parse gives its rows in line order. A dataset file, the forward half of
-an index file (tastecf.index), holds them in ascending (user, track)
-order, so `tastecf ingest` sorts them in place with sort_by_pair and
-save_dataset copies no column.
+A parse ends with one sort, sort_by_pair, into a dataset file's ascending
+(user, track) order (tastecf.index); it also finds a repeated pair, whose
+line is then looked up in the rows, still in line order. No CLI reader
+sorts a parsed batch again, and save_dataset copies no column of it.
 """
 
 from dataclasses import dataclass
@@ -68,7 +68,7 @@ _POWERS_OF_TEN = 10 ** np.arange(10, dtype=np.int64)
 _BLOCK_BYTES = 1 << 20
 # lines of a stream encoded per block
 _CHUNK_LINES = 1 << 16
-# rows sort_by_pair unpacks and write_triplets formats at a time
+# rows sort_by_pair checks and unpacks and write_triplets formats at a time
 _BLOCK_ROWS = 1 << 16
 # what _columns gives for a block of empty lines
 _NO_ROWS = (np.empty(0, np.uint8), (np.empty(0, np.intp),) * 2,
@@ -191,13 +191,9 @@ def _pair_keys(batch: TripletBatch) -> np.ndarray:
     return keys
 
 
-def _check_unique_pairs(batch: TripletBatch, line_nos) -> None:
-    """DuplicatePairError at the first row whose (user, track) pair an
-    earlier row holds; line_nos yields each row's line number."""
-    keys = _pair_keys(batch)
-    keys.sort()
-    if not (keys[1:] == keys[:-1]).any():
-        return
+def _raise_first_repeat(batch: TripletBatch, line_nos) -> None:
+    """DuplicatePairError at the first row, in line order, whose (user,
+    track) pair an earlier row holds; line_nos yields each row's line."""
     # stable: each repeat of a key sorts after the row that holds it first
     keys = _pair_keys(batch)
     order = np.argsort(keys, kind="stable")
@@ -259,7 +255,11 @@ def _parse(blocks) -> TripletBatch:
     for column in (users, tracks, counts):
         column.resize(rows, refcheck=False)    # nothing else refers to it
     batch = TripletBatch(users, tracks, counts, user_vocab, track_vocab)
-    _check_unique_pairs(batch, chain.from_iterable(line_nos))
+    try:
+        sort_by_pair(batch)
+    except DuplicatePairError:
+        # the columns are still in line order
+        _raise_first_repeat(batch, chain.from_iterable(line_nos))
     if error is not None:
         raise error
     return batch
@@ -325,13 +325,14 @@ def parse_triplets(stream) -> TripletBatch:
     """Parse line-oriented triplet text, `user<TAB>track<TAB>count` lines,
     into a batch.
 
-    Empty lines are skipped. Rows are in line order, and vocabularies are
-    populated in first-seen order. Raises MalformedLineError for a wrong
-    field count, an id that contains a space (recommendation lines are
-    space-separated) or a newline, or a play count that is not an integer
-    in [1, 2**32 - 1];
-    DuplicatePairError when a (user, track) pair repeats. Both carry the
-    1-based line number, and the first bad line decides which is raised.
+    Empty lines are skipped. Rows are sorted once, by sort_by_pair, into
+    ascending (user, track) order; vocabularies are in first-seen order.
+    Raises MalformedLineError for a wrong field count, an id that contains
+    a space (recommendation lines are space-separated) or a newline, or a
+    play count that is not an integer in [1, 2**32 - 1];
+    DuplicatePairError at the line where a (user, track) pair first
+    repeats. Both carry the 1-based line number, and the first bad line
+    decides which is raised.
 
     Each item of the stream is one line; the "\r" and "\n" that end it are
     stripped. The items are encoded to UTF-8 _CHUNK_LINES at a time and
@@ -347,9 +348,8 @@ def read_triplets(path) -> TripletBatch:
     The file is read as bytes, _BLOCK_BYTES at a time, and each block is
     checked to be UTF-8 by one decode, then checked, split and interned in
     numpy. A byte that is not UTF-8 raises MalformedLineError "not valid
-    UTF-8" at its line, unless an earlier line is bad. Rows are in line
-    order; `tastecf ingest` reorders them by sort_by_pair before it saves
-    them.
+    UTF-8" at its line, unless an earlier line is bad. Rows come sorted
+    once, into ascending (user, track) order, as every CLI reader takes them.
     """
     with open(path, "rb") as fh:
         return _parse(_file_blocks(fh))
@@ -383,33 +383,46 @@ def write_triplets(batch: TripletBatch, path) -> None:
 
 
 def sort_by_pair(batch: TripletBatch) -> None:
-    """Reorder the batch's rows in place to ascending (user, track), the
-    order in which build_index takes them as its forward lists (it sorts
-    copies of any other batch's columns by this function). The columns
-    must be writable and the ids lie in their vocabularies.
+    """Reorder the batch's rows in place to ascending (user, track), a
+    parse's order and build_index's; a repeated pair raises
+    DuplicatePairError before any row moves. The columns must be writable
+    and the ids lie in their vocabularies.
 
     When the bit widths of the two vocabularies' indexes and of the largest
     play count fit in 63 bits, each row is packed into one int64 key, the
-    keys are sorted in place and unpacked into the columns _BLOCK_ROWS
-    rows at a time: 8 bytes per row beyond the batch. Otherwise the rows
-    are permuted by a stable argsort of user << 32 | track.
+    keys are sorted in place, then checked and unpacked into the columns
+    _BLOCK_ROWS rows at a time: 8 bytes per row beyond the batch.
+    Otherwise the rows are permuted by a stable argsort of user << 32 |
+    track, through which the keys are checked _BLOCK_ROWS at a time.
     """
     if not len(batch):
         return
     track_bits = (len(batch.track_vocab) - 1).bit_length()
     count_bits = int(batch.counts.max()).bit_length()
+    order = None
     if (len(batch.user_vocab) - 1).bit_length() + track_bits + count_bits > 63:
-        order = np.argsort(_pair_keys(batch), kind="stable")
+        # the pair alone, no count bits: its stable argsort permutes the rows
+        key, count_bits = _pair_keys(batch), 0
+        order = np.argsort(key, kind="stable")
+    else:
+        # int64 throughout: numpy 1.x turns uint64 mixed with int64 into float64
+        key = batch.users.astype(np.int64)
+        key <<= track_bits
+        key |= batch.tracks
+        key <<= count_bits
+        key |= batch.counts
+        key.sort()
+    # sorted neighbours that agree above the count bits repeat a pair
+    for at in range(1, key.size, _BLOCK_ROWS):
+        rows = slice(at - 1, at + _BLOCK_ROWS)
+        pairs = (key[rows] if order is None else key[order[rows]]) >> count_bits
+        if (pairs[1:] == pairs[:-1]).any():
+            raise DuplicatePairError(None, "duplicate (user, track) pair in batch")
+    if order is not None:
+        del key
         for column in (batch.users, batch.tracks, batch.counts):
             column[:] = column[order]
         return
-    # int64 throughout: numpy 1.x turns uint64 mixed with int64 into float64
-    key = batch.users.astype(np.int64)
-    key <<= track_bits
-    key |= batch.tracks
-    key <<= count_bits
-    key |= batch.counts
-    key.sort()
     for at in range(0, key.size, _BLOCK_ROWS):
         part = key[at:at + _BLOCK_ROWS]
         rows = slice(at, at + part.size)

@@ -561,6 +561,22 @@ def test_duplicate_pair_in_programmatic_batch_is_rejected():
         build_index(batch)
 
 
+def test_sorted_rows_takes_an_ordered_batch_as_it_is(t1_batch):
+    # a parsed batch is ordered: no copy is made
+    rows, offsets = sorted_rows(t1_batch)
+    assert rows is t1_batch
+    assert offsets.tolist() == [0, 2, 4, 5, 8]
+    # any other order is sorted on copies, and the batch is left as it was
+    order = np.arange(len(t1_batch))[::-1]
+    shuffled = TripletBatch(t1_batch.users[order], t1_batch.tracks[order],
+                            t1_batch.counts[order], t1_batch.user_vocab,
+                            t1_batch.track_vocab)
+    rows, offsets = sorted_rows(shuffled)
+    assert rows is not shuffled and rows == t1_batch
+    assert offsets.tolist() == [0, 2, 4, 5, 8]
+    assert shuffled.users.tolist() == t1_batch.users.tolist()[::-1]
+
+
 @pytest.mark.parametrize("offsets_of", [
     lambda batch: build_index(batch).fwd_offsets,
     lambda batch: sorted_rows(batch)[1],

@@ -2,6 +2,7 @@ from array import array
 from functools import lru_cache
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,10 +77,12 @@ def _reference_parse(stream):
         tracks.append(t)
         counts.append(count)
 
+    # rows in ascending (user, track) order, as a parse gives them
+    rows = np.array(sorted(zip(users, tracks, counts)), np.int64).reshape(-1, 3).T
     return TripletBatch(
-        np.array(users, dtype=np.int32),
-        np.array(tracks, dtype=np.int32),
-        np.array(counts, dtype=np.uint32),
+        rows[0].astype(np.int32),
+        rows[1].astype(np.int32),
+        rows[2].astype(np.uint32),
         *(Vocabulary.from_utf8("\n".join(index).encode(), len(index))
           for index in (user_index, track_index)),
     )
@@ -530,10 +533,20 @@ def test_sort_by_pair_orders_rows_by_user_then_track(n_users, n_tracks, data):
         np.int32, np.int32, np.uint32)
 
 
-@pytest.mark.parametrize("top_count, wide", [
-    (2**32 - 1, True), (2**29, True), (2**29 - 1, False)])
+# beyond the batch, sort_by_pair holds its int64 keys and, on the wide
+# branch, their int64 argsort order: 16 bytes per row; a third per-row
+# int64 array, such as the keys gathered through the order, would exceed this
+_SORT_BYTES_PER_ROW = 20
+
+_WIDTHS = [(2**32 - 1, True), (2**29, True), (2**29 - 1, False)]
+
+
+@pytest.mark.parametrize("top_count, wide, repeated", [
+    (*width, repeated) for repeated in (False, True) for width in _WIDTHS],
+    ids=[f"{count}-{wide}{'-repeated' * repeated}"
+         for repeated in (False, True) for count, wide in _WIDTHS])
 def test_sort_by_pair_packs_one_key_unless_it_is_wider_than_63_bits(
-        monkeypatch, top_count, wide):
+        monkeypatch, top_count, wide, repeated):
     # 2**16 + 1 users and tracks take 17 bits each, so a count of 30 bits
     # or more leaves no room in an int64 key and a 29-bit one fills it
     n = 2**16 + 1
@@ -542,14 +555,80 @@ def test_sort_by_pair_packs_one_key_unless_it_is_wider_than_63_bits(
     tracks = rng.permutation(n).astype(np.int32)
     counts = rng.integers(1, top_count, n, endpoint=True).astype(np.uint32)
     counts[7] = top_count
+    if repeated:
+        # user 1000's pair, given to user n - 1's row too: sorted, the two
+        # are rows 1000 and 1001, on either side of the first block edge
+        first, again = (np.flatnonzero(users == u)[0] for u in (1000, n - 1))
+        users[again], tracks[again] = users[first], tracks[first]
     batch = TripletBatch(users, tracks, counts, _ids(n), _ids(n))
+    before = [column.copy() for column in (users, tracks, counts)]
     want = _sorted_by_pair(batch)
     argsorts = []
     pair_keys = ingest._pair_keys
     monkeypatch.setattr(ingest, "_pair_keys",
                         lambda b: argsorts.append(b) or pair_keys(b))
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", 1000)
-    sort_by_pair(batch)
-    assert batch == want
+    tracemalloc.start()
+    try:
+        if repeated:
+            with pytest.raises(DuplicatePairError,
+                               match=r"^duplicate \(user, track\) pair in batch$"):
+                sort_by_pair(batch)
+        else:
+            sort_by_pair(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if repeated:
+        # raised before any column is written back
+        for column, old in zip((batch.users, batch.tracks, batch.counts), before):
+            assert np.array_equal(column, old)
+    else:
+        assert batch == want
     assert bool(argsorts) == wide
+    assert peak / n <= _SORT_BYTES_PER_ROW
 
+
+def test_parse_gives_shuffled_rows_in_user_track_order(monkeypatch, tmp_path):
+    rng = np.random.default_rng(8)
+    pairs = [(f"u{u}", f"t{t}") for u in range(12) for t in range(9)
+             if rng.random() < 0.6]
+    rows = [f"{u}\t{t}\t{i + 1}\n" for i, (u, t) in enumerate(pairs)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    # interned in first-seen line order; the rows then sorted by those indexes
+    user_ids = list(dict.fromkeys(row.split("\t")[0] for row in rows))
+    track_ids = list(dict.fromkeys(row.split("\t")[1] for row in rows))
+    want = sorted((user_ids.index(u), track_ids.index(t), int(c))
+                  for u, t, c in (row.split("\t") for row in rows))
+    # many chunks and blocks, whose rows interleave once sorted
+    monkeypatch.setattr(ingest, "_CHUNK_LINES", 7)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 37)
+    path = tmp_path / "shuffled.txt"
+    path.write_text("".join(rows), encoding="utf-8")
+    for batch in (parse_triplets(rows), read_triplets(path)):
+        assert batch.user_vocab.ids == user_ids
+        assert batch.track_vocab.ids == track_ids
+        assert list(zip(batch.users.tolist(), batch.tracks.tolist(),
+                        batch.counts.tolist())) == want
+
+
+def test_parse_names_the_first_repeat_of_rows_too_wide_for_a_packed_key(
+        monkeypatch):
+    # 2**16 + 1 users and tracks, once two lines are repeats, and a count
+    # of 2**32 - 1 need 66 bits, so the parse's sort_by_pair takes its
+    # argsort. (u9, t9) repeats at line 60000, but (u50000, t50000) first,
+    # at line 55000, though the sort meets (u9, t9) first
+    n = 2**16 + 3
+    lines = [f"u{i}\tt{i}\t{2**32 - 1 if i == 3 else i + 1}\n" for i in range(n)]
+    lines[54999] = "u50000\tt50000\t7\n"
+    lines[59999] = "u9\tt9\t7\n"
+    argsorts = []
+    pair_keys = ingest._pair_keys
+    monkeypatch.setattr(ingest, "_pair_keys",
+                        lambda b: argsorts.append(b) or pair_keys(b))
+    with pytest.raises(DuplicatePairError) as err:
+        parse_triplets(lines)
+    # the sort's keys, then the line finder's
+    assert len(argsorts) == 2
+    assert err.value.line_no == 55000
+    assert err.value.message == "duplicate (user, track) pair: 'u50000', 't50000'"
