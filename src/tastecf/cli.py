@@ -17,7 +17,7 @@ from . import ingest
 from .core import (AP_CHALLENGE, AP_LIST_LENGTH, Config, DataError,
                    DuplicatePairError, MalformedLineError, PAD_DUMMY,
                    PAD_STRATEGIES)
-from .evaluate import mean_average_precision, split_history, tracks_by_user
+from .evaluate import _mean_ap, split_history, tracks_by_user
 from .index import (_DATASET_MAGIC, _MAGIC as _INDEX_MAGIC, _build_file,
                     _read_dataset, load_index, save_dataset)
 from .ingest import read_triplets, write_triplets
@@ -148,32 +148,29 @@ def _cmd_recommend(args) -> int:
 
 
 def _read_recommendation_lines(path):
-    """{user: items} from lines of single-space-separated ids, so an empty
-    id or one holding other whitespace reads back as written."""
-    rankings = {}
+    """(user, items) of each line of single-space-separated ids as it is
+    read, so an empty id or one holding other whitespace reads back as
+    written; a repeated user raises at its line. Only the users are held."""
+    seen = set()
     with _located(path):
         for line_no, line in _text_lines(path):
             if not line:
                 continue
-            parts = line.split(" ")
-            user, items = parts[0], parts[1:]
-            if user in rankings:
+            user, *items = line.split(" ")
+            if user in seen:
                 raise MalformedLineError(
                     line_no, f"duplicate recommendation for user {user!r}")
-            rankings[user] = items
-    return rankings
+            seen.add(user)
+            yield user, items
 
 
 def _cmd_evaluate(args) -> int:
-    _log_config("evaluate", args,
-                ["recs", "hidden", "k", "mode", "per_user"])
-    rankings = _read_recommendation_lines(args.recs)
+    _log_config("evaluate", args, ["recs", "hidden", "k", "mode", "per_user"])
     hidden = _read_triplets(args.hidden)
     hidden_by_user = tracks_by_user(hidden, hidden.user_vocab.ids,
                                     hidden.track_vocab.ids)
-
-    report = mean_average_precision(rankings, hidden_by_user, args.k,
-                                    _MODE_NAMES[args.mode])
+    report = _mean_ap(_read_recommendation_lines(args.recs), hidden_by_user,
+                      args.k, _MODE_NAMES[args.mode])
     if args.per_user:
         with open(args.per_user, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("user\tap\thidden_count\n")

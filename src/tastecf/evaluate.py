@@ -4,13 +4,14 @@ Two AP normalizations exist because truncated mAP is commonly stated two
 ways. "challenge" divides the sum of precisions at hit positions by
 min(k, number of hidden items), the usual contest scoring; "list_length"
 divides by min(k, number of items recommended), so padding a short list
-dilutes its AP. Both count the same numerator. Rankings are assumed free
-of duplicate real items (repeats are never credited twice).
+dilutes its AP. Both count the same numerator, from one hit scan. Repeats
+are never credited twice. The mean scores rankings one at a time, keeping
+only their APs, so CLI evaluate scores each recs line as it reads it.
 """
 
 from dataclasses import dataclass
 import math
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,49 +20,40 @@ from .index import sorted_rows
 from .ingest import TripletBatch
 
 
-def precision_at_k(ranking: Sequence[Hashable], hidden, k: int) -> float:
-    """Fraction of the first k slots that hit the hidden set.
-
-    Pad markers and repeated items count as misses.
-    """
+def _hit_positions(ranking: Sequence[Hashable], hidden, k: int) -> list[int]:
+    """The 1-based positions j <= k at which an item of `hidden` is first
+    credited; pad markers and repeated items are misses."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    hits = 0
-    credited = set()
-    for item in ranking[:k]:
-        if item in hidden and item not in credited:
-            credited.add(item)
-            hits += 1
-    return hits / k
+    first = {}
+    for position, item in enumerate(ranking[:k], 1):
+        if item in hidden:
+            first.setdefault(item, position)
+    return list(first.values())
+
+
+def precision_at_k(ranking: Sequence[Hashable], hidden, k: int) -> float:
+    """Fraction of the first k slots that hit the hidden set, from the hit
+    positions that average_precision also scans."""
+    return len(_hit_positions(ranking, hidden, k)) / k
 
 
 def average_precision(ranking: Sequence[Hashable], hidden, k: int,
                       ap_mode: str = AP_CHALLENGE) -> float:
     """Sum of P@j over hit positions j <= k, normalized per ap_mode.
 
-    Empty hidden sets score 0 by definition.
+    Empty hidden sets score 0: they have no hits.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    positions = _hit_positions(ranking, hidden, k)
     if ap_mode not in AP_MODES:
         raise ValueError(f"ap_mode must be one of {AP_MODES}")
-    if not hidden:
-        return 0.0
-    hits = 0
+    # a running += in position order, not sum(), which from Python 3.12
+    # compensates float rounding and so could change the last bits
     total = 0.0
-    credited = set()
-    for position, item in enumerate(ranking[:k], 1):
-        if item in hidden and item not in credited:
-            credited.add(item)
-            hits += 1
-            total += hits / position
-    if ap_mode == AP_CHALLENGE:
-        normalizer = min(k, len(hidden))
-    else:
-        normalizer = min(k, len(ranking))
-    if normalizer == 0:
-        return 0.0
-    return total / normalizer
+    for hits, position in enumerate(positions, 1):
+        total += hits / position
+    normalizer = min(k, len(hidden) if ap_mode == AP_CHALLENGE else len(ranking))
+    return total / normalizer if normalizer else 0.0
 
 
 @dataclass
@@ -74,28 +66,38 @@ class EvalReport:
     ap_mode: str
 
 
+def _mean_ap(pairs: Iterable[tuple], hidden_by_user: Mapping, k: int,
+             ap_mode: str) -> EvalReport:
+    """mean_average_precision of (user, ranking) pairs, each scored as taken."""
+    ap_of = {}
+    for user, ranking in pairs:
+        hidden = hidden_by_user.get(user)
+        if hidden:
+            ap_of[user] = average_precision(ranking, hidden, k, ap_mode)
+    per_user = []
+    for user, hidden in hidden_by_user.items():
+        if hidden:
+            if user not in ap_of:
+                raise MissingRecommendationError(user)
+            per_user.append((user, ap_of[user], len(hidden)))
+    # sum(), as tests/oracle.py's mean_ap: from Python 3.12 sum() compensates
+    # float rounding, so a running total could differ in the last digit
+    aps = [ap for _, ap, _ in per_user]
+    map_score = sum(aps) / len(aps) if aps else 0.0
+    return EvalReport(per_user, map_score, k, ap_mode)
+
+
 def mean_average_precision(rankings: Mapping, hidden_by_user: Mapping,
                            k: int, ap_mode: str = AP_CHALLENGE) -> EvalReport:
     """Average AP over every user with a nonempty hidden set.
 
     Users with empty hidden sets are not evaluable and are skipped; every
     evaluable user must have a ranking (MissingRecommendationError
-    otherwise). Iteration follows hidden_by_user order, so the report is
-    deterministic for a deterministic input mapping.
+    otherwise), looked for once all are scored: a bad k or ap_mode raises
+    first. The report follows hidden_by_user order, so it is deterministic
+    for a deterministic input mapping.
     """
-    per_user = []
-    for user, hidden in hidden_by_user.items():
-        if not hidden:
-            continue
-        if user not in rankings:
-            raise MissingRecommendationError(user)
-        ap = average_precision(rankings[user], hidden, k, ap_mode)
-        per_user.append((user, ap, len(hidden)))
-    # sum(), as tests/oracle.py's mean_ap: from Python 3.12 sum() compensates
-    # float rounding, so a running total could differ in the last digit
-    aps = [ap for _, ap, _ in per_user]
-    map_score = sum(aps) / len(aps) if aps else 0.0
-    return EvalReport(per_user, map_score, k, ap_mode)
+    return _mean_ap(rankings.items(), hidden_by_user, k, ap_mode)
 
 
 @dataclass(eq=False)

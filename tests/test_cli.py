@@ -267,6 +267,93 @@ def test_evaluate_missing_recommendation_fails(tmp_path, t1_file, capsys):
     assert "u2" in capsys.readouterr().err
 
 
+def _write_recs_and_hidden(tmp_path, rankings, hidden):
+    """A recs file of `rankings` ({user: items}) and a hidden triplet file
+    of `hidden` ({user: tracks}), both in dict order."""
+    recs, hidden_path = tmp_path / "recs.txt", tmp_path / "hidden.txt"
+    recs.write_text("".join(" ".join([user, *items]) + "\n"
+                            for user, items in rankings.items()))
+    hidden_path.write_text("".join(f"{user}\t{track}\t1\n"
+                                   for user, tracks in hidden.items()
+                                   for track in tracks))
+    return recs, hidden_path
+
+
+def test_evaluate_scores_recs_lines_across_block_edges(tmp_path, monkeypatch,
+                                                       capsys):
+    # blocks of 64 bytes: most recs lines cross an edge, some several
+    monkeypatch.setattr(ingest_module, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(11)
+    tracks = [f"t{i}" for i in range(30)]
+    rankings, hidden = {}, {}
+    for u in range(60):
+        # repeated items, and ids the hidden file does not hold
+        rankings[f"u{u}"] = [tracks[t] if t < 30 else f"x{t}"
+                             for t in rng.integers(0, 36, rng.integers(0, 25))]
+        # every fifth user has a list but no hidden rows
+        if u % 5:
+            hidden[f"u{u}"] = sorted(set(rng.choice(tracks, rng.integers(1, 6))))
+    recs, hidden_path = _write_recs_and_hidden(tmp_path, rankings, hidden)
+    hidden_sets = {user: set(tracks) for user, tracks in hidden.items()}
+    per_user = tmp_path / "per_user.tsv"
+    for mode, ap_mode in (("challenge", AP_CHALLENGE), ("paper", AP_LIST_LENGTH)):
+        capsys.readouterr()
+        assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden_path),
+                     "--k", "10", "--mode", mode, "--per-user", str(per_user)]) == 0
+        want = oracle.mean_ap(rankings, hidden_sets, 10, mode)
+        assert capsys.readouterr().out == f"mAP@10 ({mode}) = {want:.6f}\n"
+        report = mean_average_precision(rankings, hidden_sets, 10, ap_mode)
+        assert per_user.read_text().splitlines() == ["user\tap\thidden_count"] + [
+            f"{user}\t{ap:.10f}\t{count}" for user, ap, count in report.per_user]
+    per_user.unlink()
+
+    # a user repeated after the first block fails at its line, and no
+    # per-user file is written
+    with open(recs, "a") as fh:
+        fh.write("u3 t1\n")
+    assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden_path),
+                 "--per-user", str(per_user)]) == 1
+    assert (f"{recs}:61: duplicate recommendation for user 'u3'"
+            in capsys.readouterr().err)
+    assert not per_user.exists()
+
+    # with both files bad, the hidden file, read first, is the one reported
+    with open(hidden_path, "a") as fh:
+        fh.write("u1\tt1\n")
+    assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden_path)]) == 1
+    err = capsys.readouterr().err
+    lines = len(hidden_path.read_text().splitlines())
+    assert f"{hidden_path}:{lines}: " in err and "duplicate recommendation" not in err
+
+
+# the tracemalloc peak of `tastecf evaluate` per recs item, on 2,000 lists
+# of 400 items against up to 3 hidden tracks per user: 8.2 bytes when each
+# line is scored as it is read (most of it one block of the file), and
+# 64.5 while every item was held as a str
+_EVALUATE_BYTES_PER_ITEM = 24
+
+
+def test_evaluate_holds_no_rankings(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    tracks = [f"t{i}" for i in range(5_000)]
+    picks = rng.integers(0, len(tracks), (2_000, 400)).tolist()
+    rankings = {f"u{u}": [tracks[t] for t in row] for u, row in enumerate(picks)}
+    hidden = {user: sorted(set(items[::150])) for user, items in rankings.items()}
+    recs, hidden_path = _write_recs_and_hidden(tmp_path, rankings, hidden)
+    want = oracle.mean_ap(rankings, hidden, 400)
+    del rankings, hidden, picks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["evaluate", "--recs", str(recs), "--hidden", str(hidden_path),
+                     "--k", "400"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"mAP@400 (challenge) = {want:.6f}\n"
+    assert peak / (2_000 * 400) <= _EVALUATE_BYTES_PER_ITEM
+
+
 def test_split_emits_disjoint_triplet_files(tmp_path, t1_file, capsys):
     visible = tmp_path / "vis.txt"
     hidden = tmp_path / "hid.txt"
@@ -711,7 +798,7 @@ def test_empty_and_tab_track_ids_round_trip_through_recs(tmp_path, capsys):
     recs = _recommend_saved(tmp_path, [("q", "z"), ("n", "z"), ("n", ""),
                                        ("n", "a\tb"), ("m", "y")], "q\n", 3)
     assert recs.read_text() == "q  a\tb 1\n"
-    assert cli._read_recommendation_lines(recs) == {"q": ["", "a\tb", "1"]}
+    assert dict(cli._read_recommendation_lines(recs)) == {"q": ["", "a\tb", "1"]}
     # a hidden file can name the empty track, not the one holding a tab
     hidden, per_user = tmp_path / "hidden.txt", tmp_path / "per_user.tsv"
     hidden.write_text("q\t\t1\n")
