@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+import re
 
 import numpy as np
 
@@ -426,6 +427,17 @@ class Vocabulary:
             raise ValueError(f'id {bad!r} contains "\\n", which the file format '
                              "cannot hold")
         return self._data
+
+    def first_holding(self, chars: bytes):
+        """The first id that holds one of the ASCII bytes `chars`, each of
+        which stands in UTF-8 for its character alone, or None: utf8()
+        scanned once for each byte, as a literal search is the fast one."""
+        data = self.utf8()
+        found = [m.start() for c in chars
+                 if (m := re.search(re.escape(bytes([c])), data))]
+        if not found:
+            return None
+        return self.lookup(bytes(data[:min(found)]).count(b"\n"))
 
     @property
     def ids(self) -> list[str]:

@@ -25,7 +25,6 @@ sorts a parsed batch again, and save_dataset copies no column of it.
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-import re
 
 import numpy as np
 
@@ -360,14 +359,11 @@ def write_triplets(batch: TripletBatch, path) -> None:
     order, so that read_triplets reads the batch back.
 
     Raises ValueError before the file is opened for an id that holds a
-    tab, "\\n", "\\r" or a space: one scan of each vocabulary's bytes,
-    whose utf8() names an id that holds "\\n".
+    tab, "\\n", "\\r" or a space: Vocabulary.first_holding scans each
+    vocabulary's bytes, and its utf8() names an id that holds "\\n".
     """
     for vocab in (batch.user_vocab, batch.track_vocab):
-        data = vocab.utf8()
-        # in UTF-8 these bytes stand for their characters alone
-        if bad := re.search(b"[\t\r ]", data):
-            bad_id = vocab.lookup(bytes(data[:bad.start()]).count(b"\n"))
+        if (bad_id := vocab.first_holding(b"\t\r ")) is not None:
             raise ValueError(f"id {bad_id!r} holds a tab, a line end or a "
                              "space, so its line could not be read back")
     user_ids, track_ids = batch.user_vocab.ids, batch.track_vocab.ids

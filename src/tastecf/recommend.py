@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 import math
 import os
+import re
 import sys
 from typing import Iterable, Iterator, Optional
 
@@ -282,7 +283,22 @@ def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
     return str(text[:-1], "utf-8")
 
 
+def _check_recs_ids(users, track_vocab) -> None:
+    """DataError naming the first user or track id that a recs line cannot
+    hold: one with a space, at which the line is split, or a line end. A
+    vocabulary's bytes are scanned by first_holding, a list of ids as str."""
+    for kind, ids in (("user", users), ("track", track_vocab)):
+        if isinstance(ids, Vocabulary):
+            bad = ids.first_holding(b" \r")
+        else:
+            bad = next(filter(re.compile("[ \r\n]").search, ids), None)
+        if bad is not None:
+            raise DataError(f"{kind} id {bad!r} holds a space or a line end, "
+                            "so its recs line could not be read back")
+
+
 def _write_lines(fh, recs, users, track_vocab) -> None:
+    _check_recs_ids(users, track_vocab)
     labels = []
     recs = iter(recs)
     at = 0
@@ -303,8 +319,9 @@ def write_recommendations(recs: Iterable[Recommendation], path,
     so holds no user vocabulary). A batch whose lists need more pad labels
     than are held gets pad_labels for all the slots of its longest list,
     so a run makes them once, at its first pad, or never without pads.
-    Each vocabulary is checked for a repeated id before the first line is
-    written.
+    Before the first line is written, each vocabulary is checked for a
+    repeated id, and DataError names an id that holds a space or a line
+    end, which would split its line when read back.
 
     If `path` resolves (through any links) to a regular file or to none,
     in a directory that can be written, the lines go to a new file beside

@@ -809,6 +809,21 @@ def test_empty_and_tab_track_ids_round_trip_through_recs(tmp_path, capsys):
     assert per_user.read_text().splitlines()[1] == "q\t1.0000000000\t1"
 
 
+@pytest.mark.parametrize("pairs, users, bad", [
+    ([("q", "z"), ("n", "z"), ("n", "a b"), ("m", "y")], "q\n", "track id 'a b'"),
+    ([("q", "z"), ("n", "z"), ("n", "c\rd"), ("m", "y")], "q\n", "track id 'c\\rd'"),
+    ([("q r", "z"), ("n", "z"), ("n", "a"), ("m", "y")], "q r\n", "user id 'q r'"),
+], ids=["space-in-track", "cr-in-track", "space-in-user"])
+def test_recommend_refuses_an_id_its_recs_line_cannot_hold(tmp_path, capsys,
+                                                          pairs, users, bad):
+    # "q a b c\rd 1" would read back as a list [a, b, c] and a user d
+    with pytest.raises(AssertionError):
+        _recommend_saved(tmp_path, pairs, users, 3)
+    assert (f"error: recommend: {bad} holds a space or a line end, so its "
+            "recs line could not be read back\n") in capsys.readouterr().err
+    assert not (tmp_path / "recs.txt").exists()
+
+
 def test_users_file_keeps_tabs_in_ids(tmp_path):
     # "<TAB>q" and "q" are different users; stripping the tab would answer
     # for the wrong one

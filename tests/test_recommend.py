@@ -317,6 +317,23 @@ def test_write_recommendations_refuses_fewer_user_ids_than_lists(tmp_path):
     assert path.read_text() == "u a 1\n" * 20
 
 
+@pytest.mark.parametrize("bad", ["a b", "c\rd", " ", "\r"])
+def test_write_recommendations_refuses_an_id_a_recs_line_cannot_hold(tmp_path, bad):
+    # a recs line splits its ids at spaces, and its reader ends a line at "\r"
+    recs = [Recommendation(0, [0, -1], [])]
+    path = tmp_path / "recs.txt"
+    for users, tracks in [*((v, Vocabulary(["x"])) for v in _vocabularies(["u", bad])),
+                          *((Vocabulary(["u"]), v) for v in _vocabularies(["x", bad])),
+                          ([bad], Vocabulary(["x"]))]:
+        with pytest.raises(DataError) as error:
+            write_recommendations(recs, path, users, tracks)
+        assert f"id {bad!r} holds a space or a line end" in str(error.value)
+        assert list(tmp_path.iterdir()) == []
+    # a tab is kept, as the recs reader keeps it
+    write_recommendations(recs, path, ["u\tv"], Vocabulary(["x\ty"]))
+    assert path.read_text() == "u\tv x\ty 1\n"
+
+
 def test_render_recommendation_line(t1_batch, t1_index, t1_idf):
     rec = recommend_one(t1_index, t1_idf, 0, Config(k=5))
     line = render_recommendation(rec, t1_batch.user_vocab, t1_batch.track_vocab)
