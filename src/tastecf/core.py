@@ -433,11 +433,9 @@ class Vocabulary:
         which stands in UTF-8 for its character alone, or None: utf8()
         scanned once for each byte, as a literal search is the fast one."""
         data = self.utf8()
-        found = [m.start() for c in chars
-                 if (m := re.search(re.escape(bytes([c])), data))]
-        if not found:
-            return None
-        return self.lookup(bytes(data[:min(found)]).count(b"\n"))
+        at = min((m.start() for c in chars
+                  if (m := re.search(re.escape(bytes([c])), data))), default=None)
+        return None if at is None else self.lookup(bytes(data[:at]).count(b"\n"))
 
     @property
     def ids(self) -> list[str]:

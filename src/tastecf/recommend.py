@@ -288,10 +288,8 @@ def _check_recs_ids(users, track_vocab) -> None:
     hold: one with a space, at which the line is split, or a line end. A
     vocabulary's bytes are scanned by first_holding, a list of ids as str."""
     for kind, ids in (("user", users), ("track", track_vocab)):
-        if isinstance(ids, Vocabulary):
-            bad = ids.first_holding(b" \r")
-        else:
-            bad = next(filter(re.compile("[ \r\n]").search, ids), None)
+        bad = (ids.first_holding(b" \r") if isinstance(ids, Vocabulary)
+               else next(filter(re.compile("[ \r\n]").search, ids), None))
         if bad is not None:
             raise DataError(f"{kind} id {bad!r} holds a space or a line end, "
                             "so its recs line could not be read back")
