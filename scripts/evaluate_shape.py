@@ -36,7 +36,8 @@ from pathlib import Path
 import statistics
 import subprocess
 import sys
-import time
+
+from msd_shape_bench import git_sha, run_stage, sha256
 
 ROOT = Path(__file__).resolve().parent.parent
 # the challenge's list length, catalogue and hidden tracks per query user
@@ -121,42 +122,6 @@ def cached_inputs(n_users: int, cache: Path):
             json.loads(shape.read_text())[1])
 
 
-def run_evaluate(src: Path, hidden: Path, recs: Path, per_user: Path):
-    """(wall time and ru_maxrss, mAP line) of one `tastecf evaluate` call."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tastecf", "evaluate", "--recs", str(recs),
-         "--hidden", str(hidden), "--k", str(K), "--per-user", str(per_user)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    # the output is two short lines, which fit in the pipes
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    out, err = proc.communicate()
-    if proc.returncode != 0:
-        raise SystemExit(f"{src}: tastecf evaluate exited {proc.returncode}:\n"
-                         f"{err.decode('utf-8', 'replace')[-2000:]}")
-    return ({"wall_s": round(wall, 3), "ru_maxrss_mib": round(usage.ru_maxrss / 1024, 1)},
-            out.decode("utf-8").strip())
-
-
-def sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def git_sha(src: Path) -> str:
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=src, text=True,
-                              capture_output=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--users", default="8000",
@@ -193,7 +158,10 @@ def main() -> int:
         outputs = set()
         for round_no in range(args.runs):
             for src in srcs if round_no % 2 == 0 else srcs[::-1]:
-                run, map_line = run_evaluate(src, hidden, recs, per_user)
+                run, out = run_stage(src, [
+                    "evaluate", "--recs", str(recs), "--hidden", str(hidden),
+                    "--k", str(K), "--per-user", str(per_user)])
+                map_line = out.strip()
                 runs[str(src)].append(run)
                 outputs.add((map_line, sha256(per_user)))
                 per_user.unlink()

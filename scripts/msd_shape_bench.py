@@ -80,20 +80,24 @@ def cached_inputs(fraction: Fraction, cache: Path):
             *json.loads(shape.read_text()))
 
 
-def run_stage(src: Path, args: list) -> dict:
-    """Wall time and ru_maxrss of one `python -m tastecf` call."""
+def run_stage(src: Path, args: list):
+    """Wall time and ru_maxrss of one `python -m tastecf` call, and what it
+    printed to stdout, which must be short enough to wait in its pipe."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "tastecf", *args], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    err = proc.stderr.read().decode("utf-8", "replace")
+    out, err = (stream.read().decode("utf-8", "replace")
+                for stream in (proc.stdout, proc.stderr))
+    proc.stdout.close()
     proc.stderr.close()
     if proc.returncode != 0:
         raise SystemExit(f"tastecf {args[0]} exited {proc.returncode}:\n{err[-2000:]}")
-    return {"wall_s": round(wall, 3), "ru_maxrss_mib": round(usage.ru_maxrss / 1024, 1)}
+    return ({"wall_s": round(wall, 3), "ru_maxrss_mib": round(usage.ru_maxrss / 1024, 1)},
+            out)
 
 
 def sha256(path: Path) -> str:
@@ -154,7 +158,7 @@ def main() -> int:
                            "--fraction", SPLIT_FRACTION, "--seed", str(SEED)]
         runs = {}
         for stage, stage_args in stages.items():
-            runs[stage] = run_stage(src, stage_args)
+            runs[stage] = run_stage(src, stage_args)[0]
             print(f"f={name} {stage}: {runs[stage]}", file=sys.stderr)
         result["fractions"][name] = {
             "triplets": n_triplets, "users": n_users, "tracks": n_tracks,

@@ -286,13 +286,17 @@ def render_recommendation(rec: Recommendation, user_vocab, track_vocab,
 def _check_recs_ids(users, track_vocab) -> None:
     """DataError naming the first user or track id that a recs line cannot
     hold: one with a space, at which the line is split, or a line end. A
-    vocabulary's bytes are scanned by first_holding, a list of ids as str."""
+    vocabulary's bytes are scanned by first_holding, and the error names
+    its origin, as a repeated id's does; a list of ids is searched as str."""
     for kind, ids in (("user", users), ("track", track_vocab)):
-        bad = (ids.first_holding(b" \r") if isinstance(ids, Vocabulary)
-               else next(filter(re.compile("[ \r\n]").search, ids), None))
+        if isinstance(ids, Vocabulary):
+            bad, named = ids.first_holding(b" \r"), f"{ids._origin}: id"
+        else:
+            bad = next(filter(re.compile("[ \r\n]").search, ids), None)
+            named = f"{kind} id"
         if bad is not None:
-            raise DataError(f"{kind} id {bad!r} holds a space or a line end, "
-                            "so its recs line could not be read back")
+            raise DataError(f"{named} {bad!r} holds a space or a line end, so "
+                            "its recs line could not be read back")
 
 
 def _write_lines(fh, recs, users, track_vocab) -> None:

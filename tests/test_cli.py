@@ -810,15 +810,17 @@ def test_empty_and_tab_track_ids_round_trip_through_recs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("pairs, users, bad", [
-    ([("q", "z"), ("n", "z"), ("n", "a b"), ("m", "y")], "q\n", "track id 'a b'"),
-    ([("q", "z"), ("n", "z"), ("n", "c\rd"), ("m", "y")], "q\n", "track id 'c\\rd'"),
+    ([("q", "z"), ("n", "z"), ("n", "a b"), ("m", "y")], "q\n", "{}: id 'a b'"),
+    ([("q", "z"), ("n", "z"), ("n", "c\rd"), ("m", "y")], "q\n", "{}: id 'c\\rd'"),
     ([("q r", "z"), ("n", "z"), ("n", "a"), ("m", "y")], "q r\n", "user id 'q r'"),
 ], ids=["space-in-track", "cr-in-track", "space-in-user"])
 def test_recommend_refuses_an_id_its_recs_line_cannot_hold(tmp_path, capsys,
                                                           pairs, users, bad):
-    # "q a b c\rd 1" would read back as a list [a, b, c] and a user d
+    # "q a b c\rd 1" would read back as a list [a, b, c] and a user d; a
+    # stored track id is named with the index file that holds it
     with pytest.raises(AssertionError):
         _recommend_saved(tmp_path, pairs, users, 3)
+    bad = bad.format(f"{tmp_path / 'd.idx'}: track vocabulary")
     assert (f"error: recommend: {bad} holds a space or a line end, so its "
             "recs line could not be read back\n") in capsys.readouterr().err
     assert not (tmp_path / "recs.txt").exists()
